@@ -7,7 +7,8 @@ adversarial family), ``sweep`` (ratio over seeded random instances) and
 
 Reports go to stdout as a single JSON object or a CSV table; diagnostics
 go to stderr.  Exit codes: 0 success, 2 I/O error, 3 validation error,
-4 enumeration cap exceeded, 5 certified-bound violation or failed check.
+4 enumeration cap exceeded, 5 certified-bound violation, failed check or
+failed internal check.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .bounds import (
     terminal_structure,
 )
 from .cost import BINARY_L1_RATIO_BOUND, REAL_L2_RATIO_BOUND, Norm
-from .errors import BoundViolationError, CapExceededError, ValidationError
+from .errors import BoundViolationError, CapExceededError, CrossclustError, ValidationError
 from .model import DataMatrix, Partition, load_matrix_csv
 from .oneway import SolverMode
 from .rng import SplitMix64, derive_seed
@@ -158,6 +159,9 @@ def main(argv=None) -> int:
         return EXIT_CAP
     except BoundViolationError as exc:
         print(f"finding: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except CrossclustError as exc:  # a failed internal check
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 
 

@@ -8,6 +8,7 @@ exactly one representation and partition equality is tuple equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -82,7 +83,8 @@ def load_matrix_csv(path, binary: bool | None = None) -> DataMatrix:
     """Read a headerless numeric CSV file, one matrix row per line.
 
     Raises :class:`ValidationError` with the offending 1-based line number
-    on ragged rows or non-numeric fields.  Blank lines are ignored.
+    on ragged rows, non-numeric fields or non-finite values (``nan``,
+    ``inf``).  Blank lines are ignored.
     """
     rows: list[list[float]] = []
     width: int | None = None
@@ -104,6 +106,9 @@ def load_matrix_csv(path, binary: bool | None = None) -> DataMatrix:
                 raise ValidationError(
                     f"line {lineno}: expected {width} fields, got {len(row)}"
                 )
+            # a finite sum proves every value finite; an overflowing one does not
+            if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+                raise ValidationError(f"line {lineno}: non-finite value")
             rows.append(row)
     if not rows:
         raise ValidationError("matrix file contains no rows")
@@ -210,18 +215,30 @@ def enumerate_partitions(t: int, max_k: int) -> Iterator[Partition]:
 
 
 def _walk_partitions(t: int, max_k: int) -> Iterator[Partition]:
+    """Restricted growth strings in lexicographic order: each step bumps the
+    rightmost label that may grow and resets every label after it to 0.
+
+    The strings are canonical by construction, so the partitions skip the
+    validation of ``Partition.__post_init__``.
+    """
+    new = object.__new__
     labels = [0] * t
-
-    def walk(i: int, used: int) -> Iterator[Partition]:
-        if i == t:
-            yield Partition(tuple(labels), max_k)
+    top = [0] * t  # top[i]: the largest label among labels[: i + 1]
+    last = max_k - 1
+    while True:
+        part = new(Partition)
+        part.__dict__.update(assignment=tuple(labels), k=max_k)
+        yield part
+        i = t - 1
+        while i > 0 and (labels[i] > top[i - 1] or labels[i] == last):
+            i -= 1
+        if i == 0:
             return
-        limit = used + 1 if used < max_k else max_k
-        for lab in range(limit):
-            labels[i] = lab
-            yield from walk(i + 1, used + 1 if lab == used else used)
-
-    return walk(0, 0)
+        labels[i] += 1
+        high = top[i] = max(top[i - 1], labels[i])
+        for j in range(i + 1, t):
+            labels[j] = 0
+            top[j] = high
 
 
 @dataclass(frozen=True, eq=False)

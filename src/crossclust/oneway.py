@@ -14,10 +14,19 @@ most k" reaches the same optimum without empty-cluster bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .cost import Norm, oneway_row_cost
+from .cost import (
+    DIRECT_BATCH,
+    TIE_RTOL,
+    BatchCosts,
+    FirstMinimum,
+    Norm,
+    columnwise_cost,
+    oneway_row_cost,
+)
 from .errors import CapExceededError, CrossclustError, ValidationError
 from .model import ENUMERATION_CAP, DataMatrix, Partition, enumerate_partitions
 from .rng import MASK64, SplitMix64
@@ -63,7 +72,17 @@ class OnewaySolution:
 def exact_kcluster(x: DataMatrix, k: int, norm: Norm) -> OnewaySolution:
     """Globally optimal row clustering into at most ``k`` clusters.
 
-    Ties break toward the first optimum in canonical enumeration order.
+    Every partition from :func:`enumerate_partitions` is scored.  Under L2
+    and under L1 on 0/1 input the scores come in batches from
+    :class:`BatchCosts`; L1 on real data scores each partition directly
+    with :func:`oneway_row_cost`.  Exact costs decide: batched scores
+    within ``TIE_RTOL`` times the one-cluster cost, plus twice the
+    kernel's rounding bound, of the least one are re-scored directly (binary L1
+    scores are exact integers and need no re-scoring).  Costs within
+    ``TIE_RTOL`` times the one-cluster cost of the minimum count as tied,
+    and the first tied partition in canonical enumeration order wins.
+    The reported cost is the direct evaluation of the winner.
+
     With k == 1 the single all-in-one partition is returned directly and
     no enumeration cap applies; otherwise n_rows must be <= 14.
     """
@@ -77,14 +96,25 @@ def exact_kcluster(x: DataMatrix, k: int, norm: Norm) -> OnewaySolution:
         raise CapExceededError(
             f"exact clustering capped at {ENUMERATION_CAP} rows, got {n}"
         )
-    best_part: Partition | None = None
-    best_cost = float("inf")
-    for part in enumerate_partitions(n, k):
-        c = oneway_row_cost(x, part, norm)
-        if c < best_cost:
-            best_part, best_cost = part, c
-    assert best_part is not None
-    return OnewaySolution(best_part, best_cost, SolverMode.exact())
+    tol = TIE_RTOL * columnwise_cost(x, norm)
+    if norm is Norm.L2 or x.is_binary:
+        score = BatchCosts(x, norm, k)
+        size = score.batch_size
+        rescore = (lambda p: oneway_row_cost(x, p, norm)) if norm is Norm.L2 else None
+        pick = FirstMinimum(tol, score.err, rescore)
+    else:
+
+        def score(batch: list[Partition]) -> np.ndarray:
+            return np.array([oneway_row_cost(x, p, norm) for p in batch])
+
+        size = DIRECT_BATCH
+        pick = FirstMinimum(tol)
+    parts = enumerate_partitions(n, k)
+    while batch := list(islice(parts, size)):
+        if pick.feed(score(batch), batch.__getitem__):
+            break
+    best = Partition(pick.winner.assignment, k)  # validated, unlike the walk's
+    return OnewaySolution(best, oneway_row_cost(x, best, norm), SolverMode.exact())
 
 
 def lloyd_kcluster(

@@ -9,15 +9,22 @@ cost, which is the reference value for ratio certification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
 from .cost import (
+    TIE_RTOL,
+    BatchCosts,
     CostBreakdown,
+    FirstMinimum,
     Norm,
     biclustering_cost,
+    block_costs,
     certificate_bound,
     oneway_row_cost,
+    pooled_cost,
 )
 from .errors import BoundViolationError, CapExceededError, ValidationError
 from .model import (
@@ -85,67 +92,18 @@ def run_scheme(
     return SchemeResult(bic, breakdown, mode)
 
 
-def _axis_partitions(t: int, k: int, cap: int, axis: str) -> list[Partition]:
+def _axis_partitions(t: int, k: int, cap: int, axis: str) -> Iterator[Partition]:
     """Partitions of one axis for the oracle.  k == 1 is trivial (a single
     all-in-one partition) and is exempt from every size cap."""
     if k < 1 or k > t:
         raise ValidationError(f"{axis} cluster count must be in [1, {t}], got {k}")
     if k == 1:
-        return [Partition((0,) * t, 1)]
+        return iter([Partition((0,) * t, 1)])
     if t > min(cap, ENUMERATION_CAP):
         raise CapExceededError(
             f"oracle enumeration over {axis}s capped at {min(cap, ENUMERATION_CAP)}, got {t}"
         )
-    return list(enumerate_partitions(t, k))
-
-
-class _BlockCosts:
-    """Blockwise cost evaluation for partition-pair enumeration.
-
-    Pooled block costs reduce to per-block aggregates for the two certified
-    input classes: under L2, cost = sum(x^2) - sum(x)^2/size; under L1 on a
-    0/1 matrix, cost = min(ones, size - ones).  Everything then follows
-    from two small matrix products per partition pair, batched over all
-    column partitions at once.  L1 on general real data has no aggregate
-    form and uses the direct evaluation instead.
-    """
-
-    def __init__(self, x: DataMatrix, norm: Norm, col_parts: list[Partition]):
-        self.norm = norm
-        self.fast = norm is Norm.L2 or x.is_binary
-        self.x = x
-        if not self.fast:
-            return
-        self._v1 = x.values
-        self._v2 = x.values**2 if norm is Norm.L2 else None
-        k_max = max(p.n_clusters for p in col_parts)
-        m = x.n_cols
-        stack = np.zeros((len(col_parts), m, k_max))
-        for i, p in enumerate(col_parts):
-            stack[i, np.arange(m), p.assignment] = 1.0
-        self._col_stack = stack
-        self._col_sizes = stack.sum(axis=1)  # (P, k_max)
-
-    def costs_for_row_partition(
-        self, rows: Partition, col_parts: list[Partition]
-    ) -> np.ndarray:
-        """Biclustering cost of (rows, c) for every column partition c."""
-        if self.fast:
-            ind = np.zeros((rows.n_clusters, self.x.n_rows))
-            ind[rows.assignment, np.arange(self.x.n_rows)] = 1.0
-            sums = np.einsum("kn,nm,pmc->pkc", ind, self._v1, self._col_stack)
-            counts = ind.sum(axis=1)[None, :, None] * self._col_sizes[:, None, :]
-            if self.norm is Norm.L1:
-                blocks = np.minimum(sums, counts - sums)
-            else:
-                sq = np.einsum("kn,nm,pmc->pkc", ind, self._v2, self._col_stack)
-                safe = np.where(counts > 0, counts, 1.0)
-                blocks = np.where(counts > 0, sq - sums * sums / safe, 0.0)
-                blocks = np.maximum(blocks, 0.0)
-            return blocks.sum(axis=(1, 2))
-        return np.array(
-            [biclustering_cost(self.x, rows, cols, self.norm)[0].l for cols in col_parts]
-        )
+    return enumerate_partitions(t, k)
 
 
 def exact_biclustering(
@@ -158,31 +116,45 @@ def exact_biclustering(
 ) -> OptimalBiclustering:
     """Global minimum of the biclustering cost over all row partitions
     into at most ``k_r`` clusters crossed with all column partitions into
-    at most ``k_c`` clusters.  Ties break toward the first pair in nested
-    canonical enumeration order (rows outer, columns inner).
+    at most ``k_c`` clusters.
 
-    The only pruning is skipping the inner column loop when the row
-    partition's one-way cost (a lower bound on any crossing that uses it)
-    already exceeds the incumbent.
+    Every pair is scored, in nested canonical enumeration order (rows
+    outer, columns inner).  Under L2 and under L1 on 0/1 input the scores
+    of a batch of row partitions against all column partitions come from
+    :class:`BatchCosts`.  Exact costs decide: pairs whose batched score is
+    within ``TIE_RTOL`` times the one-block cost, plus twice the
+    kernel's rounding bound, of the least one are re-scored directly (binary L1
+    scores are exact integers and need no re-scoring).  L1 on real data
+    sums the direct block costs of every pair, skipping a row partition
+    whose one-way cost (a lower bound on any crossing that uses it) is
+    already above the best pair.  Costs within ``TIE_RTOL`` times the
+    one-block cost of the minimum count as tied, and the first tied pair
+    wins.  The reported cost is the direct evaluation of the winner.
     """
-    col_parts = _axis_partitions(x.n_cols, k_c, col_cap, "column")
-    evaluator = _BlockCosts(x, norm, col_parts)
-    best_cost = float("inf")
-    best_rows: Partition | None = None
-    best_cols: Partition | None = None
-    for rows in _axis_partitions(x.n_rows, k_r, row_cap, "row"):
-        if best_rows is not None:
-            lb = oneway_row_cost(x, rows, norm)
-            if lb > best_cost + 1e-9:
+    col_parts = list(_axis_partitions(x.n_cols, k_c, col_cap, "column"))
+    row_parts = _axis_partitions(x.n_rows, k_r, row_cap, "row")
+    tol = TIE_RTOL * pooled_cost(x, norm)
+
+    def direct(pair: tuple[Partition, Partition]) -> float:
+        return float(block_costs(x, pair[0], pair[1], norm).sum())
+
+    if norm is Norm.L2 or x.is_binary:
+        score = BatchCosts(x, norm, k_r, col_parts)
+        pick = FirstMinimum(tol, score.err, direct if norm is Norm.L2 else None)
+        p_c = len(col_parts)
+        while rows := list(islice(row_parts, score.batch_size)):
+            if pick.feed(score(rows), lambda i: (rows[i // p_c], col_parts[i % p_c])):
+                break
+    else:
+        pick = FirstMinimum(tol)
+        for rows in row_parts:
+            if oneway_row_cost(x, rows, norm) > pick.best + tol:
                 continue
-        costs = evaluator.costs_for_row_partition(rows, col_parts)
-        idx = int(costs.argmin())
-        if costs[idx] < best_cost:
-            best_cost = float(costs[idx])
-            best_rows, best_cols = rows, col_parts[idx]
-    assert best_rows is not None and best_cols is not None
-    # Recompute the winner through the direct evaluation path so that the
-    # reported cost never depends on the aggregate fast path.
+            costs = np.array([direct((rows, cols)) for cols in col_parts])
+            if pick.feed(costs, lambda i: (rows, col_parts[i])):
+                break
+    # validated partitions, unlike the walk's
+    best_rows, best_cols = (Partition(p.assignment, p.k) for p in pick.winner)
     breakdown, _ = biclustering_cost(x, best_rows, best_cols, norm)
     return OptimalBiclustering(best_rows, best_cols, breakdown.l)
 

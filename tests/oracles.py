@@ -7,6 +7,7 @@ are either computed by these oracles or were frozen from them.
 """
 
 import statistics
+from fractions import Fraction
 from itertools import product
 
 
@@ -135,4 +136,49 @@ def exact_oneway_naive(matrix, k, norm):
     return min(
         oneway_row_cost_naive(matrix, assignment, norm)
         for assignment in partitions_by_label_strings(n, min(k, n))
+    )
+
+
+def first_argmin(candidates, cost, tol):
+    """The first candidate, in the order given, whose cost is within
+    ``tol`` of the least cost, with that cost."""
+    costs = [cost(c) for c in candidates]
+    least = min(costs)
+    for cand, value in zip(candidates, costs):
+        if value <= least + tol:
+            return cand, value
+
+
+def _exact(matrix):
+    """Entries as exact rationals, so that tied costs compare equal."""
+    return [[Fraction(v) for v in row] for row in matrix]
+
+
+def exact_oneway_argmin_naive(matrix, k, norm, rtol):
+    """Optimal row partition and its cost, in exact rational arithmetic.
+    Candidates run in canonical order (restricted growth strings sorted
+    lexicographically); costs within ``rtol`` times the one-cluster cost
+    of the least count as tied."""
+    matrix = _exact(matrix)
+    n = len(matrix)
+    scale = oneway_row_cost_naive(matrix, (0,) * n, norm)
+    parts = sorted(partitions_by_label_strings(n, min(k, n)))
+    return first_argmin(parts, lambda a: oneway_row_cost_naive(matrix, a, norm), rtol * scale)
+
+
+def exact_biclustering_argmin_naive(matrix, k_r, k_c, norm, rtol):
+    """Optimal (row partition, column partition) pair and its cost, with
+    the arithmetic and tie rule of :func:`exact_oneway_argmin_naive`;
+    pairs run with rows outer and columns inner."""
+    matrix = _exact(matrix)
+    n = len(matrix)
+    m = len(matrix[0])
+    scale = biclustering_cost_naive(matrix, (0,) * n, (0,) * m, norm)
+    pairs = [
+        (rows, cols)
+        for rows in sorted(partitions_by_label_strings(n, min(k_r, n)))
+        for cols in sorted(partitions_by_label_strings(m, min(k_c, m)))
+    ]
+    return first_argmin(
+        pairs, lambda p: biclustering_cost_naive(matrix, p[0], p[1], norm), rtol * scale
     )

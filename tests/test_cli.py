@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end, driven through main()."""
 
+import itertools
 import json
 import math
 
@@ -74,6 +75,30 @@ class TestRun:
         assert code == 0
         assert rep["mode"] == "heuristic"
         assert rep["l"] >= 0
+
+    def test_non_finite_csv_exits_3_with_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("0,1\nnan,0\n")
+        assert main(["run", "--input", str(path)]) == 3
+        assert "line 2: non-finite value" in capsys.readouterr().err
+
+    def test_internal_check_exits_5_without_traceback(self, capsys, tmp_path, monkeypatch):
+        # Lloyd raises a bare CrossclustError if its objective rises; make
+        # every distance larger than the last so that the check fires
+        from crossclust import oneway
+
+        calls = itertools.count(1)
+
+        def rising(points, center, norm):
+            return np.full(len(points), float(next(calls)))
+
+        monkeypatch.setattr(oneway, "_distances", rising)
+        path = write_matrix(tmp_path / "m.csv", np.eye(4))
+        code = main(["run", "--input", path, "--mode", "heuristic", "--restarts", "1"])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert err.startswith("error: internal error: clustering objective rose")
+        assert "Traceback" not in err
 
     def test_invalid_k_exits_3(self, capsys, wc2_csv):
         assert main(["run", "--input", wc2_csv, "--kr", "0"]) == 3

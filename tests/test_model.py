@@ -89,6 +89,13 @@ class TestCsvLoader:
         with pytest.raises(ValidationError, match="line 2"):
             load_matrix_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_reports_line(self, tmp_path, value):
+        path = tmp_path / "m.csv"
+        path.write_text(f"0,1\n\n1,0\n0.5,{value}\n")
+        with pytest.raises(ValidationError, match="line 4: non-finite value"):
+            load_matrix_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("")
