@@ -34,6 +34,8 @@ from .model import DataMatrix
 from .oneway import SolverMode, exact_kcluster, kcluster_cols
 from .search import DEFAULT_ORACLE_CAP, exact_biclustering
 
+#: Tolerance of the bound checks, relative to the pooled cost of the block
+#: or matrix checked, so that no check depends on the data's scale.
 PASS_TOL = 1e-9
 #: Below this the ratio objective's denominator is treated as zero; the
 #: x = y = 0 corner is a removable 0/0 degeneracy, not an error.
@@ -63,12 +65,13 @@ def per_bicluster_bound(y, norm: Norm, alpha: float) -> MarginReport:
 
     For the constant to be a certificate under L1 the block must be 0/1
     valued; under L2 with alpha = 2 the inequality holds for any reals.
+    The slack may fall ``PASS_TOL`` times the pooled cost below 0.
     """
     v = pooled_cost(y, norm)
     vr = columnwise_cost(y, norm)
     vc = rowwise_cost(y, norm)
     slack = 0.5 * alpha * (vr + vc) - v
-    return MarginReport(v, vr, vc, alpha, slack, slack >= -PASS_TOL)
+    return MarginReport(v, vr, vc, alpha, slack, slack >= -PASS_TOL * v)
 
 
 @dataclass(frozen=True)
@@ -90,12 +93,15 @@ def lower_bound_check(
     col_cap: int = DEFAULT_ORACLE_CAP,
 ) -> LowerBoundReport:
     """Verify l_star >= max(l_r, l_c) >= (l_r + l_c)/2 with l_r and l_c the
-    exact one-way optima at the same cluster budgets."""
+    exact one-way optima at the same cluster budgets, within ``PASS_TOL``
+    times the one-block cost, so that the check is free of the data's
+    scale."""
     l_star = exact_biclustering(x, k_r, k_c, norm, row_cap=row_cap, col_cap=col_cap).cost
     l_r = exact_kcluster(x, k_r, norm).cost
     l_c = kcluster_cols(x, k_c, norm, SolverMode.exact()).cost
     top = max(l_r, l_c)
-    passed = l_star >= top - PASS_TOL and top >= 0.5 * (l_r + l_c) - PASS_TOL
+    tol = PASS_TOL * pooled_cost(x, norm)
+    passed = l_star >= top - tol and top >= 0.5 * (l_r + l_c) - tol
     return LowerBoundReport(l_star, l_r, l_c, passed)
 
 

@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 from .bounds import (
     grid_search_alpha,
@@ -48,31 +47,6 @@ EXIT_CAP = 4
 EXIT_VIOLATION = 5
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str | None
-    k_r: int
-    k_c: int
-    norm: Norm
-    mode: SolverMode
-    seed: int
-    output_format: str
-    q: int
-    count: int
-    rows: int
-    cols: int
-    ones_p: float
-    planted: bool
-    resolution: int
-
-    def __post_init__(self):
-        if self.k_r < 1 or self.k_c < 1:
-            raise ValidationError("cluster counts must be >= 1")
-        if self.count < 1:
-            raise ValidationError("count must be >= 1")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crossclust",
@@ -83,7 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_input: bool) -> None:
+    def command(name: str, handler, text: str, with_input: bool = False):
+        sp = sub.add_parser(name, help=text)
+        sp.set_defaults(handler=handler)
         if with_input:
             sp.add_argument("--input", required=True, help="CSV matrix file, one row per line, no header")
         sp.add_argument("--kr", type=int, default=2, help="row cluster budget")
@@ -93,61 +69,42 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--restarts", type=int, default=8, help="heuristic restarts")
         sp.add_argument("--seed", type=int, default=1)
         sp.add_argument("--format", choices=["json", "csv"], default="json", dest="output_format")
+        return sp
 
-    common(sub.add_parser("run", help="run the independent-clustering scheme"), True)
-    common(sub.add_parser("exact", help="brute-force optimal biclustering"), True)
-    common(sub.add_parser("ratio", help="scheme cost over optimal cost, with certificate"), True)
+    command("run", _cmd_run, "run the independent-clustering scheme", with_input=True)
+    command("exact", _cmd_exact, "brute-force optimal biclustering", with_input=True)
+    command("ratio", _cmd_ratio, "scheme cost over optimal cost, with certificate", with_input=True)
 
-    sp = sub.add_parser("worstcase", help="check the adversarial 4x(4q-1) family")
-    common(sp, False)
+    sp = command("worstcase", _cmd_worstcase, "check the adversarial 4x(4q-1) family")
     sp.add_argument("--q", type=int, default=2, help="family parameter")
 
-    sp = sub.add_parser("sweep", help="ratio over seeded random instances")
-    common(sp, False)
+    sp = command("sweep", _cmd_sweep, "ratio over seeded random instances")
     sp.add_argument("--count", type=int, default=100, help="number of instances")
     sp.add_argument("--rows", type=int, default=4)
     sp.add_argument("--cols", type=int, default=4)
     sp.add_argument("--ones-p", type=float, default=0.5, dest="ones_p", help="ones probability (binary instances)")
     sp.add_argument("--planted", action="store_true", help="use planted two-block real instances for the L2 norm")
 
-    sp = sub.add_parser("verify-bounds", help="run the whole verification battery")
-    common(sp, False)
+    sp = command("verify-bounds", _cmd_verify_bounds, "run the whole verification battery")
     sp.add_argument("--count", type=int, default=200, help="samples per battery")
     sp.add_argument("--resolution", type=int, default=400, help="ratio-search lattice resolution")
 
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    norm = Norm.parse(args.norm)
-    if args.mode == "exact":
-        mode = SolverMode.exact()
-    else:
-        mode = SolverMode.heuristic(restarts=args.restarts, seed=args.seed)
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        k_r=args.kr,
-        k_c=args.kc,
-        norm=norm,
-        mode=mode,
-        seed=args.seed,
-        output_format=args.output_format,
-        q=getattr(args, "q", 2),
-        count=getattr(args, "count", 100),
-        rows=getattr(args, "rows", 4),
-        cols=getattr(args, "cols", 4),
-        ones_p=getattr(args, "ones_p", 0.5),
-        planted=getattr(args, "planted", False),
-        resolution=getattr(args, "resolution", 400),
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config(args)
-        return _dispatch(cfg)
+        args.norm = Norm.parse(args.norm)
+        if args.mode == "exact":
+            args.mode = SolverMode.exact()
+        else:
+            args.mode = SolverMode.heuristic(restarts=args.restarts, seed=args.seed)
+        if args.kr < 1 or args.kc < 1:
+            raise ValidationError("cluster counts must be >= 1")
+        if "count" in args and args.count < 1:
+            raise ValidationError("count must be >= 1")
+        return args.handler(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -163,18 +120,6 @@ def main(argv=None) -> int:
     except CrossclustError as exc:  # a failed internal check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-
-
-def _dispatch(cfg: RunConfig) -> int:
-    handler = {
-        "run": _cmd_run,
-        "exact": _cmd_exact,
-        "ratio": _cmd_ratio,
-        "worstcase": _cmd_worstcase,
-        "sweep": _cmd_sweep,
-        "verify-bounds": _cmd_verify_bounds,
-    }[cfg.command]
-    return handler(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +165,18 @@ def _csv_cell(value):
     return value
 
 
-def _config_echo(cfg: RunConfig, exact_only: bool = False) -> dict:
+def _config_echo(args: argparse.Namespace, exact_only: bool = False) -> dict:
     # commands built on the oracle always run in exact mode, whatever
     # --mode was passed; echo what actually ran
-    mode = SolverMode.exact() if exact_only else cfg.mode
+    mode = SolverMode.exact() if exact_only else args.mode
     return {
-        "command": cfg.command,
-        "k_r": cfg.k_r,
-        "k_c": cfg.k_c,
-        "norm": cfg.norm.value,
+        "command": args.command,
+        "k_r": args.kr,
+        "k_c": args.kc,
+        "norm": args.norm.value,
         "mode": mode.kind,
         "restarts": mode.restarts,
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
 
 
@@ -239,13 +184,13 @@ def _config_echo(cfg: RunConfig, exact_only: bool = False) -> dict:
 # Commands.
 
 
-def _cmd_run(cfg: RunConfig) -> int:
-    x = load_matrix_csv(cfg.input_path)
-    result = run_scheme(x, cfg.k_r, cfg.k_c, cfg.norm, cfg.mode)
-    integral = x.is_binary and cfg.norm is Norm.L1
-    report = _config_echo(cfg)
+def _cmd_run(args: argparse.Namespace) -> int:
+    x = load_matrix_csv(args.input)
+    result = run_scheme(x, args.kr, args.kc, args.norm, args.mode)
+    integral = x.is_binary and args.norm is Norm.L1
+    report = _config_echo(args)
     report.update(
-        input=cfg.input_path,
+        input=args.input,
         n_rows=x.n_rows,
         n_cols=x.n_cols,
         is_binary=x.is_binary,
@@ -257,20 +202,20 @@ def _cmd_run(cfg: RunConfig) -> int:
     report["l_r"] = _maybe_int(result.breakdown.l_r, integral)
     report["l_c"] = _maybe_int(result.breakdown.l_c, integral)
     report["l"] = _maybe_int(result.breakdown.l, integral)
-    _emit(report, cfg.output_format)
+    _emit(report, args.output_format)
     return EXIT_OK
 
 
-def _cmd_exact(cfg: RunConfig) -> int:
-    x = load_matrix_csv(cfg.input_path)
-    opt = exact_biclustering(x, cfg.k_r, cfg.k_c, cfg.norm)
-    integral = x.is_binary and cfg.norm is Norm.L1
-    report = _config_echo(cfg, exact_only=True)
-    report.update(input=cfg.input_path, n_rows=x.n_rows, n_cols=x.n_cols, is_binary=x.is_binary)
+def _cmd_exact(args: argparse.Namespace) -> int:
+    x = load_matrix_csv(args.input)
+    opt = exact_biclustering(x, args.kr, args.kc, args.norm)
+    integral = x.is_binary and args.norm is Norm.L1
+    report = _config_echo(args, exact_only=True)
+    report.update(input=args.input, n_rows=x.n_rows, n_cols=x.n_cols, is_binary=x.is_binary)
     report.update(_partition_fields("rows", opt.rows))
     report.update(_partition_fields("cols", opt.cols))
     report["l_star"] = _maybe_int(opt.cost, integral)
-    _emit(report, cfg.output_format)
+    _emit(report, args.output_format)
     return EXIT_OK
 
 
@@ -286,22 +231,22 @@ def _ratio_fields(rep: RatioReport, integral: bool) -> dict:
     }
 
 
-def _cmd_ratio(cfg: RunConfig) -> int:
-    x = load_matrix_csv(cfg.input_path)
-    rep = ratio(x, cfg.k_r, cfg.k_c, cfg.norm, seed=cfg.seed)
-    integral = x.is_binary and cfg.norm is Norm.L1
-    report = _config_echo(cfg, exact_only=True)
-    report.update(input=cfg.input_path, n_rows=x.n_rows, n_cols=x.n_cols, is_binary=x.is_binary)
+def _cmd_ratio(args: argparse.Namespace) -> int:
+    x = load_matrix_csv(args.input)
+    rep = ratio(x, args.kr, args.kc, args.norm, seed=args.seed)
+    integral = x.is_binary and args.norm is Norm.L1
+    report = _config_echo(args, exact_only=True)
+    report.update(input=args.input, n_rows=x.n_rows, n_cols=x.n_cols, is_binary=x.is_binary)
     report.update(_ratio_fields(rep, integral))
-    _emit(report, cfg.output_format)
+    _emit(report, args.output_format)
     return EXIT_VIOLATION if rep.certified is False else EXIT_OK
 
 
-def _cmd_worstcase(cfg: RunConfig) -> int:
-    rep = worst_case_report(cfg.q)
-    report = _config_echo(cfg, exact_only=True)
+def _cmd_worstcase(args: argparse.Namespace) -> int:
+    rep = worst_case_report(args.q)
+    report = _config_echo(args, exact_only=True)
     report.update(
-        q=cfg.q,
+        q=args.q,
         l=int(rep.l_scheme),
         l_star=int(rep.l_star),
         ratio=rep.ratio,
@@ -310,7 +255,7 @@ def _cmd_worstcase(cfg: RunConfig) -> int:
     )
     report.update(_partition_fields("scheme_rows", rep.scheme_rows))
     report.update(_partition_fields("optimal_rows", rep.optimal_rows))
-    _emit(report, cfg.output_format)
+    _emit(report, args.output_format)
     return EXIT_OK if rep.passed else EXIT_VIOLATION
 
 
@@ -320,47 +265,47 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     instances = []
     max_ratio = 0.0
     violations = 0
-    for i in range(cfg.count):
-        seed_i = derive_seed(cfg.seed, i)
-        if cfg.norm is Norm.L1:
-            x = random_binary_matrix(cfg.rows, cfg.cols, cfg.ones_p, seed_i)
-        elif cfg.planted:
-            x = planted_real_matrix(cfg.rows, cfg.cols, seed_i)
+    for i in range(args.count):
+        seed_i = derive_seed(args.seed, i)
+        if args.norm is Norm.L1:
+            x = random_binary_matrix(args.rows, args.cols, args.ones_p, seed_i)
+        elif args.planted:
+            x = planted_real_matrix(args.rows, args.cols, seed_i)
         else:
-            x = random_real_matrix(cfg.rows, cfg.cols, seed_i)
-        rep = ratio(x, cfg.k_r, cfg.k_c, cfg.norm, seed=seed_i)
-        integral = x.is_binary and cfg.norm is Norm.L1
+            x = random_real_matrix(args.rows, args.cols, seed_i)
+        rep = ratio(x, args.kr, args.kc, args.norm, seed=seed_i)
+        integral = x.is_binary and args.norm is Norm.L1
         violated = rep.certified is False
         violations += violated
         max_ratio = max(max_ratio, rep.ratio)
         row = {
             "index": i,
-            "n_rows": cfg.rows,
-            "n_cols": cfg.cols,
-            "k_r": cfg.k_r,
-            "k_c": cfg.k_c,
-            "norm": cfg.norm.value,
+            "n_rows": args.rows,
+            "n_cols": args.cols,
+            "k_r": args.kr,
+            "k_c": args.kc,
+            "norm": args.norm.value,
             "seed": seed_i,
-            "planted": cfg.planted and cfg.norm is Norm.L2,
+            "planted": args.planted and args.norm is Norm.L2,
         }
         row.update(_ratio_fields(rep, integral))
         row["violation"] = int(violated)
         instances.append(row)
     summary = {
         "index": "summary",
-        "count": cfg.count,
+        "count": args.count,
         "max_ratio": max_ratio,
         "violations": violations,
     }
-    if cfg.output_format == "json":
-        report = _config_echo(cfg, exact_only=True)
+    if args.output_format == "json":
+        report = _config_echo(args, exact_only=True)
         report.update(
-            count=cfg.count, rows=cfg.rows, cols=cfg.cols,
-            ones_p=cfg.ones_p, planted=cfg.planted,
+            count=args.count, rows=args.rows, cols=args.cols,
+            ones_p=args.ones_p, planted=args.planted,
         )
         report["instances"] = instances
         report["summary"] = summary
@@ -468,21 +413,21 @@ def _battery_alpha(resolution: int) -> dict:
     }
 
 
-def _cmd_verify_bounds(cfg: RunConfig) -> int:
-    rng = SplitMix64(cfg.seed)
+def _cmd_verify_bounds(args: argparse.Namespace) -> int:
+    rng = SplitMix64(args.seed)
     batteries = [
-        _battery_per_block(rng, cfg.count),
-        _battery_lower_bound(rng, max(8, cfg.count // 8)),
-        _battery_swaps(rng, cfg.count),
-        _battery_l2_identity(rng, cfg.count),
-        _battery_alpha(cfg.resolution),
+        _battery_per_block(rng, args.count),
+        _battery_lower_bound(rng, max(8, args.count // 8)),
+        _battery_swaps(rng, args.count),
+        _battery_l2_identity(rng, args.count),
+        _battery_alpha(args.resolution),
     ]
     for battery in batteries:
         battery["passed"] = battery["failures"] == 0
     passed = all(b["passed"] for b in batteries)
-    report = _config_echo(cfg, exact_only=True)
-    report.update(count=cfg.count, resolution=cfg.resolution, batteries=batteries, passed=passed)
-    _emit(report, cfg.output_format)
+    report = _config_echo(args, exact_only=True)
+    report.update(count=args.count, resolution=args.resolution, batteries=batteries, passed=passed)
+    _emit(report, args.output_format)
     return EXIT_OK if passed else EXIT_VIOLATION
 
 

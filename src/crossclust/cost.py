@@ -2,10 +2,12 @@
 
 Two deviation measures are supported: under ``Norm.L1`` the dissimilarity
 of a multiset is the sum of absolute deviations from its lower median,
-under ``Norm.L2`` it is the sum of squared deviations from its mean.
-For an even-sized multiset every point of the closed median interval
-gives the same absolute-deviation sum; fixing the lower median just makes
-outputs deterministic.
+under ``Norm.L2`` it is the sum of squared deviations from its mean, and
+a constant multiset costs exactly 0.  For an even-sized multiset every
+point of the closed median interval gives the same absolute-deviation
+sum; fixing the lower median just makes outputs deterministic.  The
+center is defined once, in ``_center``, and every direct cost goes
+through ``_columns_spread``; Lloyd's centers follow the same rule.
 
 On top of the multiset measure three aggregate costs are defined for a
 matrix with a row partition and/or a column partition:
@@ -90,6 +92,28 @@ def _values_of(y) -> np.ndarray:
     return arr
 
 
+def _center(arr: np.ndarray, norm: Norm):
+    """Per-column center of ``arr``: the lower median under L1, the mean
+    under L2.  A 1-D array is one column."""
+    if norm is Norm.L1:
+        return np.sort(arr, axis=0)[(arr.shape[0] - 1) // 2]
+    return arr.mean(axis=0)
+
+
+def _columns_spread(arr: np.ndarray, norm: Norm) -> float:
+    """Sum over columns of the within-column dissimilarity, the deviations
+    of each column from its :func:`_center`.  A 1-D array is one column."""
+    if norm is Norm.L1:
+        return float(np.abs(arr - _center(arr, norm)).sum())
+    dev = (arr - _center(arr, norm)) ** 2
+    # a constant column must cost exactly 0; the computed mean of n equal
+    # values can round off the value itself (e.g. three 0.1s)
+    constant = arr.min(axis=0) == arr.max(axis=0)
+    if constant.any():
+        dev[..., constant] = 0.0
+    return float(dev.sum())
+
+
 def dissimilarity(values, norm: Norm) -> float:
     """Dissimilarity of a multiset of reals under the given norm.
 
@@ -98,31 +122,12 @@ def dissimilarity(values, norm: Norm) -> float:
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise ValidationError("dissimilarity of an empty multiset is undefined")
-    if norm is Norm.L1:
-        med = np.sort(v)[(v.size - 1) // 2]
-        return float(np.abs(v - med).sum())
-    # a constant multiset must cost exactly 0; the computed mean of n
-    # equal values can round off the value itself (e.g. three 0.1s)
-    if v.min() == v.max():
-        return 0.0
-    return float(((v - v.mean()) ** 2).sum())
+    return _columns_spread(v, norm)
 
 
 def pooled_cost(y, norm: Norm) -> float:
     """Dissimilarity of all entries of a block pooled into one multiset."""
     return dissimilarity(_values_of(y).ravel(), norm)
-
-
-def _columns_spread(arr: np.ndarray, norm: Norm) -> float:
-    """Sum over columns of the within-column dissimilarity."""
-    if norm is Norm.L1:
-        med = np.sort(arr, axis=0)[(arr.shape[0] - 1) // 2, :]
-        return float(np.abs(arr - med).sum())
-    dev = (arr - arr.mean(axis=0)) ** 2
-    constant = arr.min(axis=0) == arr.max(axis=0)
-    if constant.any():
-        dev[:, constant] = 0.0  # same rounding concern as in dissimilarity
-    return float(dev.sum())
 
 
 def columnwise_cost(y, norm: Norm) -> float:
@@ -139,6 +144,11 @@ def rowwise_cost(y, norm: Norm) -> float:
     return _columns_spread(_values_of(y).T, norm)
 
 
+def _clusters_spread(vals: np.ndarray, part: Partition, norm: Norm) -> float:
+    """Sum of :func:`_columns_spread` over the row clusters of ``vals``."""
+    return sum(_columns_spread(vals[np.asarray(members)], norm) for members in part.clusters)
+
+
 def oneway_row_cost(x: DataMatrix, rows: Partition, norm: Norm) -> float:
     """Row-clustering objective: for every row cluster and every column,
     the dissimilarity of that cluster's slice of the column, summed."""
@@ -146,11 +156,7 @@ def oneway_row_cost(x: DataMatrix, rows: Partition, norm: Norm) -> float:
         raise ValidationError(
             f"row partition covers {rows.n_items} items, matrix has {x.n_rows} rows"
         )
-    vals = x.values
-    total = 0.0
-    for members in rows.clusters:
-        total += _columns_spread(vals[np.asarray(members), :], norm)
-    return total
+    return _clusters_spread(x.values, rows, norm)
 
 
 def oneway_col_cost(x: DataMatrix, cols: Partition, norm: Norm) -> float:
@@ -159,11 +165,7 @@ def oneway_col_cost(x: DataMatrix, cols: Partition, norm: Norm) -> float:
         raise ValidationError(
             f"column partition covers {cols.n_items} items, matrix has {x.n_cols} columns"
         )
-    vals = x.values
-    total = 0.0
-    for members in cols.clusters:
-        total += _columns_spread(vals[:, np.asarray(members)].T, norm)
-    return total
+    return _clusters_spread(x.values.T, cols, norm)
 
 
 def block_costs(x: DataMatrix, rows: Partition, cols: Partition, norm: Norm) -> np.ndarray:
@@ -177,7 +179,7 @@ def block_costs(x: DataMatrix, rows: Partition, cols: Partition, norm: Norm) -> 
     for r, members in enumerate(rows.clusters):
         sub = vals[np.asarray(members), :]
         for c, cidx in enumerate(col_groups):
-            grid[r, c] = dissimilarity(sub[:, cidx], norm)
+            grid[r, c] = _columns_spread(sub[:, cidx].ravel(), norm)
     return grid
 
 

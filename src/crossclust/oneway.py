@@ -24,6 +24,7 @@ from .cost import (
     BatchCosts,
     FirstMinimum,
     Norm,
+    _center,
     columnwise_cost,
     oneway_row_cost,
 )
@@ -185,12 +186,8 @@ def _centers_from_assignment(
     centers = old.copy()
     for c in range(k):
         members = points[assignment == c]
-        if members.shape[0] == 0:
-            continue  # keep the stale center; repair may repopulate later
-        if norm is Norm.L1:
-            centers[c] = np.sort(members, axis=0)[(members.shape[0] - 1) // 2, :]
-        else:
-            centers[c] = members.mean(axis=0)
+        if members.shape[0]:  # else keep the stale center; repair may repopulate later
+            centers[c] = _center(members, norm)
     return centers
 
 
@@ -235,14 +232,8 @@ def _repair_empty_clusters(
         if np.any(assignment == c):
             continue
         counts = np.bincount(assignment, minlength=k)
-        own_dist = np.array(
-            [
-                _distances(points[i : i + 1], centers[assignment[i]], norm)[0]
-                if counts[assignment[i]] >= 2
-                else -1.0
-                for i in range(points.shape[0])
-            ]
-        )
+        own_dist = _distances(points, centers[assignment], norm)
+        own_dist[counts[assignment] < 2] = -1.0
         far = int(own_dist.argmax())
         if own_dist[far] <= 0.0:
             continue  # nothing gains from splitting; leave the cluster empty

@@ -41,7 +41,10 @@ from .oneway import SolverMode, kcluster_cols, kcluster_rows
 #: small; callers may raise the caps explicitly (up to the hard cap of 14).
 DEFAULT_ORACLE_CAP = 8
 
+#: An oracle cost within this fraction of the one-block cost counts as 0.
 ZERO_COST_EPS = 1e-12
+#: Slack of the certificate test on the ratio; a zero optimum also allows the
+#: scheme this fraction of the one-block cost.
 RATIO_SLACK = 1e-9
 
 
@@ -172,14 +175,18 @@ def ratio(
 
     A zero oracle cost forces a zero scheme cost (exact one-way solvers
     recover any zero-cost clustering), and the ratio is reported as 1 by
-    convention in that case so sweep statistics stay meaningful.
+    convention in that case so sweep statistics stay meaningful.  The zero
+    test is relative, like the tie rule: the oracle cost counts as 0 when it
+    is at most ``ZERO_COST_EPS`` times the one-block cost (the whole matrix
+    as one bicluster), so the test does not depend on the data's scale.
     """
     scheme = run_scheme(x, k_r, k_c, norm, SolverMode.exact())
     opt = exact_biclustering(x, k_r, k_c, norm, row_cap=row_cap, col_cap=col_cap)
     l = scheme.breakdown.l
     l_star = opt.cost
-    if l_star <= ZERO_COST_EPS:
-        if l > RATIO_SLACK:
+    scale = pooled_cost(x, norm)
+    if l_star <= ZERO_COST_EPS * scale:
+        if l > RATIO_SLACK * scale:
             raise BoundViolationError(
                 f"optimal cost is 0 but scheme cost is {l}; this should be impossible"
             )

@@ -1,6 +1,8 @@
 """Tests for the exact and heuristic one-way solvers."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossclust import (
     CapExceededError,
@@ -17,6 +19,7 @@ from crossclust import (
     random_real_matrix,
     worst_case_matrix,
 )
+from crossclust.oneway import _repair_empty_clusters
 
 from oracles import exact_oneway_naive
 
@@ -177,3 +180,61 @@ class TestKclusterCols:
         sol = kcluster_cols(x, 2, Norm.L2, SolverMode.heuristic(restarts=2, seed=3))
         assert sol.mode.kind == "heuristic"
         assert sol.partition.n_items == 6
+
+
+class TestRepairEmptyClusters:
+    """Lloyd's repair step: each empty cluster takes the point farthest from
+    its own center, from a cluster of at least 2 members, the first such
+    point on ties, and nothing when every such distance is 0."""
+
+    @staticmethod
+    def reference(points, assignment, centers, k, norm):
+        """The rule written per point in plain Python."""
+        assignment = list(assignment)
+        for c in range(k):
+            if c in assignment:
+                continue
+            far, best = None, 0.0
+            for i, point in enumerate(points):
+                own = assignment[i]
+                if assignment.count(own) < 2:
+                    continue
+                diffs = [p - q for p, q in zip(point, centers[own])]
+                d = sum(abs(v) if norm is Norm.L1 else v * v for v in diffs)
+                if d > best:  # strict: the first index keeps a tie
+                    far, best = i, d
+            if far is not None:
+                assignment[far] = c
+        return assignment
+
+    @staticmethod
+    def repaired(points, assignment, centers, k, norm):
+        labels = np.array(assignment)
+        _repair_empty_clusters(np.array(points, dtype=float), labels,
+                               np.array(centers, dtype=float), k, norm)
+        return labels.tolist()
+
+    @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
+    def test_takes_the_first_farthest_point(self, norm):
+        points, centers = [[0.0], [3.0], [1.0], [3.0]], [[0.0], [9.0]]
+        assert self.repaired(points, [0, 0, 0, 0], centers, 2, norm) == [0, 1, 0, 0]
+
+    def test_never_empties_a_singleton(self):
+        points, centers = [[0.0], [10.0], [1.0], [2.0]], [[0.0], [0.0], [99.0]]
+        assert self.repaired(points, [0, 1, 0, 0], centers, 3, Norm.L2) == [0, 1, 0, 2]
+
+    def test_steals_nothing_at_distance_zero(self):
+        points, centers = [[2.0, 1.0]] * 3, [[2.0, 1.0], [0.0, 0.0]]
+        assert self.repaired(points, [0, 0, 0], centers, 2, Norm.L1) == [0, 0, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(2, 8), st.integers(1, 3), st.integers(2, 4),
+           st.sampled_from([Norm.L1, Norm.L2]))
+    def test_matches_the_per_point_rule(self, data, n, d, k, norm):
+        # small integers keep every distance exact, so ties are real ties
+        coords = st.integers(0, 3).map(float)
+        points = data.draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=n, max_size=n))
+        centers = data.draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=k, max_size=k))
+        assignment = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        expected = self.reference(points, assignment, centers, k, norm)
+        assert self.repaired(points, assignment, centers, k, norm) == expected
