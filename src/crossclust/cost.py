@@ -7,7 +7,8 @@ a constant multiset costs exactly 0.  For an even-sized multiset every
 point of the closed median interval gives the same absolute-deviation
 sum; fixing the lower median just makes outputs deterministic.  The
 center is defined once, in ``_center``, and every direct cost goes
-through ``_columns_spread``; Lloyd's centers follow the same rule.
+through ``_columns_spread``; Lloyd's centers and the exact solvers' L1
+block-cost table (``MedianCosts``) follow the same rule.
 
 On top of the multiset measure three aggregate costs are defined for a
 matrix with a row partition and/or a column partition:
@@ -105,12 +106,14 @@ def _columns_spread(arr: np.ndarray, norm: Norm) -> float:
     of each column from its :func:`_center`.  A 1-D array is one column."""
     if norm is Norm.L1:
         return float(np.abs(arr - _center(arr, norm)).sum())
-    dev = (arr - _center(arr, norm)) ** 2
     # a constant column must cost exactly 0; the computed mean of n equal
     # values can round off the value itself (e.g. three 0.1s)
     constant = arr.min(axis=0) == arr.max(axis=0)
+    if arr.ndim == 1:
+        return 0.0 if constant else float(((arr - arr.mean()) ** 2).sum())
+    dev = (arr - _center(arr, norm)) ** 2
     if constant.any():
-        dev[..., constant] = 0.0
+        dev[:, constant] = 0.0
     return float(dev.sum())
 
 
@@ -209,13 +212,10 @@ def biclustering_cost(
 #: wins.
 TIE_RTOL = 1e-12
 
-#: Entries per temporary array of :class:`BatchCosts`; it fixes how many
-#: row partitions are scored per batch, so memory stays flat however many
-#: partitions there are.
+#: Entries per temporary array of :class:`BatchCosts` and
+#: :class:`MedianCosts`; it fixes how many row partitions are scored per
+#: batch, so memory stays flat however many partitions there are.
 BATCH_ENTRIES = 1 << 15
-
-#: Partitions per batch where every partition is scored directly.
-DIRECT_BATCH = 256
 
 
 def _label_table(parts: list[Partition]) -> np.ndarray:
@@ -308,6 +308,134 @@ def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
 def _scaled(ind: np.ndarray, axis: int) -> np.ndarray:
     """Indicators divided by the square root of their group's size."""
     return ind / np.sqrt(np.maximum(ind.sum(axis=axis, keepdims=True), 1.0))
+
+
+class MedianCosts:
+    """Costs of many row partitions at once under L1 on real data, from a
+    table of block costs.
+
+    An L1 cost needs each block's median, which no sum gives.  So the cost
+    of every (row group, column group) block that the partitions can use
+    is computed once, into a table, and a batch of row partitions is scored
+    against every column partition by gathering entries and summing them:
+    over the row partition's groups, then over the column partition's.
+
+    A group is keyed by its bitmask (item i is bit i).  With ``k == 1`` the
+    one group holds item 0 and is keyed by that item alone, so a long axis
+    needs no wide mask.  Key 0 is the empty group of a partition with fewer
+    than ``k`` clusters; its entries are 0.  The entries are computed per
+    (row-group size, column-group size) bucket: gather the blocks, take
+    each one's lower median (:func:`_center`) and sum the absolute
+    deviations, at most ``BATCH_ENTRIES`` entries (or one larger block)
+    at a time.
+
+    With ``cols`` an entry is a block's pooled cost, and the scores are the
+    biclustering costs of every (row partition, column partition) pair,
+    rows outer and columns inner.  Without ``cols`` every column is its own
+    group, as in :class:`BatchCosts`: the table has one column, a row
+    group's per-column costs summed, and the scores are row-clustering
+    objectives.  The table has a row per row key (2^n, or 2 when k == 1)
+    and a column per distinct column group.  At the default oracle cap of 8
+    that is at most 256 x 256 floats, about 0.5 MB; one more row and one
+    more column make it 4x larger.
+
+    Every cost is a sum of n*m deviations from data values, each rounded
+    once, and a batched cost differs from its direct evaluation only in the
+    order of that sum.  So the two are within n*m*eps times the cost, which
+    is at most the one-block (one-cluster) cost; ``err`` is 4x that bound,
+    a safety factor.  ``batch_size`` row partitions keep every temporary
+    within ``BATCH_ENTRIES`` entries.
+    """
+
+    def __init__(self, x: DataMatrix, k: int, cols: list[Partition] | None = None):
+        v = x.values
+        n, m = v.shape
+        row_groups = _members(np.arange(2 if k == 1 else 1 << n), n, k)
+        if cols is None:
+            col_groups = np.ones((1, m), dtype=bool)  # all columns, each apart
+            self._cols = np.zeros((1, 1), dtype=np.intp)
+            scale = columnwise_cost(x, Norm.L1)
+        else:
+            k_c = max(p.n_clusters for p in cols)
+            keys = _group_keys(_label_table(cols), k_c)
+            col_keys, inverse = np.unique(keys, return_inverse=True)
+            col_groups = _members(col_keys, m, k_c)
+            # entry (p, c): the table column of cluster c of column partition p
+            self._cols = inverse.reshape(keys.shape)
+            scale = pooled_cost(x, Norm.L1)
+        self._table = _median_table(v, row_groups, col_groups, pooled=cols is not None)
+        self._k = k
+        self.err = 4.0 * n * m * np.finfo(float).eps * scale
+        width = max(k * n, k * len(col_groups), self._cols.size)
+        self.batch_size = max(1, BATCH_ENTRIES // width)
+
+    def __call__(self, rows: list[Partition]) -> np.ndarray:
+        """Costs of every row partition (crossed with every column
+        partition) as one flat array in canonical order."""
+        keys = _group_keys(_label_table(rows), self._k)  # (R, k)
+        per_col_group = self._table[keys].sum(axis=1)  # (R, column groups)
+        return per_col_group[:, self._cols].sum(axis=2).ravel()
+
+
+def _group_keys(labels: np.ndarray, k: int) -> np.ndarray:
+    """(P, t) labels to the (P, k) keys of each partition's groups (see
+    :class:`MedianCosts`); an empty group has key 0."""
+    t = labels.shape[1]
+    bits = 2.0 ** np.arange(t) if k > 1 else (np.arange(t) == 0).astype(float)
+    return (_one_hot(labels, k) @ bits).astype(np.intp)
+
+
+def _members(keys: np.ndarray, t: int, k: int) -> np.ndarray:
+    """(G,) group keys of partitions of ``t`` items into at most ``k``
+    clusters to (G, t) boolean membership rows."""
+    if k == 1:
+        return np.repeat(keys[:, None] > 0, t, axis=1)
+    return (keys[:, None] >> np.arange(t)) & 1 == 1
+
+
+def _size_buckets(groups: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Per nonempty group size s: the indices of the groups of that size
+    in ``groups`` (boolean membership rows) and their (G_s, s) items."""
+    sizes = groups.sum(axis=1)
+    buckets = []
+    for s in np.unique(sizes[sizes > 0]):
+        ids = np.flatnonzero(sizes == s)
+        buckets.append((int(s), ids, np.nonzero(groups[ids])[1].reshape(-1, s)))
+    return buckets
+
+
+def _median_table(
+    v: np.ndarray, row_groups: np.ndarray, col_groups: np.ndarray, pooled: bool
+) -> np.ndarray:
+    """L1 cost of every (row group, column group) block of ``v``, groups
+    given as boolean membership rows; an empty group's entries are 0.
+    Pooled, each block is one multiset; otherwise each column of a block
+    has its own median and the costs are summed."""
+    table = np.zeros((len(row_groups), len(col_groups)))
+    col_buckets = _size_buckets(col_groups)
+    for a, row_ids, row_items in _size_buckets(row_groups):
+        for b, col_ids, col_items in col_buckets:
+            col_step = max(1, BATCH_ENTRIES // (a * b))
+            row_step = max(1, BATCH_ENTRIES // (a * b * min(col_step, len(col_ids))))
+            for i in range(0, len(row_ids), row_step):
+                r = slice(i, i + row_step)
+                for j in range(0, len(col_ids), col_step):
+                    c = slice(j, j + col_step)
+                    # (a, b, row groups, column groups): entries first, as _center wants
+                    blocks = v[row_items[r].T[:, None, :, None], col_items[c].T[None, :, None, :]]
+                    if pooled:
+                        blocks = blocks.reshape(a * b, 1, *blocks.shape[2:])
+                    spread = np.abs(blocks - _center(blocks, Norm.L1)).sum(axis=(0, 1))
+                    table[row_ids[r, None], col_ids[c]] = spread
+    return table
+
+
+def _batch_scorer(x: DataMatrix, norm: Norm, k: int, cols: list[Partition] | None = None):
+    """The exact solvers' batched scorer for the input class:
+    :class:`MedianCosts` under L1 on real data, else :class:`BatchCosts`."""
+    if norm is Norm.L1 and not x.is_binary:
+        return MedianCosts(x, k, cols)
+    return BatchCosts(x, norm, k, cols)
 
 
 class FirstMinimum:

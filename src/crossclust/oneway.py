@@ -19,12 +19,11 @@ from itertools import islice
 import numpy as np
 
 from .cost import (
-    DIRECT_BATCH,
     TIE_RTOL,
-    BatchCosts,
     FirstMinimum,
     Norm,
     _center,
+    _batch_scorer,
     columnwise_cost,
     oneway_row_cost,
 )
@@ -73,16 +72,17 @@ class OnewaySolution:
 def exact_kcluster(x: DataMatrix, k: int, norm: Norm) -> OnewaySolution:
     """Globally optimal row clustering into at most ``k`` clusters.
 
-    Every partition from :func:`enumerate_partitions` is scored.  Under L2
-    and under L1 on 0/1 input the scores come in batches from
-    :class:`BatchCosts`; L1 on real data scores each partition directly
-    with :func:`oneway_row_cost`.  Exact costs decide: batched scores
-    within ``TIE_RTOL`` times the one-cluster cost, plus twice the
-    kernel's rounding bound, of the least one are re-scored directly (binary L1
-    scores are exact integers and need no re-scoring).  Costs within
-    ``TIE_RTOL`` times the one-cluster cost of the minimum count as tied,
-    and the first tied partition in canonical enumeration order wins.
-    The reported cost is the direct evaluation of the winner.
+    Every partition from :func:`enumerate_partitions` is scored, in
+    batches from :class:`BatchCosts` under L2 and under L1 on 0/1 input,
+    and from :class:`MedianCosts` under L1 on real data (its table holds
+    one float per row group, at most 2^14).  Exact costs decide: batched
+    scores within ``TIE_RTOL`` times the one-cluster cost, plus twice the
+    scorer's rounding bound, of the least one are re-scored directly with
+    :func:`oneway_row_cost` (binary L1 scores are exact integers and need
+    no re-scoring).  Costs within ``TIE_RTOL`` times the one-cluster cost
+    of the minimum count as tied, and the first tied partition in
+    canonical enumeration order wins.  The reported cost is the direct
+    evaluation of the winner.
 
     With k == 1 the single all-in-one partition is returned directly and
     no enumeration cap applies; otherwise n_rows must be <= 14.
@@ -98,20 +98,11 @@ def exact_kcluster(x: DataMatrix, k: int, norm: Norm) -> OnewaySolution:
             f"exact clustering capped at {ENUMERATION_CAP} rows, got {n}"
         )
     tol = TIE_RTOL * columnwise_cost(x, norm)
-    if norm is Norm.L2 or x.is_binary:
-        score = BatchCosts(x, norm, k)
-        size = score.batch_size
-        rescore = (lambda p: oneway_row_cost(x, p, norm)) if norm is Norm.L2 else None
-        pick = FirstMinimum(tol, score.err, rescore)
-    else:
-
-        def score(batch: list[Partition]) -> np.ndarray:
-            return np.array([oneway_row_cost(x, p, norm) for p in batch])
-
-        size = DIRECT_BATCH
-        pick = FirstMinimum(tol)
+    score = _batch_scorer(x, norm, k)
+    exact = norm is Norm.L1 and x.is_binary
+    pick = FirstMinimum(tol, score.err, None if exact else lambda p: oneway_row_cost(x, p, norm))
     parts = enumerate_partitions(n, k)
-    while batch := list(islice(parts, size)):
+    while batch := list(islice(parts, score.batch_size)):
         if pick.feed(score(batch), batch.__getitem__):
             break
     best = Partition(pick.winner.assignment, k)  # validated, unlike the walk's

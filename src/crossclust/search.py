@@ -12,18 +12,15 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
-import numpy as np
-
 from .cost import (
     TIE_RTOL,
-    BatchCosts,
     CostBreakdown,
     FirstMinimum,
     Norm,
+    _batch_scorer,
     biclustering_cost,
     block_costs,
     certificate_bound,
-    oneway_row_cost,
     pooled_cost,
 )
 from .errors import BoundViolationError, CapExceededError, ValidationError
@@ -122,17 +119,16 @@ def exact_biclustering(
     at most ``k_c`` clusters.
 
     Every pair is scored, in nested canonical enumeration order (rows
-    outer, columns inner).  Under L2 and under L1 on 0/1 input the scores
-    of a batch of row partitions against all column partitions come from
-    :class:`BatchCosts`.  Exact costs decide: pairs whose batched score is
-    within ``TIE_RTOL`` times the one-block cost, plus twice the
-    kernel's rounding bound, of the least one are re-scored directly (binary L1
-    scores are exact integers and need no re-scoring).  L1 on real data
-    sums the direct block costs of every pair, skipping a row partition
-    whose one-way cost (a lower bound on any crossing that uses it) is
-    already above the best pair.  Costs within ``TIE_RTOL`` times the
-    one-block cost of the minimum count as tied, and the first tied pair
-    wins.  The reported cost is the direct evaluation of the winner.
+    outer, columns inner).  The scores of a batch of row partitions
+    against all column partitions come from :class:`BatchCosts` under L2
+    and under L1 on 0/1 input, and from :class:`MedianCosts` under L1 on
+    real data.  Exact costs decide: pairs whose batched score is within
+    ``TIE_RTOL`` times the one-block cost, plus twice the scorer's rounding
+    bound, of the least one are re-scored directly (binary L1 scores are
+    exact integers and need no re-scoring).  Costs within ``TIE_RTOL``
+    times the one-block cost of the minimum count as tied, and the first
+    tied pair wins.  The reported cost is the direct evaluation of the
+    winner.
     """
     col_parts = list(_axis_partitions(x.n_cols, k_c, col_cap, "column"))
     row_parts = _axis_partitions(x.n_rows, k_r, row_cap, "row")
@@ -141,21 +137,13 @@ def exact_biclustering(
     def direct(pair: tuple[Partition, Partition]) -> float:
         return float(block_costs(x, pair[0], pair[1], norm).sum())
 
-    if norm is Norm.L2 or x.is_binary:
-        score = BatchCosts(x, norm, k_r, col_parts)
-        pick = FirstMinimum(tol, score.err, direct if norm is Norm.L2 else None)
-        p_c = len(col_parts)
-        while rows := list(islice(row_parts, score.batch_size)):
-            if pick.feed(score(rows), lambda i: (rows[i // p_c], col_parts[i % p_c])):
-                break
-    else:
-        pick = FirstMinimum(tol)
-        for rows in row_parts:
-            if oneway_row_cost(x, rows, norm) > pick.best + tol:
-                continue
-            costs = np.array([direct((rows, cols)) for cols in col_parts])
-            if pick.feed(costs, lambda i: (rows, col_parts[i])):
-                break
+    score = _batch_scorer(x, norm, k_r, col_parts)
+    exact = norm is Norm.L1 and x.is_binary
+    pick = FirstMinimum(tol, score.err, None if exact else direct)
+    p_c = len(col_parts)
+    while rows := list(islice(row_parts, score.batch_size)):
+        if pick.feed(score(rows), lambda i: (rows[i // p_c], col_parts[i % p_c])):
+            break
     # validated partitions, unlike the walk's
     best_rows, best_cols = (Partition(p.assignment, p.k) for p in pick.winner)
     breakdown, _ = biclustering_cost(x, best_rows, best_cols, norm)
