@@ -7,8 +7,10 @@ a constant multiset costs exactly 0.  For an even-sized multiset every
 point of the closed median interval gives the same absolute-deviation
 sum; fixing the lower median just makes outputs deterministic.  The
 center is defined once, in ``_center``, and every direct cost goes
-through ``_columns_spread``; Lloyd's centers and the exact solvers' L1
-block-cost table (``MedianCosts``) follow the same rule.
+through ``_columns_spread``; Lloyd's centers follow the same rule.  The
+exact solvers score batches of partitions from one table of block costs
+(``BatchCosts``), built from sums over the groups under L2 and under L1
+on 0/1 data, and from sorted medians under L1 on real data.
 
 On top of the multiset measure three aggregate costs are defined for a
 matrix with a row partition and/or a column partition:
@@ -212,9 +214,9 @@ def biclustering_cost(
 #: wins.
 TIE_RTOL = 1e-12
 
-#: Entries per temporary array of :class:`BatchCosts` and
-#: :class:`MedianCosts`; it fixes how many row partitions are scored per
-#: batch, so memory stays flat however many partitions there are.
+#: Entries per temporary array of :class:`BatchCosts`, in its table build
+#: and its scoring; it fixes how many row partitions are scored per batch,
+#: so memory beyond the table stays flat however many partitions there are.
 BATCH_ENTRIES = 1 << 15
 
 
@@ -225,147 +227,99 @@ def _label_table(parts: list[Partition]) -> np.ndarray:
 
 
 class BatchCosts:
-    """Costs of many row partitions at once, from per-group sums.
+    """Costs of many row partitions at once, from a table of block costs.
 
-    The cost of a group of entries follows from its size and its sum for
-    the two certified input classes, and the sums come from one-hot
-    indicators by matrix products: ``ind @ v`` per row cluster and column,
-    then ``@ stack`` against the indicators of every column partition at
-    once.
+    The cost of every (row group, column group) block that the partitions
+    can use is computed once, into a table, and a batch of row partitions
+    is scored against every column partition by gathering entries and
+    summing them: over the row partition's groups, then over the column
+    partition's.  Every input class shares the table and the scoring; only
+    the build of the entries differs (:func:`_sum_table`,
+    :func:`_median_table`):
 
-    * Under L2 a group costs sum(x^2) - sum^2/size.  The data is centered
-      first (per column for the one-way objective, as a whole for the
+    * Under L2 a block costs S2 - S1^2/size, from the sums S1 of its
+      entries and S2 of their squares, which are matrix products of the
+      groups' membership rows with the data.  The data is centered first
+      (per column for the one-way objective, as a whole for the
       biclustering cost), so large offsets cannot cancel (Chan, Golub &
-      LeVeque, 1983).  sum(x^2) over all groups is the constant total, and
-      the indicators are scaled by 1/sqrt(size) so that sum^2/size is one
-      square.
-    * Under L1 on 0/1 data a group costs min(ones, size - ones).  With the
-      data recoded to -1/+1 a group's sum is ones - zeros, so the total is
-      (entries - sum of |group sums|) / 2, an exact integer.
+      LeVeque, 1983).
+    * Under L1 on 0/1 data a block costs min(S1, size - S1), the smaller
+      of its ones and its zeros, from the same products.
+    * Under L1 on real data a block's cost needs its median, which no sum
+      gives.  The blocks are gathered per (row-group size, column-group
+      size) bucket, and each one's lower median (:func:`_center`) and sum
+      of absolute deviations are taken.
 
-    Row partitions have at most ``k`` clusters.  Without ``cols`` the cost
-    is the row-clustering objective; with ``cols`` it is the biclustering
-    cost of every (row partition, column partition) pair, rows outer and
-    columns inner.  ``err`` bounds the difference of any batched cost from
-    its direct evaluation; it is 0 on binary L1 input.  ``batch_size`` row
-    partitions keep every temporary within ``BATCH_ENTRIES`` entries.
+    A group is keyed by its bitmask (item i is bit i).  With ``k == 1`` the
+    one group holds item 0 and is keyed by that item alone, so a long axis
+    needs no wide mask.  Key 0 is the empty group of a partition with fewer
+    than ``k`` clusters; its entries are 0.
+
+    With ``cols`` an entry is a block's pooled cost, and the scores are the
+    biclustering costs of every (row partition, column partition) pair,
+    rows outer and columns inner.  Without ``cols`` every column is its own
+    group: the table has one column, a row group's per-column costs summed,
+    and the scores are row-clustering objectives.  The table has a row per
+    row key (2^n, or 2 when k == 1) and a column per column key (2^m, or 2
+    when the column partitions have one cluster).  At the default oracle
+    cap of 8 that is at most 256 x 256 floats, about 0.5 MB; one more row
+    and one more column make it 4x larger.
+
+    ``err`` bounds the difference of any batched cost from its direct
+    evaluation, so where it is 0 the two are equal:
+
+    * binary L1: 0, as both are exact integers.
+    * L1 on real data: every cost is a sum of n*m deviations from data
+      values, each rounded once, and the two differ only in the order of
+      that sum.  So they are within n*m*eps times the cost, which is at
+      most the one-block (one-cluster) cost; ``err`` is 4x that bound.
+    * L2: an a-priori rounding bound of the sums, the squares and the
+      subtraction, 4(nm+n+m+4)*eps times the centered data's sum of
+      squares, plus the drift of the direct path, which does not center.
+      There a group of s entries, each at most M in magnitude, has its mean
+      rounded by delta <= s*u*M to first order (u = eps/2; a sum of s
+      terms, then a division), and the computed cost exceeds the exact one
+      by s*delta^2, since the cross term vanishes around the exact mean.
+      That error does not scale with the cost.  The group sizes of one
+      partition add up to n*m, so over its groups the drift is at most
+      n*m*(s_max*u*M)^2, with s_max = n for the one-way objective's
+      cluster-column slices and n*m for pooled blocks; ``err`` adds twice
+      that.
+
+    ``batch_size`` row partitions keep every scoring temporary within
+    ``BATCH_ENTRIES`` entries.
     """
 
     def __init__(
         self, x: DataMatrix, norm: Norm, k: int, cols: list[Partition] | None = None
     ):
-        if not (norm is Norm.L2 or x.is_binary):
-            raise ValidationError("batched costs need the L2 norm or binary input")
-        v = x.values
-        n, m = v.shape
-        self._l2 = norm is Norm.L2
-        if self._l2:
-            v = v - (v.mean(axis=0) if cols is None else v.mean())
-            self._total = float((v * v).sum())
-            # a priori rounding bound of the sums, the squares and the
-            # subtraction (dot-product error bounds), with a safety factor
-            self.err = 4.0 * (n * m + n + m + 4) * np.finfo(float).eps * self._total
-        else:
-            v = 2.0 * v - 1.0
-            self._total = float(n * m)
-            self.err = 0.0
-        self._v = v
-        self._k = k
-        if cols is None:
-            self._stack = None
-            self._parts = 1  # every column is its own group
-            width = max(n, m)
-        else:
-            # column (c, p) of the stack: cluster c of column partition p
-            k_c = max(p.n_clusters for p in cols)
-            stack = _one_hot(_label_table(cols), k_c).transpose(2, 1, 0).reshape(m, -1)
-            self._stack = _scaled(stack, axis=0) if self._l2 else stack
-            self._parts = len(cols)
-            width = max(n, stack.shape[1])
-        self.batch_size = max(1, BATCH_ENTRIES // (k * width))
-
-    def __call__(self, rows: list[Partition]) -> np.ndarray:
-        """Costs of every row partition (crossed with every column
-        partition) as one flat array in canonical order."""
-        ind = _one_hot(_label_table(rows), self._k)  # (R, k, n)
-        if self._l2:
-            ind = _scaled(ind, axis=2)
-        r = ind.shape[0]
-        sums = ind.reshape(r * self._k, -1) @ self._v
-        if self._stack is not None:
-            sums = sums @ self._stack
-        sums = sums.reshape(r, -1, self._parts)
-        if self._l2:
-            return self._total - (sums * sums).sum(axis=1).ravel()
-        return (self._total - np.abs(sums).sum(axis=1).ravel()) / 2.0
-
-
-def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
-    """(P, t) labels to (P, k, t) 0/1 float indicators."""
-    return (labels[:, None, :] == np.arange(k, dtype=labels.dtype)[:, None]).astype(float)
-
-
-def _scaled(ind: np.ndarray, axis: int) -> np.ndarray:
-    """Indicators divided by the square root of their group's size."""
-    return ind / np.sqrt(np.maximum(ind.sum(axis=axis, keepdims=True), 1.0))
-
-
-class MedianCosts:
-    """Costs of many row partitions at once under L1 on real data, from a
-    table of block costs.
-
-    An L1 cost needs each block's median, which no sum gives.  So the cost
-    of every (row group, column group) block that the partitions can use
-    is computed once, into a table, and a batch of row partitions is scored
-    against every column partition by gathering entries and summing them:
-    over the row partition's groups, then over the column partition's.
-
-    A group is keyed by its bitmask (item i is bit i).  With ``k == 1`` the
-    one group holds item 0 and is keyed by that item alone, so a long axis
-    needs no wide mask.  Key 0 is the empty group of a partition with fewer
-    than ``k`` clusters; its entries are 0.  The entries are computed per
-    (row-group size, column-group size) bucket: gather the blocks, take
-    each one's lower median (:func:`_center`) and sum the absolute
-    deviations, at most ``BATCH_ENTRIES`` entries (or one larger block)
-    at a time.
-
-    With ``cols`` an entry is a block's pooled cost, and the scores are the
-    biclustering costs of every (row partition, column partition) pair,
-    rows outer and columns inner.  Without ``cols`` every column is its own
-    group, as in :class:`BatchCosts`: the table has one column, a row
-    group's per-column costs summed, and the scores are row-clustering
-    objectives.  The table has a row per row key (2^n, or 2 when k == 1)
-    and a column per distinct column group.  At the default oracle cap of 8
-    that is at most 256 x 256 floats, about 0.5 MB; one more row and one
-    more column make it 4x larger.
-
-    Every cost is a sum of n*m deviations from data values, each rounded
-    once, and a batched cost differs from its direct evaluation only in the
-    order of that sum.  So the two are within n*m*eps times the cost, which
-    is at most the one-block (one-cluster) cost; ``err`` is 4x that bound,
-    a safety factor.  ``batch_size`` row partitions keep every temporary
-    within ``BATCH_ENTRIES`` entries.
-    """
-
-    def __init__(self, x: DataMatrix, k: int, cols: list[Partition] | None = None):
         v = x.values
         n, m = v.shape
         row_groups = _members(np.arange(2 if k == 1 else 1 << n), n, k)
-        if cols is None:
+        pooled = cols is not None
+        if pooled:
+            k_c = max(p.n_clusters for p in cols)
+            col_groups = _members(np.arange(2 if k_c == 1 else 1 << m), m, k_c)
+            # entry (p, c): the table column of cluster c of column partition p
+            self._cols = _group_keys(_label_table(cols), k_c)
+        else:
             col_groups = np.ones((1, m), dtype=bool)  # all columns, each apart
             self._cols = np.zeros((1, 1), dtype=np.intp)
-            scale = columnwise_cost(x, Norm.L1)
+        eps = np.finfo(float).eps
+        if norm is Norm.L2:
+            v = v - (v.mean() if pooled else v.mean(axis=0))
+            self._table = _sum_table(v, row_groups, col_groups, pooled, l2=True)
+            s_max = n * m if pooled else n
+            drift = n * m * (s_max * eps * np.abs(x.values).max()) ** 2 / 2
+            self.err = float(4.0 * (n * m + n + m + 4) * eps * (v * v).sum() + drift)
+        elif x.is_binary:
+            self._table = _sum_table(v, row_groups, col_groups, pooled, l2=False)
+            self.err = 0.0
         else:
-            k_c = max(p.n_clusters for p in cols)
-            keys = _group_keys(_label_table(cols), k_c)
-            col_keys, inverse = np.unique(keys, return_inverse=True)
-            col_groups = _members(col_keys, m, k_c)
-            # entry (p, c): the table column of cluster c of column partition p
-            self._cols = inverse.reshape(keys.shape)
-            scale = pooled_cost(x, Norm.L1)
-        self._table = _median_table(v, row_groups, col_groups, pooled=cols is not None)
+            self._table = _median_table(v, row_groups, col_groups, pooled)
+            scale = pooled_cost(x, norm) if pooled else columnwise_cost(x, norm)
+            self.err = 4.0 * n * m * eps * scale
         self._k = k
-        self.err = 4.0 * n * m * np.finfo(float).eps * scale
         width = max(k * n, k * len(col_groups), self._cols.size)
         self.batch_size = max(1, BATCH_ENTRIES // width)
 
@@ -377,9 +331,14 @@ class MedianCosts:
         return per_col_group[:, self._cols].sum(axis=2).ravel()
 
 
+def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
+    """(P, t) labels to (P, k, t) 0/1 float indicators."""
+    return (labels[:, None, :] == np.arange(k, dtype=labels.dtype)[:, None]).astype(float)
+
+
 def _group_keys(labels: np.ndarray, k: int) -> np.ndarray:
     """(P, t) labels to the (P, k) keys of each partition's groups (see
-    :class:`MedianCosts`); an empty group has key 0."""
+    :class:`BatchCosts`); an empty group has key 0."""
     t = labels.shape[1]
     bits = 2.0 ** np.arange(t) if k > 1 else (np.arange(t) == 0).astype(float)
     return (_one_hot(labels, k) @ bits).astype(np.intp)
@@ -391,6 +350,30 @@ def _members(keys: np.ndarray, t: int, k: int) -> np.ndarray:
     if k == 1:
         return np.repeat(keys[:, None] > 0, t, axis=1)
     return (keys[:, None] >> np.arange(t)) & 1 == 1
+
+
+def _sum_table(
+    v: np.ndarray, row_groups: np.ndarray, col_groups: np.ndarray, pooled: bool, l2: bool
+) -> np.ndarray:
+    """L2 (``l2``, on centered ``v``) or 0/1 L1 cost of every (row group,
+    column group) block of ``v``, groups given as boolean membership rows,
+    from sums over the groups by matrix products.  A block of S1 = sum,
+    S2 = sum of squares and size entries costs S2 - S1^2/size under L2 and
+    min(S1, size - S1) under L1; an empty group's entries are 0.  Pooled,
+    each block is one multiset; otherwise each column of a block costs
+    that, and the costs are summed."""
+    cols = col_groups.T.astype(float)  # (m, column groups)
+    table = np.empty((len(row_groups), cols.shape[1]))
+    sq = v * v
+    step = max(1, BATCH_ENTRIES // max(cols.shape))
+    for i in range(0, len(row_groups), step):
+        rows = row_groups[i : i + step].astype(float)
+        s1, s2, size = rows @ v, rows @ sq, rows.sum(axis=1, keepdims=True)
+        if pooled:
+            s1, s2, size = s1 @ cols, s2 @ cols, size * cols.sum(axis=0)
+        spread = s2 - s1 * s1 / np.maximum(size, 1.0) if l2 else np.minimum(s1, size - s1)
+        table[i : i + step] = spread if pooled else spread @ cols
+    return table
 
 
 def _size_buckets(groups: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -428,14 +411,6 @@ def _median_table(
                     spread = np.abs(blocks - _center(blocks, Norm.L1)).sum(axis=(0, 1))
                     table[row_ids[r, None], col_ids[c]] = spread
     return table
-
-
-def _batch_scorer(x: DataMatrix, norm: Norm, k: int, cols: list[Partition] | None = None):
-    """The exact solvers' batched scorer for the input class:
-    :class:`MedianCosts` under L1 on real data, else :class:`BatchCosts`."""
-    if norm is Norm.L1 and not x.is_binary:
-        return MedianCosts(x, k, cols)
-    return BatchCosts(x, norm, k, cols)
 
 
 class FirstMinimum:

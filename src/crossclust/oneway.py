@@ -20,10 +20,10 @@ import numpy as np
 
 from .cost import (
     TIE_RTOL,
+    BatchCosts,
     FirstMinimum,
     Norm,
     _center,
-    _batch_scorer,
     columnwise_cost,
     oneway_row_cost,
 )
@@ -73,16 +73,15 @@ def exact_kcluster(x: DataMatrix, k: int, norm: Norm) -> OnewaySolution:
     """Globally optimal row clustering into at most ``k`` clusters.
 
     Every partition from :func:`enumerate_partitions` is scored, in
-    batches from :class:`BatchCosts` under L2 and under L1 on 0/1 input,
-    and from :class:`MedianCosts` under L1 on real data (its table holds
-    one float per row group, at most 2^14).  Exact costs decide: batched
-    scores within ``TIE_RTOL`` times the one-cluster cost, plus twice the
-    scorer's rounding bound, of the least one are re-scored directly with
-    :func:`oneway_row_cost` (binary L1 scores are exact integers and need
-    no re-scoring).  Costs within ``TIE_RTOL`` times the one-cluster cost
-    of the minimum count as tied, and the first tied partition in
-    canonical enumeration order wins.  The reported cost is the direct
-    evaluation of the winner.
+    batches from :class:`BatchCosts`, one table of block costs for every
+    input class (one float per row group, at most 2^14).  Exact costs
+    decide: batched scores within ``TIE_RTOL`` times the one-cluster cost,
+    plus twice the scorer's error bound, of the least one are re-scored
+    directly with :func:`oneway_row_cost`; a scorer whose bound is 0
+    (binary L1, whose scores are exact integers) needs no re-scoring.
+    Costs within ``TIE_RTOL`` times the one-cluster cost of the minimum
+    count as tied, and the first tied partition in canonical enumeration
+    order wins.  The reported cost is the direct evaluation of the winner.
 
     With k == 1 the single all-in-one partition is returned directly and
     no enumeration cap applies; otherwise n_rows must be <= 14.
@@ -98,9 +97,9 @@ def exact_kcluster(x: DataMatrix, k: int, norm: Norm) -> OnewaySolution:
             f"exact clustering capped at {ENUMERATION_CAP} rows, got {n}"
         )
     tol = TIE_RTOL * columnwise_cost(x, norm)
-    score = _batch_scorer(x, norm, k)
-    exact = norm is Norm.L1 and x.is_binary
-    pick = FirstMinimum(tol, score.err, None if exact else lambda p: oneway_row_cost(x, p, norm))
+    score = BatchCosts(x, norm, k)
+    rescore = (lambda p: oneway_row_cost(x, p, norm)) if score.err else None
+    pick = FirstMinimum(tol, score.err, rescore)
     parts = enumerate_partitions(n, k)
     while batch := list(islice(parts, score.batch_size)):
         if pick.feed(score(batch), batch.__getitem__):

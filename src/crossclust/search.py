@@ -14,10 +14,10 @@ from typing import Iterator
 
 from .cost import (
     TIE_RTOL,
+    BatchCosts,
     CostBreakdown,
     FirstMinimum,
     Norm,
-    _batch_scorer,
     biclustering_cost,
     block_costs,
     certificate_bound,
@@ -120,15 +120,14 @@ def exact_biclustering(
 
     Every pair is scored, in nested canonical enumeration order (rows
     outer, columns inner).  The scores of a batch of row partitions
-    against all column partitions come from :class:`BatchCosts` under L2
-    and under L1 on 0/1 input, and from :class:`MedianCosts` under L1 on
-    real data.  Exact costs decide: pairs whose batched score is within
-    ``TIE_RTOL`` times the one-block cost, plus twice the scorer's rounding
-    bound, of the least one are re-scored directly (binary L1 scores are
-    exact integers and need no re-scoring).  Costs within ``TIE_RTOL``
-    times the one-block cost of the minimum count as tied, and the first
-    tied pair wins.  The reported cost is the direct evaluation of the
-    winner.
+    against all column partitions come from :class:`BatchCosts`, one
+    table of block costs for every input class.  Exact costs decide: pairs
+    whose batched score is within ``TIE_RTOL`` times the one-block cost,
+    plus twice the scorer's error bound, of the least one are re-scored
+    directly; a scorer whose bound is 0 (binary L1, whose scores are exact
+    integers) needs no re-scoring.  Costs within ``TIE_RTOL`` times the
+    one-block cost of the minimum count as tied, and the first tied pair
+    wins.  The reported cost is the direct evaluation of the winner.
     """
     col_parts = list(_axis_partitions(x.n_cols, k_c, col_cap, "column"))
     row_parts = _axis_partitions(x.n_rows, k_r, row_cap, "row")
@@ -137,9 +136,8 @@ def exact_biclustering(
     def direct(pair: tuple[Partition, Partition]) -> float:
         return float(block_costs(x, pair[0], pair[1], norm).sum())
 
-    score = _batch_scorer(x, norm, k_r, col_parts)
-    exact = norm is Norm.L1 and x.is_binary
-    pick = FirstMinimum(tol, score.err, None if exact else direct)
+    score = BatchCosts(x, norm, k_r, col_parts)
+    pick = FirstMinimum(tol, score.err, direct if score.err else None)
     p_c = len(col_parts)
     while rows := list(islice(row_parts, score.batch_size)):
         if pick.feed(score(rows), lambda i: (rows[i // p_c], col_parts[i % p_c])):

@@ -30,23 +30,47 @@ from crossclust.cost import (
 from oracles import exact_biclustering_argmin_naive, exact_oneway_argmin_naive
 
 
+def _summed(norm, n, m, seed):
+    """A matrix whose table is built from sums: real under L2, 0/1 under L1."""
+    if norm is Norm.L1:
+        return random_binary_matrix(n, m, 0.4, seed=seed)
+    return random_real_matrix(n, m, seed=seed)
+
+
+# (shape, seed, shift), named by the shift.  In the 2x2 cases the rounded
+# mean of the direct path, which does not center, drifts by more than a
+# bound relative to the cost alone.
+ONEWAY_L2 = [
+    pytest.param((6, 4), 5, 0.0, id="0.0"),
+    pytest.param((6, 4), 5, 1e7, id="10000000.0"),
+    pytest.param((2, 2), 2, 1e7, id="2x2-seed2-1e7"),
+    pytest.param((2, 2), 8, 1e8, id="2x2-seed8-1e8"),
+]
+PAIRS_L2 = [
+    pytest.param((5, 4), 6, 0.0, id="0.0"),
+    pytest.param((5, 4), 6, 1e7, id="10000000.0"),
+    pytest.param((2, 2), 2, 1e8, id="2x2-seed2-1e8"),
+]
+
+
 class TestBatchCosts:
-    @pytest.mark.parametrize("shift", [0.0, 1e7])
-    def test_oneway_l2_within_error_bound(self, shift):
-        x = DataMatrix(random_real_matrix(6, 4, seed=5).values + shift)
-        parts = list(enumerate_partitions(6, 3))
-        kernel = BatchCosts(x, Norm.L2, 3)
+    @pytest.mark.parametrize("shape, seed, shift", ONEWAY_L2)
+    def test_oneway_l2_within_error_bound(self, shape, seed, shift):
+        x = DataMatrix(random_real_matrix(*shape, seed=seed).values + shift)
+        k = min(3, shape[0])
+        parts = list(enumerate_partitions(shape[0], k))
+        kernel = BatchCosts(x, Norm.L2, k)
         direct = np.array([oneway_row_cost(x, p, Norm.L2) for p in parts])
         assert np.abs(kernel(parts) - direct).max() <= kernel.err
-        # centering keeps the bound at rounding level whatever the offset
+        # centering keeps the bound at rounding level at these offsets
         assert kernel.err <= 1e-12 * columnwise_cost(x, Norm.L2)
 
-    @pytest.mark.parametrize("shift", [0.0, 1e7])
-    def test_pairs_l2_within_error_bound(self, shift):
-        x = DataMatrix(random_real_matrix(5, 4, seed=6).values + shift)
-        rows = list(enumerate_partitions(5, 3))
-        cols = list(enumerate_partitions(4, 2))
-        kernel = BatchCosts(x, Norm.L2, 3, cols)
+    @pytest.mark.parametrize("shape, seed, shift", PAIRS_L2)
+    def test_pairs_l2_within_error_bound(self, shape, seed, shift):
+        x = DataMatrix(random_real_matrix(*shape, seed=seed).values + shift)
+        rows = list(enumerate_partitions(shape[0], min(3, shape[0])))
+        cols = list(enumerate_partitions(shape[1], 2))
+        kernel = BatchCosts(x, Norm.L2, min(3, shape[0]), cols)
         direct = [block_costs(x, r, c, Norm.L2).sum() for r in rows for c in cols]
         assert np.abs(kernel(rows) - direct).max() <= kernel.err
         assert kernel.err <= 1e-12 * pooled_cost(x, Norm.L2)
@@ -62,9 +86,39 @@ class TestBatchCosts:
         oneway = BatchCosts(x, Norm.L1, 3)
         assert oneway(rows).tolist() == [oneway_row_cost(x, p, Norm.L1) for p in rows]
 
-    def test_l1_on_real_data_has_no_batched_form(self):
-        with pytest.raises(ValidationError, match="L2 norm or binary input"):
-            BatchCosts(random_real_matrix(3, 3, seed=1), Norm.L1, 2)
+    @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
+    def test_fewer_clusters_than_k(self, norm):
+        # partitions into at most 2 clusters scored with room for 4: the
+        # empty groups must add nothing
+        x = _summed(norm, 5, 4, 8)
+        rows = list(enumerate_partitions(5, 2))
+        cols = list(enumerate_partitions(4, 2))
+        pairs = BatchCosts(x, norm, 4, cols)
+        direct = [block_costs(x, r, c, norm).sum() for r in rows for c in cols]
+        assert np.abs(pairs(rows) - direct).max() <= pairs.err
+        oneway = BatchCosts(x, norm, 4)
+        direct = [oneway_row_cost(x, p, norm) for p in rows]
+        assert np.abs(oneway(rows) - direct).max() <= oneway.err
+
+    @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
+    def test_one_cluster_on_an_axis_longer_than_any_mask(self, norm):
+        x = _summed(norm, 70, 3, 9)
+        whole = Partition((0,) * 70, 1)
+        cols = list(enumerate_partitions(3, 3))
+        pairs = BatchCosts(x, norm, 1, cols)
+        direct = [block_costs(x, whole, c, norm).sum() for c in cols]
+        assert np.abs(pairs([whole]) - direct).max() <= pairs.err
+        oneway = BatchCosts(x, norm, 1)
+        assert abs(oneway([whole])[0] - columnwise_cost(x, norm)) <= oneway.err
+
+    def test_constant_l2_matrix_scores_within_error_of_zero(self):
+        # three 0.1s do not average to 0.1, so the centered data is not 0
+        x = DataMatrix(np.full((3, 4), 0.1))
+        rows = list(enumerate_partitions(3, 2))
+        for kernel in (BatchCosts(x, Norm.L2, 2, list(enumerate_partitions(4, 2))),
+                       BatchCosts(x, Norm.L2, 2)):
+            assert 0.0 < kernel.err <= 1e-12
+            assert np.abs(kernel(rows)).max() <= kernel.err
 
 
 class TestFirstMinimum:

@@ -1,5 +1,5 @@
-"""The L1 block-cost table (``cost.MedianCosts``) for real data, against
-direct costs and the exhaustive naive oracles."""
+"""The block-cost table (``cost.BatchCosts``) under L1 on real data,
+against direct costs and the exhaustive naive oracles."""
 
 import numpy as np
 import pytest
@@ -18,8 +18,7 @@ from crossclust import (
 from crossclust import cost
 from crossclust.cost import (
     TIE_RTOL,
-    MedianCosts,
-    _batch_scorer,
+    BatchCosts,
     block_costs,
     columnwise_cost,
     pooled_cost,
@@ -48,7 +47,7 @@ class TestWithinErrorBound:
         x = _real(make(5, 4, 6) + shift)
         rows = list(enumerate_partitions(5, 3))
         cols = list(enumerate_partitions(4, 3))
-        table = MedianCosts(x, 3, cols)
+        table = BatchCosts(x, Norm.L1, 3, cols)
         direct = np.array([block_costs(x, r, c, Norm.L1).sum() for r in rows for c in cols])
         assert np.abs(table(rows) - direct).max() <= table.err
         assert table.err <= 1e-12 * pooled_cost(x, Norm.L1)
@@ -58,7 +57,7 @@ class TestWithinErrorBound:
     def test_oneway(self, make, shift):
         x = _real(make(6, 4, 5) + shift)
         parts = list(enumerate_partitions(6, 3))
-        table = MedianCosts(x, 3)
+        table = BatchCosts(x, Norm.L1, 3)
         direct = np.array([oneway_row_cost(x, p, Norm.L1) for p in parts])
         assert np.abs(table(parts) - direct).max() <= table.err
         assert table.err <= 1e-12 * columnwise_cost(x, Norm.L1)
@@ -70,31 +69,24 @@ class TestWithinErrorBound:
         rows = list(enumerate_partitions(5, 2))
         cols = list(enumerate_partitions(4, 2))
         direct = [block_costs(x, r, c, Norm.L1).sum() for r in rows for c in cols]
-        np.testing.assert_allclose(MedianCosts(x, 4, cols)(rows), direct, rtol=1e-12)
+        np.testing.assert_allclose(BatchCosts(x, Norm.L1, 4, cols)(rows), direct, rtol=1e-12)
         oneway = [oneway_row_cost(x, p, Norm.L1) for p in rows]
-        np.testing.assert_allclose(MedianCosts(x, 4)(rows), oneway, rtol=1e-12)
+        np.testing.assert_allclose(BatchCosts(x, Norm.L1, 4)(rows), oneway, rtol=1e-12)
 
     def test_one_cluster_on_an_axis_longer_than_any_mask(self):
         x = random_real_matrix(70, 3, seed=9)
         whole = Partition((0,) * 70, 1)
         cols = list(enumerate_partitions(3, 3))
         direct = [block_costs(x, whole, c, Norm.L1).sum() for c in cols]
-        np.testing.assert_allclose(MedianCosts(x, 1, cols)([whole]), direct, rtol=1e-12)
-        assert MedianCosts(x, 1)([whole])[0] == pytest.approx(columnwise_cost(x, Norm.L1))
+        np.testing.assert_allclose(BatchCosts(x, Norm.L1, 1, cols)([whole]), direct, rtol=1e-12)
+        assert BatchCosts(x, Norm.L1, 1)([whole])[0] == pytest.approx(columnwise_cost(x, Norm.L1))
 
     def test_constant_matrix_costs_exactly_zero(self):
         x = _real(np.full((4, 3), 0.1))
         rows = list(enumerate_partitions(4, 2))
-        table = MedianCosts(x, 2, list(enumerate_partitions(3, 2)))
+        table = BatchCosts(x, Norm.L1, 2, list(enumerate_partitions(3, 2)))
         assert table.err == 0.0
         assert not table(rows).any()
-
-    def test_scorer_follows_the_input_class(self):
-        real = random_real_matrix(3, 3, seed=1)
-        binary = DataMatrix([[0, 1, 1], [1, 0, 0], [1, 1, 0]])
-        assert isinstance(_batch_scorer(real, Norm.L1, 2), MedianCosts)
-        assert isinstance(_batch_scorer(real, Norm.L2, 2), cost.BatchCosts)
-        assert isinstance(_batch_scorer(binary, Norm.L1, 2), cost.BatchCosts)
 
 
 class TestSolvers:

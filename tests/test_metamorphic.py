@@ -31,12 +31,10 @@ SETTINGS = settings(max_examples=25, deadline=None)
 @st.composite
 def instances(draw, kinds=("uniform", "dyadic", "binary"), norms=(Norm.L1, Norm.L2)):
     """(values, norm, k_r, k_c) with at most 5x5 values: uniform reals, 0/1,
-    or multiples of 1/8 in [0, 4), which hold exact ties and shift exactly.
-    L1 on real data has no batched kernel, so it stays at 4x4."""
+    or multiples of 1/8 in [0, 4), which hold exact ties and shift exactly."""
     norm = draw(st.sampled_from(norms))
     kind = draw(st.sampled_from(kinds))
-    top = 4 if norm is Norm.L1 and kind != "binary" else 5
-    n, m = draw(st.integers(2, top)), draw(st.integers(1, top))
+    n, m = draw(st.integers(2, 5)), draw(st.integers(1, 5))
     if kind == "uniform":
         values = random_real_matrix(n, m, draw(st.integers(0, 2**32))).values
     else:
