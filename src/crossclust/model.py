@@ -8,6 +8,7 @@ exactly one representation and partition equality is tuple equality.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -82,37 +83,64 @@ class DataMatrix:
 def load_matrix_csv(path, binary: bool | None = None) -> DataMatrix:
     """Read a headerless numeric CSV file, one matrix row per line.
 
-    Raises :class:`ValidationError` with the offending 1-based line number
-    on ragged rows, non-numeric fields or non-finite values (``nan``,
-    ``inf``).  Blank lines are ignored.
+    One ``np.loadtxt`` call parses a well-formed file.  A file it rejects,
+    or one with a non-finite value, is parsed again line by line, which
+    accepts every field Python's ``float`` accepts (``1_0``, Unicode
+    digits) and ignores blank and whitespace-only lines.  That pass raises
+    :class:`ValidationError` with the offending 1-based line number on
+    bytes that are not UTF-8, ragged rows, non-numeric fields or
+    non-finite values (``nan``, ``inf``).
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    values = None
+    if raw and not raw.isspace():  # loadtxt warns on a file with no data
+        try:
+            values = np.loadtxt(
+                io.BytesIO(raw), delimiter=",", ndmin=2, comments=None, dtype=float,
+                encoding="utf-8",
+            )
+        except ValueError:
+            pass
+    if values is None or not np.isfinite(values).all():
+        values = _parse_csv_lines(raw)
+    return DataMatrix(values, is_binary=binary)
+
+
+def _parse_csv_lines(raw: bytes) -> list[list[float]]:
+    """The line-by-line pass of :func:`load_matrix_csv`."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]  # line breaks as text mode reads them
+        lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ValidationError(f"line {lineno}: not UTF-8 text") from exc
     rows: list[list[float]] = []
     width: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            try:
-                row = [float(f) for f in fields]
-            except ValueError as exc:
-                raise ValidationError(
-                    f"line {lineno}: non-numeric field in matrix file"
-                ) from exc
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValidationError(
-                    f"line {lineno}: expected {width} fields, got {len(row)}"
-                )
-            # a finite sum proves every value finite; an overflowing one does not
-            if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
-                raise ValidationError(f"line {lineno}: non-finite value")
-            rows.append(row)
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        try:
+            row = [float(f) for f in fields]
+        except ValueError as exc:
+            raise ValidationError(
+                f"line {lineno}: non-numeric field in matrix file"
+            ) from exc
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ValidationError(
+                f"line {lineno}: expected {width} fields, got {len(row)}"
+            )
+        # a finite sum proves every value finite; an overflowing one does not
+        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+            raise ValidationError(f"line {lineno}: non-finite value")
+        rows.append(row)
     if not rows:
         raise ValidationError("matrix file contains no rows")
-    return DataMatrix(rows, is_binary=binary)
+    return rows
 
 
 def canonical_labels(labels: Sequence[int]) -> tuple[int, ...]:

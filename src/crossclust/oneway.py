@@ -117,7 +117,10 @@ def lloyd_kcluster(
     are distances under the active norm), then alternates nearest-center
     assignment and center recomputation (coordinate-wise lower median for
     L1, mean for L2) until assignments stabilize or 200 iterations pass.
-    Deterministic for a fixed seed; restart r uses stream seed + r.
+    The assignment step recomputes only the points whose nearest center
+    is not proven unchanged by Hamerly's bounds (see :func:`_skip_margin`),
+    so the iterates are those of plain Lloyd.  Deterministic for a fixed
+    seed; restart r uses stream seed + r.
     """
     n = x.n_rows
     if k < 1 or k > n:
@@ -181,25 +184,109 @@ def _centers_from_assignment(
     return centers
 
 
+def _skip_margin(points: np.ndarray, norm: Norm) -> float:
+    """Slack of the bounded assignment's skip test, in distance units.
+
+    Derivation.  Let eps = 2**-53, m the number of columns, T =
+    LLOYD_MAX_ITERATIONS and g = 2(m + 3)eps.  Distances are in metric
+    form: the L1 distance, or the square root of the squared distance.
+
+    * A computed distance is within a factor 1 +- g of the exact distance
+      between the same two float vectors: each term is one rounded
+      subtraction (and, under L2, one rounded square), a sum of m
+      nonnegative terms errs by at most (m - 1)eps relative, and the
+      square root adds one rounding.  The square root is correctly
+      rounded and so monotone, so ordering the rooted values orders the
+      squared ones that ``argmin`` compares.
+    * Every point and every center lies in the data's bounding box,
+      widened under L2 by a mean's summation error, 2n eps times the
+      column's largest magnitude (an L1 center is a data value).  X, the
+      box's diameter, bounds every distance, so each computed distance
+      errs by at most gX in absolute terms, however far the data sits
+      from the origin and however close two of its points are.
+    * A lower bound is set from computed distances (error gX) and then
+      lowered at most T times by a computed largest shift (error gX),
+      each subtraction rounding by at most eps(T + 1)2X, the largest
+      magnitude a bound reaches.  So it errs by at most
+      E = (T + 1)gX + 2T(T + 1)eps X.
+    * A skip with u + M < max(l, s) then proves that the computed
+      distance to every other center exceeds the computed distance to
+      the point's own center: it takes M >= E + 3gX against l, and
+      M >= 2.5gX against s (half the computed distance to the nearest
+      other center, itself within gX), plus 3 eps X for the rounding of
+      u + M.
+
+    Together M >= 2 eps X ((T + 4)(m + 3) + (T + 1)^2 + 1).  The return
+    value is twice that, so that the rounding of X and of the product
+    cannot bring it below.
+    """
+    eps = np.finfo(float).eps / 2
+    n, m = points.shape
+    t = LLOYD_MAX_ITERATIONS
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    width = hi - lo
+    if norm is Norm.L1:
+        diameter = float(width.sum())
+    else:
+        width += 4 * n * eps * np.maximum(np.abs(lo), np.abs(hi))
+        diameter = float(np.sqrt((width**2).sum()))
+    return 4 * eps * diameter * ((t + 4) * (m + 3) + (t + 1) ** 2 + 1)
+
+
+def _metric(dist: np.ndarray, norm: Norm) -> np.ndarray:
+    """``_distances`` values as a metric: the root of the L2 ones, which
+    are squared distances."""
+    return dist if norm is Norm.L1 else np.sqrt(dist)
+
+
+def _stale(upper, lower, half_gap, margin: float) -> np.ndarray:
+    """Indexes of the points whose own center is not provably the nearest:
+    those where upper + margin is not below max(lower, half_gap).  A tie
+    or a NaN bound counts as not proven."""
+    return np.flatnonzero(~(upper + margin < np.maximum(lower, half_gap)))
+
+
 def _lloyd_once(points: np.ndarray, k: int, norm: Norm, seed: int) -> tuple[Partition, int]:
+    """One Lloyd restart with Hamerly's bounds (SDM 2010): a point is
+    re-assigned only when its own center is not provably still the
+    nearest, so the iterates are those of plain Lloyd."""
     n = points.shape[0]
     rng = SplitMix64(seed)
     centers = _seed_centers(points, k, norm, rng)
     assignment = np.zeros(n, dtype=int)
+    margin = _skip_margin(points, norm)
+    # upper: distance to the own center; lower: a bound on the distance to
+    # every other center.  Both are in metric form; +-inf forces a recompute.
+    upper = np.full(n, np.inf)
+    lower = np.full(n, -np.inf)
     prev_objective = float("inf")
     iterations = 0
     for iterations in range(1, LLOYD_MAX_ITERATIONS + 1):
-        dist = np.stack([_distances(points, centers[c], norm) for c in range(k)], axis=1)
-        new_assignment = dist.argmin(axis=1)  # argmin takes the lowest index on ties
-        _repair_empty_clusters(points, new_assignment, centers, k, norm)
+        gaps = np.stack([_distances(centers, centers[c], norm) for c in range(k)])
+        np.fill_diagonal(gaps, np.inf)
+        half_gap = 0.5 * _metric(gaps.min(axis=1), norm)
+        stale = _stale(upper, lower, half_gap[assignment], margin)
+        new_assignment = assignment.copy()
+        if stale.size:
+            rows = points[stale]
+            dist = np.stack([_distances(rows, centers[c], norm) for c in range(k)], axis=1)
+            new_assignment[stale] = dist.argmin(axis=1)  # lowest index on ties
+            if k > 1:  # with one center, half_gap is inf and proves every skip
+                lower[stale] = _metric(np.partition(dist, 1, axis=1)[:, 1], norm)
+        moved = _repair_empty_clusters(points, new_assignment, centers, k, norm)
+        lower[moved] = -np.inf
+        old = centers
         centers = _centers_from_assignment(points, new_assignment, k, centers, norm)
-        objective = float(
-            sum(
-                _distances(points[new_assignment == c], centers[c], norm).sum()
-                for c in range(k)
-                if np.any(new_assignment == c)
-            )
-        )
+        lower -= _metric(_distances(centers, old, norm), norm).max()
+        parts = []
+        for c in range(k):
+            members = new_assignment == c
+            if members.any():
+                own = _distances(points[members], centers[c], norm)
+                upper[members] = own
+                parts.append(own.sum())
+        upper = _metric(upper, norm)
+        objective = float(sum(parts))
         # Both steps can only lower the objective; a rise means a bug.
         if objective > prev_objective + 1e-9:
             raise CrossclustError(
@@ -215,9 +302,11 @@ def _lloyd_once(points: np.ndarray, k: int, norm: Norm, seed: int) -> tuple[Part
 
 def _repair_empty_clusters(
     points: np.ndarray, assignment: np.ndarray, centers: np.ndarray, k: int, norm: Norm
-) -> None:
+) -> list[int]:
     """Reseed each empty cluster with the point farthest from its own
-    current center, stealing only from clusters with >= 2 members."""
+    current center, stealing only from clusters with >= 2 members.
+    Returns the indexes of the points moved."""
+    moved = []
     for c in range(k):
         if np.any(assignment == c):
             continue
@@ -228,3 +317,5 @@ def _repair_empty_clusters(
         if own_dist[far] <= 0.0:
             continue  # nothing gains from splitting; leave the cluster empty
         assignment[far] = c
+        moved.append(far)
+    return moved

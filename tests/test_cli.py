@@ -55,6 +55,13 @@ class TestRun:
         assert code == 3
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_utf8_csv_exits_3_with_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"0,1\r\n1,0\r\n0.5,\xe9\r\n")
+        code = main(["run", "--input", str(path)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: line 3: not UTF-8 text\n"
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code = main(["run", "--input", str(tmp_path / "nope.csv")])
         assert code == 2

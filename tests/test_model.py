@@ -1,8 +1,10 @@
 """Tests for the core data model."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crossclust import (
     Bicluster,
@@ -62,6 +64,47 @@ class TestDataMatrix:
         assert x.transpose().values[2, 0] == 3.0
 
 
+@st.composite
+def csv_texts(draw):
+    """Mostly well-formed CSV text, with the odd field or line that is not."""
+    field = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(["0", "1", "-0", "+.5", "1e3", " 2 ", "\xa03", "nan", "-inf",
+                         "1e400", "1_0", "\u0661", "", "#", "0x10"]),
+    )
+    width = draw(st.integers(1, 3))
+    lines = draw(st.lists(
+        st.one_of(
+            st.lists(field, min_size=width, max_size=width).map(",".join),
+            st.sampled_from(["", "  ", "1"]),
+        ),
+        min_size=1, max_size=4,
+    ))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def line_reader(path):
+    """The line-by-line CSV reader, frozen: the matrix, or the error text."""
+    rows, width = [], None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = [float(f) for f in line.split(",")]
+            except ValueError:
+                return f"line {lineno}: non-numeric field in matrix file"
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                return f"line {lineno}: expected {width} fields, got {len(row)}"
+            if not all(map(math.isfinite, row)):
+                return f"line {lineno}: non-finite value"
+            rows.append(row)
+    return np.array(rows) if rows else "matrix file contains no rows"
+
+
 class TestCsvLoader:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -106,6 +149,64 @@ class TestCsvLoader:
         path = tmp_path / "m.csv"
         path.write_text("0,1\n1,0\n")
         assert not load_matrix_csv(path, binary=False).is_binary
+
+    # Each file gives the matrix, or the error text, of the line-by-line
+    # reader that predates the one-call parse.
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            (b"\n1,2\n\n3,4\n\n", [[1, 2], [3, 4]]),
+            (b"1,2\n   \n\t\n3,4\n", [[1, 2], [3, 4]]),
+            (b"1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),
+            (b"1,2\n3,4", [[1, 2], [3, 4]]),
+            (b" 1 , 2\n3 ,4 \n", [[1, 2], [3, 4]]),
+            (b"1_0,2\n3,4\n", [[10, 2], [3, 4]]),
+            ("\u0661,2\n3,\u0664\n".encode(), [[1, 2], [3, 4]]),
+            (b"1,2,\n3,4,\n", "line 1: non-numeric field in matrix file"),
+            (b"1,2\n3,4,5\n", "line 2: expected 2 fields, got 3"),
+            (b"\xef\xbb\xbf1,2\n3,4\n", "line 1: non-numeric field in matrix file"),
+            (b"1,2\n3,4\nnan,5\n", "line 3: non-finite value"),
+            (b"1,2\n-inf,4\n", "line 2: non-finite value"),
+            (b"1,2\n1e400,4\n", "line 2: non-finite value"),
+            (b"1,2\n3,#4\n", "line 2: non-numeric field in matrix file"),
+            (b"1,2,3\n", [[1, 2, 3]]),
+            (b"1\n2\n3\n", [[1], [2], [3]]),
+            (b"7.5\n", [[7.5]]),
+            (b"\n \n", "matrix file contains no rows"),
+        ],
+    )
+    def test_edge_cases(self, tmp_path, data, expected):
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        if isinstance(expected, str):
+            with pytest.raises(ValidationError) as info:
+                load_matrix_csv(path)
+            assert str(info.value) == expected
+        else:
+            assert load_matrix_csv(path).values.tolist() == expected
+
+    def test_non_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"0,1\r1,0\r\n\n0,\xe9\n")
+        with pytest.raises(ValidationError, match="^line 4: not UTF-8 text$"):
+            load_matrix_csv(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(csv_texts(), st.text(alphabet="019.,-+e_ \t\r\nainf#\ufeff\u0661\xa0", max_size=40)))
+    def test_matches_the_line_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            got = load_matrix_csv(path).values
+        except ValidationError as exc:
+            got = str(exc)
+        expected = line_reader(path)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert isinstance(got, np.ndarray)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestPartition:
