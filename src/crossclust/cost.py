@@ -8,9 +8,9 @@ point of the closed median interval gives the same absolute-deviation
 sum; fixing the lower median just makes outputs deterministic.  The
 center is defined once, in ``_center``, and every direct cost goes
 through ``_columns_spread``; Lloyd's centers follow the same rule.  The
-exact solvers score batches of partitions from one table of block costs
-(``BatchCosts``), built from sums over the groups under L2 and under L1
-on 0/1 data, and from sorted medians under L1 on real data.
+exact solvers score label blocks of partitions from one table of block
+costs (``BatchCosts``), built from sums over the groups under L2 and
+under L1 on 0/1 data, and from sorted medians under L1 on real data.
 
 On top of the multiset measure three aggregate costs are defined for a
 matrix with a row partition and/or a column partition:
@@ -220,20 +220,16 @@ TIE_RTOL = 1e-12
 BATCH_ENTRIES = 1 << 15
 
 
-def _label_table(parts: list[Partition]) -> np.ndarray:
-    """The assignments of equally long partitions as a (P, t) int8 table."""
-    flat = b"".join(bytes(p.assignment) for p in parts)
-    return np.frombuffer(flat, dtype=np.int8).reshape(len(parts), -1)
-
-
 class BatchCosts:
     """Costs of many row partitions at once, from a table of block costs.
 
-    The cost of every (row group, column group) block that the partitions
-    can use is computed once, into a table, and a batch of row partitions
-    is scored against every column partition by gathering entries and
-    summing them: over the row partition's groups, then over the column
-    partition's.  Every input class shares the table and the scoring; only
+    Partitions come as (P, t) int8 label blocks, one restricted growth
+    string per row, as :func:`~crossclust.model.partition_blocks` yields
+    them.  The cost of every (row group, column group) block that the
+    partitions can use is computed once, into a table, and a block of row
+    partitions is scored against every column partition by gathering
+    entries and summing them: over the row partition's groups, then over
+    the column partition's.  Every input class shares the table and the scoring; only
     the build of the entries differs (:func:`_sum_table`,
     :func:`_median_table`):
 
@@ -250,14 +246,15 @@ class BatchCosts:
       size) bucket, and each one's lower median (:func:`_center`) and sum
       of absolute deviations are taken.
 
-    A group is keyed by its bitmask (item i is bit i).  With ``k == 1`` the
-    one group holds item 0 and is keyed by that item alone, so a long axis
-    needs no wide mask.  Key 0 is the empty group of a partition with fewer
+    A group is keyed by its bitmask (item i is bit i), in integers.  With
+    ``k == 1`` the one group holds item 0 and is keyed by that item alone,
+    so a long axis needs no wide mask.  Key 0 is the empty group of a partition with fewer
     than ``k`` clusters; its entries are 0.
 
-    With ``cols`` an entry is a block's pooled cost, and the scores are the
-    biclustering costs of every (row partition, column partition) pair,
-    rows outer and columns inner.  Without ``cols`` every column is its own
+    With ``cols``, the (P_c, m) label table of the column partitions, an
+    entry is a block's pooled cost, and the scores are the biclustering
+    costs of every (row partition, column partition) pair, rows outer and
+    columns inner.  Without ``cols`` every column is its own
     group: the table has one column, a row group's per-column costs summed,
     and the scores are row-clustering objectives.  The table has a row per
     row key (2^n, or 2 when k == 1) and a column per column key (2^m, or 2
@@ -290,18 +287,16 @@ class BatchCosts:
     ``BATCH_ENTRIES`` entries.
     """
 
-    def __init__(
-        self, x: DataMatrix, norm: Norm, k: int, cols: list[Partition] | None = None
-    ):
+    def __init__(self, x: DataMatrix, norm: Norm, k: int, cols: np.ndarray | None = None):
         v = x.values
         n, m = v.shape
         row_groups = _members(np.arange(2 if k == 1 else 1 << n), n, k)
         pooled = cols is not None
         if pooled:
-            k_c = max(p.n_clusters for p in cols)
+            k_c = int(cols.max()) + 1
             col_groups = _members(np.arange(2 if k_c == 1 else 1 << m), m, k_c)
             # entry (p, c): the table column of cluster c of column partition p
-            self._cols = _group_keys(_label_table(cols), k_c)
+            self._cols = _group_keys(cols, k_c)
         else:
             col_groups = np.ones((1, m), dtype=bool)  # all columns, each apart
             self._cols = np.zeros((1, 1), dtype=np.intp)
@@ -323,25 +318,21 @@ class BatchCosts:
         width = max(k * n, k * len(col_groups), self._cols.size)
         self.batch_size = max(1, BATCH_ENTRIES // width)
 
-    def __call__(self, rows: list[Partition]) -> np.ndarray:
-        """Costs of every row partition (crossed with every column
-        partition) as one flat array in canonical order."""
-        keys = _group_keys(_label_table(rows), self._k)  # (R, k)
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        """Costs of every row partition of the (R, n) label block ``rows``
+        (crossed with every column partition) as one flat array, in the
+        block's order."""
+        keys = _group_keys(rows, self._k)  # (R, k)
         per_col_group = self._table[keys].sum(axis=1)  # (R, column groups)
         return per_col_group[:, self._cols].sum(axis=2).ravel()
-
-
-def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
-    """(P, t) labels to (P, k, t) 0/1 float indicators."""
-    return (labels[:, None, :] == np.arange(k, dtype=labels.dtype)[:, None]).astype(float)
 
 
 def _group_keys(labels: np.ndarray, k: int) -> np.ndarray:
     """(P, t) labels to the (P, k) keys of each partition's groups (see
     :class:`BatchCosts`); an empty group has key 0."""
     t = labels.shape[1]
-    bits = 2.0 ** np.arange(t) if k > 1 else (np.arange(t) == 0).astype(float)
-    return (_one_hot(labels, k) @ bits).astype(np.intp)
+    bits = 1 << np.arange(t) if k > 1 else (np.arange(t) == 0).astype(np.intp)
+    return (labels[:, None, :] == np.arange(k, dtype=labels.dtype)[:, None]) @ bits
 
 
 def _members(keys: np.ndarray, t: int, k: int) -> np.ndarray:

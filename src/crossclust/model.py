@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -229,8 +229,14 @@ def enumerate_partitions(t: int, max_k: int) -> Iterator[Partition]:
 
     The total count is sum of Stirling numbers S(t, j) for j = 1..max_k.
     Enumeration is refused outright for t > 14 since the Bell-number
-    growth makes it intractable.
+    growth makes it intractable.  The exact solvers walk only prefixes
+    here, in :func:`partition_blocks`.
     """
+    _check_enumeration(t, max_k)
+    return _walk_partitions(t, max_k)
+
+
+def _check_enumeration(t: int, max_k: int) -> None:
     if t > ENUMERATION_CAP:
         raise CapExceededError(
             f"partition enumeration capped at {ENUMERATION_CAP} items, got {t}"
@@ -239,7 +245,59 @@ def enumerate_partitions(t: int, max_k: int) -> Iterator[Partition]:
         raise ValidationError("item count must be >= 1")
     if max_k < 1 or max_k > t:
         raise ValidationError(f"cluster bound must be in [1, {t}], got {max_k}")
-    return _walk_partitions(t, max_k)
+
+
+def partition_blocks(t: int, k: int, rows: int) -> Iterator[np.ndarray]:
+    """The partitions of :func:`enumerate_partitions` as (P, t) int8 label
+    blocks of at most ``rows`` rows each, in the same order.
+
+    Only the prefixes of the first p labels are walked, the least p >= 1
+    with k**(t - p) <= rows, so that no prefix has more than ``rows``
+    completions.  These depend only on the prefix's largest label, so each
+    table of them is built once (:func:`_completions`) and set next to
+    every such prefix.  With k == 1 the all-in-one partition is one zero
+    row, under no cap.
+    """
+    if rows < 1:
+        raise ValidationError(f"block size must be >= 1, got {rows}")
+    if k == 1:
+        return iter([np.zeros((1, t), dtype=np.int8)])
+    _check_enumeration(t, k)
+    return _blocks(t, k, rows)
+
+
+def _blocks(t: int, k: int, rows: int) -> Iterator[np.ndarray]:
+    s = t - 1  # labels per completion
+    while k**s > rows:
+        s -= 1
+    p = t - s
+    buf, size = np.empty((rows, t), dtype=np.int8), 0
+    for prefix in enumerate_partitions(p, min(k, p)):
+        tail = _completions(s, k, prefix.n_clusters - 1)
+        if size + len(tail) > rows:
+            yield buf[:size]
+            buf, size = np.empty((rows, t), dtype=np.int8), 0
+        out = buf[size : size + len(tail)]
+        out[:, :p], out[:, p:] = prefix.assignment, tail
+        size += len(tail)
+    yield buf[:size]
+
+
+@lru_cache(maxsize=64)
+def _completions(s: int, k: int, top: int) -> np.ndarray:
+    """Read-only (C, s) int8 table of the label strings that extend a
+    restricted growth string with largest label ``top`` by ``s`` labels,
+    below ``k``, in lexicographic order.  Built by prefix extension: a
+    string whose largest label is h gets the children 0..min(h + 1, k - 1)."""
+    labels, tops = np.zeros((1, 0), dtype=np.int8), np.array([top])
+    for _ in range(s):
+        counts = np.minimum(tops + 1, k - 1) + 1
+        parent = np.repeat(np.arange(len(tops)), counts)
+        child = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        labels = np.hstack([labels[parent], child[:, None].astype(np.int8)])
+        tops = np.maximum(tops[parent], child)
+    labels.setflags(write=False)
+    return labels
 
 
 def _walk_partitions(t: int, max_k: int) -> Iterator[Partition]:

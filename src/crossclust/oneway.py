@@ -14,7 +14,6 @@ most k" reaches the same optimum without empty-cluster bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .cost import (
     oneway_row_cost,
 )
 from .errors import CapExceededError, CrossclustError, ValidationError
-from .model import ENUMERATION_CAP, DataMatrix, Partition, enumerate_partitions
+from .model import ENUMERATION_CAP, DataMatrix, Partition, partition_blocks
 from .rng import MASK64, SplitMix64
 
 LLOYD_MAX_ITERATIONS = 200
@@ -72,16 +71,18 @@ class OnewaySolution:
 def exact_kcluster(x: DataMatrix, k: int, norm: Norm) -> OnewaySolution:
     """Globally optimal row clustering into at most ``k`` clusters.
 
-    Every partition from :func:`enumerate_partitions` is scored, in
-    batches from :class:`BatchCosts`, one table of block costs for every
-    input class (one float per row group, at most 2^14).  Exact costs
-    decide: batched scores within ``TIE_RTOL`` times the one-cluster cost,
-    plus twice the scorer's error bound, of the least one are re-scored
-    directly with :func:`oneway_row_cost`; a scorer whose bound is 0
-    (binary L1, whose scores are exact integers) needs no re-scoring.
-    Costs within ``TIE_RTOL`` times the one-cluster cost of the minimum
-    count as tied, and the first tied partition in canonical enumeration
-    order wins.  The reported cost is the direct evaluation of the winner.
+    Every partition is scored, in the label blocks of
+    :func:`partition_blocks`, by :class:`BatchCosts`, one table of block
+    costs for every input class (one float per row group, at most 2^14).
+    Only re-scored candidates and the winner become :class:`Partition`
+    objects.  Exact costs decide: batched scores within ``TIE_RTOL``
+    times the one-cluster cost, plus twice the scorer's error bound, of
+    the least one are re-scored directly with :func:`oneway_row_cost`;
+    a scorer whose bound is 0 (binary L1, whose scores are exact integers)
+    needs no re-scoring.  Costs within ``TIE_RTOL`` times the one-cluster
+    cost of the minimum count as tied, and the first tied partition in
+    canonical enumeration order wins.  The reported cost is the direct
+    evaluation of the winner.
 
     With k == 1 the single all-in-one partition is returned directly and
     no enumeration cap applies; otherwise n_rows must be <= 14.
@@ -98,13 +99,12 @@ def exact_kcluster(x: DataMatrix, k: int, norm: Norm) -> OnewaySolution:
         )
     tol = TIE_RTOL * columnwise_cost(x, norm)
     score = BatchCosts(x, norm, k)
-    rescore = (lambda p: oneway_row_cost(x, p, norm)) if score.err else None
+    rescore = (lambda a: oneway_row_cost(x, Partition(a, k), norm)) if score.err else None
     pick = FirstMinimum(tol, score.err, rescore)
-    parts = enumerate_partitions(n, k)
-    while batch := list(islice(parts, score.batch_size)):
-        if pick.feed(score(batch), batch.__getitem__):
+    for block in partition_blocks(n, k, score.batch_size):
+        if pick.feed(score(block), lambda i: tuple(block[i].tolist())):
             break
-    best = Partition(pick.winner.assignment, k)  # validated, unlike the walk's
+    best = Partition(pick.winner, k)
     return OnewaySolution(best, oneway_row_cost(x, best, norm), SolverMode.exact())
 
 
@@ -150,9 +150,12 @@ def kcluster_cols(x: DataMatrix, k: int, norm: Norm, mode: SolverMode) -> Oneway
 
 
 def _distances(points: np.ndarray, center: np.ndarray, norm: Norm) -> np.ndarray:
+    d = points - center  # the one temporary; both norms work on it in place
     if norm is Norm.L1:
-        return np.abs(points - center).sum(axis=1)
-    return ((points - center) ** 2).sum(axis=1)
+        np.abs(d, out=d)
+    else:
+        d *= d
+    return d.sum(axis=1)
 
 
 def _seed_centers(points: np.ndarray, k: int, norm: Norm, rng: SplitMix64) -> np.ndarray:

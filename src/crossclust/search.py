@@ -9,10 +9,11 @@ cost, which is the reference value for ratio certification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator
+
+import numpy as np
 
 from .cost import (
+    BATCH_ENTRIES,
     TIE_RTOL,
     BatchCosts,
     CostBreakdown,
@@ -29,7 +30,7 @@ from .model import (
     Biclustering,
     DataMatrix,
     Partition,
-    enumerate_partitions,
+    partition_blocks,
 )
 from .oneway import SolverMode, kcluster_cols, kcluster_rows
 
@@ -92,20 +93,6 @@ def run_scheme(
     return SchemeResult(bic, breakdown, mode)
 
 
-def _axis_partitions(t: int, k: int, cap: int, axis: str) -> Iterator[Partition]:
-    """Partitions of one axis for the oracle.  k == 1 is trivial (a single
-    all-in-one partition) and is exempt from every size cap."""
-    if k < 1 or k > t:
-        raise ValidationError(f"{axis} cluster count must be in [1, {t}], got {k}")
-    if k == 1:
-        return iter([Partition((0,) * t, 1)])
-    if t > min(cap, ENUMERATION_CAP):
-        raise CapExceededError(
-            f"oracle enumeration over {axis}s capped at {min(cap, ENUMERATION_CAP)}, got {t}"
-        )
-    return enumerate_partitions(t, k)
-
-
 def exact_biclustering(
     x: DataMatrix,
     k_r: int,
@@ -119,31 +106,41 @@ def exact_biclustering(
     at most ``k_c`` clusters.
 
     Every pair is scored, in nested canonical enumeration order (rows
-    outer, columns inner).  The scores of a batch of row partitions
-    against all column partitions come from :class:`BatchCosts`, one
-    table of block costs for every input class.  Exact costs decide: pairs
-    whose batched score is within ``TIE_RTOL`` times the one-block cost,
-    plus twice the scorer's error bound, of the least one are re-scored
-    directly; a scorer whose bound is 0 (binary L1, whose scores are exact
-    integers) needs no re-scoring.  Costs within ``TIE_RTOL`` times the
-    one-block cost of the minimum count as tied, and the first tied pair
-    wins.  The reported cost is the direct evaluation of the winner.
+    outer, columns inner).  The row partitions come in the label blocks of
+    :func:`partition_blocks`, and the scores of a block against the label
+    table of every column partition come from :class:`BatchCosts`, one
+    table of block costs for every input class.  Only re-scored pairs and
+    the winner become :class:`Partition` objects.  An axis with one
+    cluster has one partition and is exempt from every size cap.  Exact
+    costs decide: pairs whose batched score is within ``TIE_RTOL`` times
+    the one-block cost, plus twice the scorer's error bound, of the least
+    one are re-scored directly; a scorer whose bound is 0 (binary L1,
+    whose scores are exact integers) needs no re-scoring.  Costs within
+    ``TIE_RTOL`` times the one-block cost of the minimum count as tied,
+    and the first tied pair wins.  The reported cost is the direct
+    evaluation of the winner.
     """
-    col_parts = list(_axis_partitions(x.n_cols, k_c, col_cap, "column"))
-    row_parts = _axis_partitions(x.n_rows, k_r, row_cap, "row")
+    for t, k, cap, axis in ((x.n_cols, k_c, col_cap, "column"), (x.n_rows, k_r, row_cap, "row")):
+        if k < 1 or k > t:
+            raise ValidationError(f"{axis} cluster count must be in [1, {t}], got {k}")
+        cap = min(cap, ENUMERATION_CAP)
+        if k > 1 and t > cap:
+            raise CapExceededError(f"oracle enumeration over {axis}s capped at {cap}, got {t}")
+    cols = np.concatenate(list(partition_blocks(x.n_cols, k_c, BATCH_ENTRIES)))
     tol = TIE_RTOL * pooled_cost(x, norm)
 
-    def direct(pair: tuple[Partition, Partition]) -> float:
-        return float(block_costs(x, pair[0], pair[1], norm).sum())
+    def direct(pair: tuple[tuple[int, ...], tuple[int, ...]]) -> float:
+        return float(block_costs(x, Partition(pair[0], k_r), Partition(pair[1], k_c), norm).sum())
 
-    score = BatchCosts(x, norm, k_r, col_parts)
+    def item(i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:  # of the block being fed
+        return tuple(rows[i // len(cols)].tolist()), tuple(cols[i % len(cols)].tolist())
+
+    score = BatchCosts(x, norm, k_r, cols)
     pick = FirstMinimum(tol, score.err, direct if score.err else None)
-    p_c = len(col_parts)
-    while rows := list(islice(row_parts, score.batch_size)):
-        if pick.feed(score(rows), lambda i: (rows[i // p_c], col_parts[i % p_c])):
+    for rows in partition_blocks(x.n_rows, k_r, score.batch_size):
+        if pick.feed(score(rows), item):
             break
-    # validated partitions, unlike the walk's
-    best_rows, best_cols = (Partition(p.assignment, p.k) for p in pick.winner)
+    best_rows, best_cols = Partition(pick.winner[0], k_r), Partition(pick.winner[1], k_c)
     breakdown, _ = biclustering_cost(x, best_rows, best_cols, norm)
     return OptimalBiclustering(best_rows, best_cols, breakdown.l)
 

@@ -1,6 +1,8 @@
 """The exact solvers' batched kernel and tie rule, against direct costs and
 the exhaustive naive oracles."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,11 @@ from crossclust.cost import (
 )
 
 from oracles import exact_biclustering_argmin_naive, exact_oneway_argmin_naive
+
+
+def _labels(parts):
+    """Partitions as the (P, t) int8 label table that ``BatchCosts`` takes."""
+    return np.array([p.assignment for p in parts], dtype=np.int8)
 
 
 def _summed(norm, n, m, seed):
@@ -61,7 +68,7 @@ class TestBatchCosts:
         parts = list(enumerate_partitions(shape[0], k))
         kernel = BatchCosts(x, Norm.L2, k)
         direct = np.array([oneway_row_cost(x, p, Norm.L2) for p in parts])
-        assert np.abs(kernel(parts) - direct).max() <= kernel.err
+        assert np.abs(kernel(_labels(parts)) - direct).max() <= kernel.err
         # centering keeps the bound at rounding level at these offsets
         assert kernel.err <= 1e-12 * columnwise_cost(x, Norm.L2)
 
@@ -70,21 +77,21 @@ class TestBatchCosts:
         x = DataMatrix(random_real_matrix(*shape, seed=seed).values + shift)
         rows = list(enumerate_partitions(shape[0], min(3, shape[0])))
         cols = list(enumerate_partitions(shape[1], 2))
-        kernel = BatchCosts(x, Norm.L2, min(3, shape[0]), cols)
+        kernel = BatchCosts(x, Norm.L2, min(3, shape[0]), _labels(cols))
         direct = [block_costs(x, r, c, Norm.L2).sum() for r in rows for c in cols]
-        assert np.abs(kernel(rows) - direct).max() <= kernel.err
+        assert np.abs(kernel(_labels(rows)) - direct).max() <= kernel.err
         assert kernel.err <= 1e-12 * pooled_cost(x, Norm.L2)
 
     def test_binary_l1_is_exact(self):
         x = random_binary_matrix(5, 4, 0.4, seed=7)
         rows = list(enumerate_partitions(5, 3))
         cols = list(enumerate_partitions(4, 3))
-        kernel = BatchCosts(x, Norm.L1, 3, cols)
+        kernel = BatchCosts(x, Norm.L1, 3, _labels(cols))
         assert kernel.err == 0.0
         direct = [block_costs(x, r, c, Norm.L1).sum() for r in rows for c in cols]
-        assert kernel(rows).tolist() == direct
+        assert kernel(_labels(rows)).tolist() == direct
         oneway = BatchCosts(x, Norm.L1, 3)
-        assert oneway(rows).tolist() == [oneway_row_cost(x, p, Norm.L1) for p in rows]
+        assert oneway(_labels(rows)).tolist() == [oneway_row_cost(x, p, Norm.L1) for p in rows]
 
     @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
     def test_fewer_clusters_than_k(self, norm):
@@ -93,32 +100,32 @@ class TestBatchCosts:
         x = _summed(norm, 5, 4, 8)
         rows = list(enumerate_partitions(5, 2))
         cols = list(enumerate_partitions(4, 2))
-        pairs = BatchCosts(x, norm, 4, cols)
+        pairs = BatchCosts(x, norm, 4, _labels(cols))
         direct = [block_costs(x, r, c, norm).sum() for r in rows for c in cols]
-        assert np.abs(pairs(rows) - direct).max() <= pairs.err
+        assert np.abs(pairs(_labels(rows)) - direct).max() <= pairs.err
         oneway = BatchCosts(x, norm, 4)
         direct = [oneway_row_cost(x, p, norm) for p in rows]
-        assert np.abs(oneway(rows) - direct).max() <= oneway.err
+        assert np.abs(oneway(_labels(rows)) - direct).max() <= oneway.err
 
     @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
     def test_one_cluster_on_an_axis_longer_than_any_mask(self, norm):
         x = _summed(norm, 70, 3, 9)
         whole = Partition((0,) * 70, 1)
         cols = list(enumerate_partitions(3, 3))
-        pairs = BatchCosts(x, norm, 1, cols)
+        pairs = BatchCosts(x, norm, 1, _labels(cols))
         direct = [block_costs(x, whole, c, norm).sum() for c in cols]
-        assert np.abs(pairs([whole]) - direct).max() <= pairs.err
+        assert np.abs(pairs(_labels([whole])) - direct).max() <= pairs.err
         oneway = BatchCosts(x, norm, 1)
-        assert abs(oneway([whole])[0] - columnwise_cost(x, norm)) <= oneway.err
+        assert abs(oneway(_labels([whole]))[0] - columnwise_cost(x, norm)) <= oneway.err
 
     def test_constant_l2_matrix_scores_within_error_of_zero(self):
         # three 0.1s do not average to 0.1, so the centered data is not 0
         x = DataMatrix(np.full((3, 4), 0.1))
         rows = list(enumerate_partitions(3, 2))
-        for kernel in (BatchCosts(x, Norm.L2, 2, list(enumerate_partitions(4, 2))),
+        for kernel in (BatchCosts(x, Norm.L2, 2, _labels(enumerate_partitions(4, 2))),
                        BatchCosts(x, Norm.L2, 2)):
             assert 0.0 < kernel.err <= 1e-12
-            assert np.abs(kernel(rows)).max() <= kernel.err
+            assert np.abs(kernel(_labels(rows))).max() <= kernel.err
 
 
 class TestFirstMinimum:
@@ -147,13 +154,22 @@ class TestFirstMinimum:
 
 
 class TestBatching:
-    @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
-    def test_one_partition_per_batch_gives_the_same_winner(self, monkeypatch, norm):
-        # 0.1-scaled integers tie often, so ties straddle batch boundaries
+    @pytest.mark.parametrize(
+        "norm, kind",
+        [
+            pytest.param(Norm.L1, "binary", id="Norm.L1"),
+            pytest.param(Norm.L2, "tenths", id="Norm.L2"),
+            pytest.param(Norm.L1, "quarters", id="Norm.L1-quarters"),
+        ],
+    )
+    def test_one_partition_per_batch_gives_the_same_winner(self, monkeypatch, norm, kind):
+        # grid entries tie often, so ties straddle batch boundaries
         rows = (np.random.default_rng(3).integers(0, 3, size=(5, 4)) / 10).tolist()
-        if norm is Norm.L1:
+        if kind == "binary":
             rows = (np.asarray(rows) > 0.05).astype(float).tolist()
-        x = DataMatrix(rows)
+        elif kind == "quarters":
+            rows = (np.random.default_rng(3).integers(0, 5, size=(5, 4)) / 4).tolist()
+        x = DataMatrix(rows, is_binary=kind == "binary")
         whole = exact_biclustering(x, 3, 2, norm)
         oneway = exact_kcluster(x, 3, norm)
         monkeypatch.setattr(cost, "BATCH_ENTRIES", 1)
@@ -269,3 +285,31 @@ class TestAgainstNaiveOracles:
         )
         assert (opt.rows.assignment, opt.cols.assignment) == (labels_r, labels_c)
         assert opt.cost == pytest.approx(cost, rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def tie_heavy(draw, max_rows, max_cols):
+    """0/1 or quarter-grid matrices, the latter scored as real data: many
+    partitions tie, so ties fall across block boundaries."""
+    n = draw(st.integers(2, max_rows))
+    m = draw(st.integers(1, max_cols))
+    binary = draw(st.booleans())
+    values = st.sampled_from([0.0, 1.0]) if binary else st.integers(0, 4).map(lambda v: v / 4)
+    return draw(_grid(n, m, values)), binary
+
+
+class TestTiesAcrossBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(tie_heavy(5, 4), st.integers(2, 3), st.integers(1, 3), NORMS)
+    def test_winners_match_the_naive_argmins_at_every_batch_size(self, case, k_r, k_c, norm):
+        rows, binary = case
+        k_r, k_c = min(k_r, len(rows)), min(k_c, len(rows[0]))
+        x = DataMatrix(rows, is_binary=binary)
+        labels, _ = exact_oneway_argmin_naive(rows, k_r, norm.value, TIE_RTOL)
+        pair, _ = exact_biclustering_argmin_naive(rows, k_r, k_c, norm.value, TIE_RTOL)
+        for entries in (cost.BATCH_ENTRIES, 1):
+            with patch.object(cost, "BATCH_ENTRIES", entries):
+                sol = exact_kcluster(x, k_r, norm)
+                opt = exact_biclustering(x, k_r, k_c, norm)
+            assert sol.partition.assignment == labels
+            assert (opt.rows.assignment, opt.cols.assignment) == pair

@@ -27,6 +27,11 @@ from crossclust.cost import (
 from oracles import exact_biclustering_argmin_naive, exact_oneway_argmin_naive
 
 
+def _labels(parts):
+    """Partitions as the (P, t) int8 label table that ``BatchCosts`` takes."""
+    return np.array([p.assignment for p in parts], dtype=np.int8)
+
+
 def _real(values) -> DataMatrix:
     """A matrix on the L1-on-real-data path even if its entries are 0/1."""
     return DataMatrix(values, is_binary=False)
@@ -47,9 +52,9 @@ class TestWithinErrorBound:
         x = _real(make(5, 4, 6) + shift)
         rows = list(enumerate_partitions(5, 3))
         cols = list(enumerate_partitions(4, 3))
-        table = BatchCosts(x, Norm.L1, 3, cols)
+        table = BatchCosts(x, Norm.L1, 3, _labels(cols))
         direct = np.array([block_costs(x, r, c, Norm.L1).sum() for r in rows for c in cols])
-        assert np.abs(table(rows) - direct).max() <= table.err
+        assert np.abs(table(_labels(rows)) - direct).max() <= table.err
         assert table.err <= 1e-12 * pooled_cost(x, Norm.L1)
 
     @pytest.mark.parametrize("shift", [0.0, 1e7])
@@ -59,7 +64,7 @@ class TestWithinErrorBound:
         parts = list(enumerate_partitions(6, 3))
         table = BatchCosts(x, Norm.L1, 3)
         direct = np.array([oneway_row_cost(x, p, Norm.L1) for p in parts])
-        assert np.abs(table(parts) - direct).max() <= table.err
+        assert np.abs(table(_labels(parts)) - direct).max() <= table.err
         assert table.err <= 1e-12 * columnwise_cost(x, Norm.L1)
 
     def test_fewer_clusters_than_k(self):
@@ -69,24 +74,26 @@ class TestWithinErrorBound:
         rows = list(enumerate_partitions(5, 2))
         cols = list(enumerate_partitions(4, 2))
         direct = [block_costs(x, r, c, Norm.L1).sum() for r in rows for c in cols]
-        np.testing.assert_allclose(BatchCosts(x, Norm.L1, 4, cols)(rows), direct, rtol=1e-12)
+        labels = _labels(rows)
+        np.testing.assert_allclose(BatchCosts(x, Norm.L1, 4, _labels(cols))(labels), direct, rtol=1e-12)
         oneway = [oneway_row_cost(x, p, Norm.L1) for p in rows]
-        np.testing.assert_allclose(BatchCosts(x, Norm.L1, 4)(rows), oneway, rtol=1e-12)
+        np.testing.assert_allclose(BatchCosts(x, Norm.L1, 4)(labels), oneway, rtol=1e-12)
 
     def test_one_cluster_on_an_axis_longer_than_any_mask(self):
         x = random_real_matrix(70, 3, seed=9)
         whole = Partition((0,) * 70, 1)
         cols = list(enumerate_partitions(3, 3))
         direct = [block_costs(x, whole, c, Norm.L1).sum() for c in cols]
-        np.testing.assert_allclose(BatchCosts(x, Norm.L1, 1, cols)([whole]), direct, rtol=1e-12)
-        assert BatchCosts(x, Norm.L1, 1)([whole])[0] == pytest.approx(columnwise_cost(x, Norm.L1))
+        labels = _labels([whole])
+        np.testing.assert_allclose(BatchCosts(x, Norm.L1, 1, _labels(cols))(labels), direct, rtol=1e-12)
+        assert BatchCosts(x, Norm.L1, 1)(labels)[0] == pytest.approx(columnwise_cost(x, Norm.L1))
 
     def test_constant_matrix_costs_exactly_zero(self):
         x = _real(np.full((4, 3), 0.1))
         rows = list(enumerate_partitions(4, 2))
-        table = BatchCosts(x, Norm.L1, 2, list(enumerate_partitions(3, 2)))
+        table = BatchCosts(x, Norm.L1, 2, _labels(enumerate_partitions(3, 2)))
         assert table.err == 0.0
-        assert not table(rows).any()
+        assert not table(_labels(rows)).any()
 
 
 class TestSolvers:
