@@ -146,13 +146,21 @@ def _require_binary(arr: np.ndarray) -> None:
         raise ValidationError("operation requires a 0/1 valued block")
 
 
-def _majority_masks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows/columns with strictly more ones than zeros.  Exact ties go to
-    the non-majority side."""
+def _quadrants(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Majority rows and columns of a 0/1 block (strictly more ones than
+    zeros; exact ties go to the non-majority side), and the (n, m) boolean
+    masks of its quadrants: A majority rows x majority columns, B majority
+    rows x the rest, C the rest x majority columns, D the rest x the rest."""
     n, m = arr.shape
     row_mask = arr.sum(axis=1) * 2 > m
     col_mask = arr.sum(axis=0) * 2 > n
-    return row_mask, col_mask
+    quadrants = {
+        "A": np.outer(row_mask, col_mask),
+        "B": np.outer(row_mask, ~col_mask),
+        "C": np.outer(~row_mask, col_mask),
+        "D": np.outer(~row_mask, ~col_mask),
+    }
+    return row_mask, col_mask, quadrants
 
 
 @dataclass(frozen=True)
@@ -187,28 +195,22 @@ def block_decomposition(y) -> BlockDecomposition:
     total_ones = int(round(arr.sum()))
     complemented = total_ones > n * m - total_ones
     work = 1.0 - arr if complemented else arr
-    row_mask, col_mask = _majority_masks(work)
-    blocks = {
-        "a": work[row_mask][:, col_mask],
-        "b": work[row_mask][:, ~col_mask],
-        "c": work[~row_mask][:, col_mask],
-        "d": work[~row_mask][:, ~col_mask],
-    }
-    ones = {k: int(round(v.sum())) for k, v in blocks.items()}
+    row_mask, col_mask, quadrants = _quadrants(work)
+    ones = {name: int(round(work[mask].sum())) for name, mask in quadrants.items()}
     size = n * m
     return BlockDecomposition(
         o_r=tuple(int(i) for i in np.flatnonzero(row_mask)),
         o_c=tuple(int(j) for j in np.flatnonzero(col_mask)),
-        ones_a=ones["a"],
-        ones_b=ones["b"],
-        ones_c=ones["c"],
-        ones_d=ones["d"],
+        ones_a=ones["A"],
+        ones_b=ones["B"],
+        ones_c=ones["C"],
+        ones_d=ones["D"],
         x_frac=float(row_mask.sum()) / n,
         y_frac=float(col_mask.sum()) / m,
-        a_frac=ones["a"] / size,
-        b_frac=ones["b"] / size,
-        c_frac=ones["c"] / size,
-        d_frac=ones["d"] / size,
+        a_frac=ones["A"] / size,
+        b_frac=ones["B"] / size,
+        c_frac=ones["C"] / size,
+        d_frac=ones["D"] / size,
         complemented=complemented,
     )
 
@@ -231,12 +233,6 @@ class SwapStep:
 _SWAP_ORDER = (("D", "A"), ("D", "B"), ("D", "C"), ("B", "A"), ("C", "A"))
 
 
-def _quadrant_mask(name: str, row_mask: np.ndarray, col_mask: np.ndarray) -> np.ndarray:
-    rows = row_mask if name in ("A", "B") else ~row_mask
-    cols = col_mask if name in ("A", "C") else ~col_mask
-    return np.outer(rows, cols)
-
-
 def _first_position(mask: np.ndarray) -> tuple[int, int]:
     hits = np.argwhere(mask)
     i, j = hits[0]
@@ -244,10 +240,10 @@ def _first_position(mask: np.ndarray) -> tuple[int, int]:
 
 
 def _find_swap(arr: np.ndarray) -> tuple[str, tuple[int, int], tuple[int, int]] | None:
-    row_mask, col_mask = _majority_masks(arr)
+    quadrants = _quadrants(arr)[2]
     for src, dst in _SWAP_ORDER:
-        ones_here = _quadrant_mask(src, row_mask, col_mask) & (arr == 1.0)
-        zeros_there = _quadrant_mask(dst, row_mask, col_mask) & (arr == 0.0)
+        ones_here = quadrants[src] & (arr == 1.0)
+        zeros_there = quadrants[dst] & (arr == 0.0)
         if ones_here.any() and zeros_there.any():
             return (
                 f"{src}->{dst}",
@@ -311,11 +307,7 @@ def terminal_structure(y) -> str | None:
     """
     arr = _values_of(y)
     _require_binary(arr)
-    row_mask, col_mask = _majority_masks(arr)
-    a = arr[row_mask][:, col_mask]
-    b = arr[row_mask][:, ~col_mask]
-    c = arr[~row_mask][:, col_mask]
-    d = arr[~row_mask][:, ~col_mask]
+    a, b, c, d = (arr[mask] for mask in _quadrants(arr)[2].values())
     if np.all(a == 1.0) and np.all(b == 1.0) and np.all(c == 1.0):
         return "i"
     if np.all(a == 1.0) and np.all(d == 0.0):

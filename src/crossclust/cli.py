@@ -6,9 +6,10 @@ adversarial family), ``sweep`` (ratio over seeded random instances) and
 ``verify-bounds`` (the whole verification battery).
 
 Reports go to stdout as a single JSON object or a CSV table; diagnostics
-go to stderr.  Exit codes: 0 success, 2 I/O error, 3 validation error,
-4 enumeration cap exceeded, 5 certified-bound violation, failed check or
-failed internal check.
+go to stderr.  Exit codes: 0 success, 2 I/O error, 3 validation error
+(usage errors and input whose costs overflow included), 4 enumeration cap
+exceeded, 5 certified-bound violation, failed check or failed internal
+check.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import argparse
 import csv
 import json
 import sys
+
+import numpy as np
 
 from .bounds import (
     grid_search_alpha,
@@ -65,13 +68,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--kr", type=int, default=2, help="row cluster budget")
         sp.add_argument("--kc", type=int, default=2, help="column cluster budget")
         sp.add_argument("--norm", choices=["l1", "l2"], default="l1")
-        sp.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
-        sp.add_argument("--restarts", type=int, default=8, help="heuristic restarts")
         sp.add_argument("--seed", type=int, default=1)
         sp.add_argument("--format", choices=["json", "csv"], default="json", dest="output_format")
         return sp
 
-    command("run", _cmd_run, "run the independent-clustering scheme", with_input=True)
+    sp = command("run", _cmd_run, "run the independent-clustering scheme", with_input=True)
+    sp.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
+    sp.add_argument("--restarts", type=int, default=8, help="heuristic restarts")
     command("exact", _cmd_exact, "brute-force optimal biclustering", with_input=True)
     command("ratio", _cmd_ratio, "scheme cost over optimal cost, with certificate", with_input=True)
 
@@ -93,10 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         args.norm = Norm.parse(args.norm)
-        if args.mode == "exact":
+        if getattr(args, "mode", "exact") == "exact":  # only `run` takes --mode
             args.mode = SolverMode.exact()
         else:
             args.mode = SolverMode.heuristic(restarts=args.restarts, seed=args.seed)
@@ -104,7 +110,12 @@ def main(argv=None) -> int:
             raise ValidationError("cluster counts must be >= 1")
         if "count" in args and args.count < 1:
             raise ValidationError("count must be >= 1")
-        return args.handler(args)
+        # stop at the first overflow, not at a warning per kernel it reaches
+        with np.errstate(over="raise", invalid="raise"):
+            return args.handler(args)
+    except FloatingPointError:
+        print("error: matrix entries too large: a cost overflows", file=sys.stderr)
+        return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -165,17 +176,14 @@ def _csv_cell(value):
     return value
 
 
-def _config_echo(args: argparse.Namespace, exact_only: bool = False) -> dict:
-    # commands built on the oracle always run in exact mode, whatever
-    # --mode was passed; echo what actually ran
-    mode = SolverMode.exact() if exact_only else args.mode
+def _config_echo(args: argparse.Namespace) -> dict:
     return {
         "command": args.command,
         "k_r": args.kr,
         "k_c": args.kc,
         "norm": args.norm.value,
-        "mode": mode.kind,
-        "restarts": mode.restarts,
+        "mode": args.mode.kind,
+        "restarts": args.mode.restarts,
         "seed": args.seed,
     }
 
@@ -210,7 +218,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     x = load_matrix_csv(args.input)
     opt = exact_biclustering(x, args.kr, args.kc, args.norm)
     integral = x.is_binary and args.norm is Norm.L1
-    report = _config_echo(args, exact_only=True)
+    report = _config_echo(args)
     report.update(input=args.input, n_rows=x.n_rows, n_cols=x.n_cols, is_binary=x.is_binary)
     report.update(_partition_fields("rows", opt.rows))
     report.update(_partition_fields("cols", opt.cols))
@@ -235,7 +243,7 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
     x = load_matrix_csv(args.input)
     rep = ratio(x, args.kr, args.kc, args.norm, seed=args.seed)
     integral = x.is_binary and args.norm is Norm.L1
-    report = _config_echo(args, exact_only=True)
+    report = _config_echo(args)
     report.update(input=args.input, n_rows=x.n_rows, n_cols=x.n_cols, is_binary=x.is_binary)
     report.update(_ratio_fields(rep, integral))
     _emit(report, args.output_format)
@@ -244,7 +252,7 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
 
 def _cmd_worstcase(args: argparse.Namespace) -> int:
     rep = worst_case_report(args.q)
-    report = _config_echo(args, exact_only=True)
+    report = _config_echo(args)
     report.update(
         q=args.q,
         l=int(rep.l_scheme),
@@ -302,7 +310,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "violations": violations,
     }
     if args.output_format == "json":
-        report = _config_echo(args, exact_only=True)
+        report = _config_echo(args)
         report.update(
             count=args.count, rows=args.rows, cols=args.cols,
             ones_p=args.ones_p, planted=args.planted,
@@ -425,7 +433,7 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     for battery in batteries:
         battery["passed"] = battery["failures"] == 0
     passed = all(b["passed"] for b in batteries)
-    report = _config_echo(args, exact_only=True)
+    report = _config_echo(args)
     report.update(count=args.count, resolution=args.resolution, batteries=batteries, passed=passed)
     _emit(report, args.output_format)
     return EXIT_OK if passed else EXIT_VIOLATION

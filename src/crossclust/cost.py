@@ -413,6 +413,8 @@ class FirstMinimum:
     ``tol + 2 * err`` of the least approximate cost seen so far is
     re-scored by ``rescore``, and no other item can be within ``tol`` of
     the minimum.  With ``rescore=None`` the costs fed are taken as exact.
+    :attr:`winner` is the winning item with its exact cost, so the solvers
+    need not evaluate it again.
     """
 
     def __init__(self, tol: float, err: float = 0.0, rescore=None):
@@ -441,7 +443,8 @@ class FirstMinimum:
         return False
 
     @property
-    def winner(self):
-        if not self._kept:
-            raise ValidationError("no finite cost: matrix entries too large to square")
-        return self._kept[0][1]
+    def winner(self) -> tuple[object, float]:
+        if not self._kept or not math.isfinite(self._kept[0][0]):
+            raise ValidationError("no finite cost: matrix entries too large")
+        cost, item = self._kept[0]
+        return item, cost

@@ -229,11 +229,25 @@ def enumerate_partitions(t: int, max_k: int) -> Iterator[Partition]:
 
     The total count is sum of Stirling numbers S(t, j) for j = 1..max_k.
     Enumeration is refused outright for t > 14 since the Bell-number
-    growth makes it intractable.  The exact solvers walk only prefixes
-    here, in :func:`partition_blocks`.
+    growth makes it intractable.  This is a view of
+    :func:`partition_blocks`, one :class:`Partition` per row; the exact
+    solvers walk only prefixes here.
     """
     _check_enumeration(t, max_k)
-    return _walk_partitions(t, max_k)
+    # blocks of at least 14 rows (>= max_k) keep the prefixes of
+    # partition_blocks shorter than t, so its recursion here ends
+    return _partitions(partition_blocks(t, max_k, 1 << 12), max_k)
+
+
+def _partitions(blocks: Iterator[np.ndarray], k: int) -> Iterator[Partition]:
+    """The rows of label blocks as partitions.  The rows are canonical by
+    construction, so they skip the validation of ``Partition.__post_init__``."""
+    new = object.__new__
+    for block in blocks:
+        for labels in block.tolist():
+            part = new(Partition)
+            part.__dict__.update(assignment=tuple(labels), k=k)
+            yield part
 
 
 def _check_enumeration(t: int, max_k: int) -> None:
@@ -248,15 +262,15 @@ def _check_enumeration(t: int, max_k: int) -> None:
 
 
 def partition_blocks(t: int, k: int, rows: int) -> Iterator[np.ndarray]:
-    """The partitions of :func:`enumerate_partitions` as (P, t) int8 label
-    blocks of at most ``rows`` rows each, in the same order.
+    """The partitions of :func:`enumerate_partitions`, in its order, as
+    (P, t) int8 label blocks of at most ``rows`` rows each.
 
-    Only the prefixes of the first p labels are walked, the least p >= 1
-    with k**(t - p) <= rows, so that no prefix has more than ``rows``
-    completions.  These depend only on the prefix's largest label, so each
-    table of them is built once (:func:`_completions`) and set next to
-    every such prefix.  With k == 1 the all-in-one partition is one zero
-    row, under no cap.
+    Only the prefixes of the first p labels are walked, on
+    :func:`enumerate_partitions`, the least p >= 1 with k**(t - p) <= rows,
+    so that no prefix has more than ``rows`` completions.  These depend
+    only on the prefix's largest label, so each table of them is built
+    once (:func:`_completions`) and set next to every such prefix.  With
+    k == 1 the all-in-one partition is one zero row, under no cap.
     """
     if rows < 1:
         raise ValidationError(f"block size must be >= 1, got {rows}")
@@ -298,33 +312,6 @@ def _completions(s: int, k: int, top: int) -> np.ndarray:
         tops = np.maximum(tops[parent], child)
     labels.setflags(write=False)
     return labels
-
-
-def _walk_partitions(t: int, max_k: int) -> Iterator[Partition]:
-    """Restricted growth strings in lexicographic order: each step bumps the
-    rightmost label that may grow and resets every label after it to 0.
-
-    The strings are canonical by construction, so the partitions skip the
-    validation of ``Partition.__post_init__``.
-    """
-    new = object.__new__
-    labels = [0] * t
-    top = [0] * t  # top[i]: the largest label among labels[: i + 1]
-    last = max_k - 1
-    while True:
-        part = new(Partition)
-        part.__dict__.update(assignment=tuple(labels), k=max_k)
-        yield part
-        i = t - 1
-        while i > 0 and (labels[i] > top[i - 1] or labels[i] == last):
-            i -= 1
-        if i == 0:
-            return
-        labels[i] += 1
-        high = top[i] = max(top[i - 1], labels[i])
-        for j in range(i + 1, t):
-            labels[j] = 0
-            top[j] = high
 
 
 @dataclass(frozen=True, eq=False)

@@ -81,8 +81,9 @@ def exact_kcluster(x: DataMatrix, k: int, norm: Norm) -> OnewaySolution:
     a scorer whose bound is 0 (binary L1, whose scores are exact integers)
     needs no re-scoring.  Costs within ``TIE_RTOL`` times the one-cluster
     cost of the minimum count as tied, and the first tied partition in
-    canonical enumeration order wins.  The reported cost is the direct
-    evaluation of the winner.
+    canonical enumeration order wins.  The reported cost is the one the
+    winner won on: its direct evaluation, or on binary L1 its exact
+    batched integer.
 
     With k == 1 the single all-in-one partition is returned directly and
     no enumeration cap applies; otherwise n_rows must be <= 14.
@@ -104,8 +105,8 @@ def exact_kcluster(x: DataMatrix, k: int, norm: Norm) -> OnewaySolution:
     for block in partition_blocks(n, k, score.batch_size):
         if pick.feed(score(block), lambda i: tuple(block[i].tolist())):
             break
-    best = Partition(pick.winner, k)
-    return OnewaySolution(best, oneway_row_cost(x, best, norm), SolverMode.exact())
+    best, cost = pick.winner
+    return OnewaySolution(Partition(best, k), cost, SolverMode.exact())
 
 
 def lloyd_kcluster(

@@ -117,8 +117,9 @@ def exact_biclustering(
     one are re-scored directly; a scorer whose bound is 0 (binary L1,
     whose scores are exact integers) needs no re-scoring.  Costs within
     ``TIE_RTOL`` times the one-block cost of the minimum count as tied,
-    and the first tied pair wins.  The reported cost is the direct
-    evaluation of the winner.
+    and the first tied pair wins.  The reported cost is the one the winner
+    won on: its direct evaluation, or on binary L1 its exact batched
+    integer.
     """
     for t, k, cap, axis in ((x.n_cols, k_c, col_cap, "column"), (x.n_rows, k_r, row_cap, "row")):
         if k < 1 or k > t:
@@ -140,9 +141,8 @@ def exact_biclustering(
     for rows in partition_blocks(x.n_rows, k_r, score.batch_size):
         if pick.feed(score(rows), item):
             break
-    best_rows, best_cols = Partition(pick.winner[0], k_r), Partition(pick.winner[1], k_c)
-    breakdown, _ = biclustering_cost(x, best_rows, best_cols, norm)
-    return OptimalBiclustering(best_rows, best_cols, breakdown.l)
+    (best_rows, best_cols), cost = pick.winner
+    return OptimalBiclustering(Partition(best_rows, k_r), Partition(best_cols, k_c), cost)
 
 
 def ratio(

@@ -54,6 +54,21 @@ def partitions_by_block_recursion(t):
     return result
 
 
+def restricted_growth_strings(t, max_k):
+    """Lazily, every restricted growth string of length t with labels below
+    max_k, in lexicographic order, by depth-first extension: after a
+    prefix whose largest label is top come the labels 0..top + 1."""
+
+    def extend(prefix, top):
+        if len(prefix) == t:
+            yield tuple(prefix)
+            return
+        for lab in range(min(top + 2, max_k)):
+            yield from extend(prefix + [lab], max(top, lab))
+
+    return extend([0], 0)
+
+
 def stirling2(n, k):
     """Stirling numbers of the second kind by the standard recurrence."""
     table = [[0] * (k + 1) for _ in range(n + 1)]

@@ -277,3 +277,50 @@ class TestVerifyBounds:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--input", "m.csv", "--kr", "x"],
+            ["run", "--input", "m.csv", "--no-such-flag"],
+            ["exact"],
+            ["frobnicate"],
+            # only `run` has a heuristic, so only `run` takes its flags
+            ["ratio", "--input", "m.csv", "--mode", "heuristic", "--restarts", "0"],
+            ["exact", "--input", "m.csv", "--mode", "exact"],
+            ["sweep", "--restarts", "3"],
+            ["worstcase", "--mode", "exact"],
+            ["verify-bounds", "--restarts", "2"],
+        ],
+    )
+    def test_usage_errors_exit_3(self, capsys, argv):
+        assert main(argv) == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["run", "--help"]) == 0
+        assert "--restarts" in capsys.readouterr().out
+
+    def test_commands_without_a_heuristic_echo_exact_mode(self, capsys, wc2_csv):
+        code, rep = run_json(capsys, ["ratio", "--input", wc2_csv, "--kr", "2", "--kc", "1"])
+        assert code == 0
+        assert (rep["mode"], rep["restarts"]) == ("exact", 1)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "rows, norm",
+        [([[1e308, 1], [-1e308, 0], [0, 1]], "l1"), ([[1e200], [-1e200], [0]], "l2")],
+        ids=["l1", "l2"],
+    )
+    @pytest.mark.parametrize("command", ["run", "exact", "ratio"])
+    def test_one_error_line_and_exit_3(self, capsys, tmp_path, command, rows, norm):
+        path = write_matrix(tmp_path / "big.csv", rows)
+        code = main([command, "--input", path, "--norm", norm, "--kr", "2", "--kc", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: matrix entries too large: a cost overflows\n"

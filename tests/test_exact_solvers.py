@@ -133,24 +133,24 @@ class TestFirstMinimum:
         exact = {0: 1.0, 1: 0.5, 2: 0.9}
         pick = FirstMinimum(tol=0.0, err=0.3, rescore=exact.__getitem__)
         assert not pick.feed(np.array([0.6, 0.7, 2.0]), lambda i: i)
-        assert pick.winner == 1
+        assert pick.winner == (1, 0.5)
 
     def test_first_within_tolerance_wins(self):
         pick = FirstMinimum(tol=1e-9)
         pick.feed(np.array([3.0, 1.0 + 5e-10]), lambda i: i)
         pick.feed(np.array([1.0, 2.0]), lambda i: 10 + i)
-        assert pick.winner == 1
+        assert pick.winner == (1, 1.0 + 5e-10)
 
     def test_a_later_lower_cost_unseats_the_first(self):
         pick = FirstMinimum(tol=1e-9)
         pick.feed(np.array([1.0 + 5e-10]), lambda i: "first")
         pick.feed(np.array([1.0 - 1e-6]), lambda i: "second")
-        assert pick.winner == "second"
+        assert pick.winner == ("second", 1.0 - 1e-6)
 
     def test_zero_cost_settles_at_once(self):
         pick = FirstMinimum(tol=0.0)
         assert pick.feed(np.array([0.0, 0.0]), lambda i: i)
-        assert pick.winner == 0
+        assert pick.winner == (0, 0.0)
 
 
 class TestBatching:
@@ -200,6 +200,52 @@ class TestShiftedL2:
         shifted = DataMatrix(x.values + 1e7)
         expected = exact_kcluster(x, 3, Norm.L2).partition
         assert exact_kcluster(shifted, 3, Norm.L2).partition == expected
+
+
+def _data(kind, shape, seed, shift):
+    """0/1, uniform real or 0.1-grid (tie-heavy) entries, plus ``shift``."""
+    if kind == "binary":
+        values = random_binary_matrix(*shape, 0.5, seed=seed).values
+    elif kind == "real":
+        values = random_real_matrix(*shape, seed=seed).values
+    else:
+        values = np.random.default_rng(seed).integers(0, 3, size=shape) / 10
+    return DataMatrix(values + shift) if shift else DataMatrix(values)
+
+
+class TestReportedCosts:
+    """A solver reports the exact cost its winner won on, so that cost must
+    be the direct evaluation of the winner, bit for bit."""
+
+    @pytest.mark.parametrize("shift", [0.0, 1e7])
+    @pytest.mark.parametrize("kind", ["binary", "real", "tenths"])
+    @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
+    def test_exact_kcluster_cost_is_the_direct_cost(self, norm, kind, shift):
+        for seed in range(3):
+            x = _data(kind, (7, 3), seed, shift)
+            for k in (1, 2, 3, 4):
+                sol = exact_kcluster(x, k, norm)
+                assert sol.cost == oneway_row_cost(x, sol.partition, norm), (seed, k)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e7])
+    @pytest.mark.parametrize("kind", ["binary", "real", "tenths"])
+    @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
+    def test_exact_biclustering_cost_is_the_direct_cost(self, norm, kind, shift):
+        for seed in range(3):
+            x = _data(kind, (5, 4), seed, shift)
+            for k_r, k_c in ((1, 2), (2, 1), (2, 2), (3, 3)):
+                opt = exact_biclustering(x, k_r, k_c, norm)
+                direct = block_costs(x, opt.rows, opt.cols, norm).sum()
+                assert opt.cost == direct, (seed, k_r, k_c)
+
+    @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
+    @pytest.mark.parametrize("value", [0.0, 0.1, 1e7 + 0.1])
+    def test_constant_matrices(self, norm, value):
+        x = DataMatrix(np.full((5, 4), value))
+        sol = exact_kcluster(x, 2, norm)
+        opt = exact_biclustering(x, 2, 2, norm)
+        assert sol.cost == oneway_row_cost(x, sol.partition, norm) == 0.0
+        assert opt.cost == block_costs(x, opt.rows, opt.cols, norm).sum() == 0.0
 
 
 class TestEdgeCases:
@@ -270,20 +316,24 @@ class TestAgainstNaiveOracles:
     @given(matrices(6, 3), st.integers(1, 3), NORMS)
     def test_exact_kcluster(self, rows, k, norm):
         k = min(k, len(rows))
-        sol = exact_kcluster(DataMatrix(rows), k, norm)
+        x = DataMatrix(rows)
+        sol = exact_kcluster(x, k, norm)
         labels, cost = exact_oneway_argmin_naive(rows, k, norm.value, TIE_RTOL)
         assert sol.partition.assignment == labels
+        assert sol.cost == oneway_row_cost(x, sol.partition, norm)
         assert sol.cost == pytest.approx(cost, rel=1e-9, abs=1e-9)
 
     @settings(max_examples=100, deadline=None)
     @given(matrices(4, 4), st.integers(1, 3), st.integers(1, 3), NORMS)
     def test_exact_biclustering(self, rows, k_r, k_c, norm):
         k_r, k_c = min(k_r, len(rows)), min(k_c, len(rows[0]))
-        opt = exact_biclustering(DataMatrix(rows), k_r, k_c, norm)
+        x = DataMatrix(rows)
+        opt = exact_biclustering(x, k_r, k_c, norm)
         (labels_r, labels_c), cost = exact_biclustering_argmin_naive(
             rows, k_r, k_c, norm.value, TIE_RTOL
         )
         assert (opt.rows.assignment, opt.cols.assignment) == (labels_r, labels_c)
+        assert opt.cost == block_costs(x, opt.rows, opt.cols, norm).sum()
         assert opt.cost == pytest.approx(cost, rel=1e-9, abs=1e-9)
 
 

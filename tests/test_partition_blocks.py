@@ -1,7 +1,11 @@
-"""The exact solvers' label blocks (``model.partition_blocks``) against the
-partition walk, the Stirling counts and their row bound."""
+"""The label blocks of ``model.partition_blocks``, and their view
+``enumerate_partitions``, against the brute-force enumerations of
+``oracles.py``, the Stirling counts and the blocks' row bound.  The walk
+the blocks are checked against is the reference one: every set partition
+from the insert-into-each-block recursion, sorted lexicographically."""
 
 import tracemalloc
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -11,13 +15,20 @@ from crossclust import CapExceededError, ValidationError, enumerate_partitions
 from crossclust.cost import BATCH_ENTRIES
 from crossclust.model import partition_blocks
 
-from oracles import stirling2
+from oracles import (
+    partitions_by_block_recursion,
+    partitions_by_label_strings,
+    restricted_growth_strings,
+    stirling2,
+)
 
 
+@lru_cache(maxsize=None)
 def _walk_tables(t):
-    """The walk of ``t`` items as a label table per cluster bound k: the
-    strings of the full walk whose labels are all below k, in walk order."""
-    walk = np.array([p.assignment for p in enumerate_partitions(t, t)], dtype=np.int8)
+    """The reference walk of ``t`` items as a label table per cluster bound
+    k: the sorted strings whose labels are all below k."""
+    walk = np.array(sorted(partitions_by_block_recursion(t)), dtype=np.int8)
+    walk.setflags(write=False)
     top = walk.max(axis=1)
     return {k: walk[top < k] for k in range(1, t + 1)}
 
@@ -33,8 +44,8 @@ class TestAgainstTheWalk:
     @pytest.mark.parametrize("t", range(1, 11))
     def test_byte_identical_at_every_batch_size(self, t):
         for k, walk in _walk_tables(t).items():
-            # one-row blocks walk every string in Python: at 10 items only
-            # up to k = 3 (9,842 rows), as the larger bounds take 4 s more
+            # one-row blocks build a block per string: at 10 items only up
+            # to k = 3 (9,842 rows), as the larger bounds take seconds more
             sizes = (97, BATCH_ENTRIES // (k * t))
             for rows in sizes if t == 10 and k > 3 else (1,) + sizes:
                 table = np.concatenate(_blocks(t, k, rows))
@@ -47,6 +58,21 @@ class TestAgainstTheWalk:
         # most 3**3 completions
         sizes = [len(b) for b in _blocks(8, 3, 40)]
         assert all(40 - 27 < s for s in sizes[:-1])
+
+
+class TestTheView:
+    @pytest.mark.parametrize("t", range(1, 11))
+    def test_one_partition_per_row_of_the_walk(self, t):
+        for k, walk in _walk_tables(t).items():
+            parts = list(enumerate_partitions(t, k))
+            assert [p.assignment for p in parts] == [tuple(r) for r in walk.tolist()], k
+            assert all(p.k == k and type(p.assignment[0]) is int for p in parts)
+
+    def test_the_lexicographic_generator_is_the_sorted_brute_force(self):
+        for t in range(1, 7):
+            for k in range(1, t + 1):
+                strings = list(restricted_growth_strings(t, k))
+                assert strings == sorted(partitions_by_label_strings(t, k)), (t, k)
 
 
 class TestCounts:
@@ -67,9 +93,11 @@ class TestCounts:
             tracemalloc.stop()
         assert all(len(b) <= rows for b in first)
         assert peak < 2_000_000
-        walk = [p.assignment for p in islice(enumerate_partitions(14, 4), 3 * rows)]
         got = np.concatenate(first)
-        assert got.tolist() == [list(a) for a in walk[: len(got)]]
+        walk = list(islice(restricted_growth_strings(14, 4), len(got)))
+        assert [tuple(r) for r in got.tolist()] == walk
+        view = islice(enumerate_partitions(14, 4), len(got))
+        assert [p.assignment for p in view] == walk
 
 
 class TestEdges:
