@@ -267,12 +267,6 @@ def _cmd_worstcase(args: argparse.Namespace) -> int:
     return EXIT_OK if rep.passed else EXIT_VIOLATION
 
 
-_SWEEP_COLUMNS = (
-    "index", "n_rows", "n_cols", "k_r", "k_c", "norm", "seed", "planted",
-    "l_r", "l_c", "l", "l_star", "ratio", "alpha_bound", "certified", "violation",
-)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     instances = []
     max_ratio = 0.0
@@ -320,11 +314,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(json.dumps(report))
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(_SWEEP_COLUMNS)
+        columns = list(instances[0])
+        writer.writerow(columns)
         for row in instances:
-            writer.writerow([_csv_cell(row.get(col)) for col in _SWEEP_COLUMNS])
+            writer.writerow([_csv_cell(row[col]) for col in columns])
         summary_cells = {"index": "summary", "ratio": max_ratio, "violation": violations}
-        writer.writerow([_csv_cell(summary_cells.get(col, "")) for col in _SWEEP_COLUMNS])
+        writer.writerow([_csv_cell(summary_cells.get(col, "")) for col in columns])
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 
@@ -332,23 +327,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # Verification battery.
 
 
-def _battery_per_block(rng: SplitMix64, count: int) -> dict:
-    checks = failures = 0
+def _battery_per_block(rng: SplitMix64, count: int):
     for _ in range(count):
         n = rng.randint_below(6) + 1
         m = rng.randint_below(6) + 1
         p = (0.2, 0.5, 0.8)[rng.randint_below(3)]
         xb = random_binary_matrix(n, m, p, rng.next_uint64())
-        checks += 1
-        failures += not per_bicluster_bound(xb, Norm.L1, BINARY_L1_RATIO_BOUND).passed
+        yield per_bicluster_bound(xb, Norm.L1, BINARY_L1_RATIO_BOUND).passed
         xr = random_real_matrix(n, m, rng.next_uint64())
-        checks += 1
-        failures += not per_bicluster_bound(xr, Norm.L2, REAL_L2_RATIO_BOUND).passed
-    return {"name": "per-block inequality", "checks": checks, "failures": failures}
+        yield per_bicluster_bound(xr, Norm.L2, REAL_L2_RATIO_BOUND).passed
 
 
-def _battery_lower_bound(rng: SplitMix64, count: int) -> dict:
-    checks = failures = 0
+def _battery_lower_bound(rng: SplitMix64, count: int):
     for i in range(count):
         n = rng.randint_below(4) + 2
         m = rng.randint_below(4) + 2
@@ -360,13 +350,10 @@ def _battery_lower_bound(rng: SplitMix64, count: int) -> dict:
         else:
             x = random_real_matrix(n, m, rng.next_uint64())
             norm = Norm.L2
-        checks += 1
-        failures += not lower_bound_check(x, k_r, k_c, norm).passed
-    return {"name": "one-way lower bound", "checks": checks, "failures": failures}
+        yield lower_bound_check(x, k_r, k_c, norm).passed
 
 
-def _battery_swaps(rng: SplitMix64, count: int) -> dict:
-    checks = failures = 0
+def _battery_swaps(rng: SplitMix64, count: int):
     for _ in range(count):
         n = rng.randint_below(6) + 1
         m = rng.randint_below(6) + 1
@@ -374,32 +361,31 @@ def _battery_swaps(rng: SplitMix64, count: int) -> dict:
         vals = x.values
         if 2 * vals.sum() > vals.size:
             x = DataMatrix(1.0 - vals, is_binary=True)
-        checks += 1
         try:
             terminal, trace = swap_normalize(x)
         except BoundViolationError:
-            failures += 1
+            yield False
             continue
         ok = terminal_structure(terminal) is not None
         ok = ok and int(terminal.sum()) == int(x.values.sum())
-        ok = ok and all(s.spread_after <= s.spread_before - 1.0 + 1e-9 for s in trace)
-        failures += not ok
-    return {"name": "swap descent", "checks": checks, "failures": failures}
+        yield ok and all(s.spread_after <= s.spread_before - 1.0 + 1e-9 for s in trace)
 
 
-def _battery_l2_identity(rng: SplitMix64, count: int) -> dict:
-    checks = failures = 0
+def _battery_l2_identity(rng: SplitMix64, count: int):
     for _ in range(count):
         n = rng.randint_below(8) + 1
         m = rng.randint_below(8) + 1
         x = random_real_matrix(n, m, rng.next_uint64())
         dec = l2_decomposition(x)
-        checks += 1
         scale = max(1.0, abs(dec.pooled))
         ok = abs(dec.pooled - (dec.columnwise + dec.rowwise - dec.residual)) <= 1e-9 * scale
-        ok = ok and dec.residual >= -1e-12
-        failures += not ok
-    return {"name": "squared-norm identity", "checks": checks, "failures": failures}
+        yield ok and dec.residual >= -1e-12
+
+
+def _tally(name: str, results) -> dict:
+    """Count a battery's checks, one pass/fail bool each."""
+    results = list(results)
+    return {"name": name, "checks": len(results), "failures": results.count(False)}
 
 
 def _battery_alpha(resolution: int) -> dict:
@@ -424,10 +410,10 @@ def _battery_alpha(resolution: int) -> dict:
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     rng = SplitMix64(args.seed)
     batteries = [
-        _battery_per_block(rng, args.count),
-        _battery_lower_bound(rng, max(8, args.count // 8)),
-        _battery_swaps(rng, args.count),
-        _battery_l2_identity(rng, args.count),
+        _tally("per-block inequality", _battery_per_block(rng, args.count)),
+        _tally("one-way lower bound", _battery_lower_bound(rng, max(8, args.count // 8))),
+        _tally("swap descent", _battery_swaps(rng, args.count)),
+        _tally("squared-norm identity", _battery_l2_identity(rng, args.count)),
         _battery_alpha(args.resolution),
     ]
     for battery in batteries:

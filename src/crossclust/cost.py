@@ -7,10 +7,12 @@ a constant multiset costs exactly 0.  For an even-sized multiset every
 point of the closed median interval gives the same absolute-deviation
 sum; fixing the lower median just makes outputs deterministic.  The
 center is defined once, in ``_center``, and every direct cost goes
-through ``_columns_spread``; Lloyd's centers follow the same rule.  The
-exact solvers score label blocks of partitions from one table of block
-costs (``BatchCosts``), built from sums over the groups under L2 and
-under L1 on 0/1 data, and from sorted medians under L1 on real data.
+through ``_columns_spread``; Lloyd's centers follow the same rule.  Both
+exact solvers run one search, ``_exact_search``: it scores label blocks
+of partitions from one table of block costs (``BatchCosts``), built from
+sums over the groups under L2 and under L1 on 0/1 data, and from sorted
+medians under L1 on real data, and picks the winner by one tie rule
+(``FirstMinimum``).
 
 On top of the multiset measure three aggregate costs are defined for a
 matrix with a row partition and/or a column partition:
@@ -31,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError
-from .model import Bicluster, DataMatrix, Partition
+from .model import Bicluster, DataMatrix, Partition, partition_blocks
 
 #: Certified worst-case ratio of the independent-clustering scheme cost to
 #: the optimal biclustering cost, per input class.
@@ -262,6 +264,10 @@ class BatchCosts:
     cap of 8 that is at most 256 x 256 floats, about 0.5 MB; one more row
     and one more column make it 4x larger.
 
+    ``scale`` is the cost of the whole matrix as one block (with ``cols``)
+    or as one cluster (without).  It is the unit of the tie tolerance,
+    ``TIE_RTOL * scale``, and of ``err`` under L1 on real data.
+
     ``err`` bounds the difference of any batched cost from its direct
     evaluation, so where it is 0 the two are equal:
 
@@ -269,7 +275,7 @@ class BatchCosts:
     * L1 on real data: every cost is a sum of n*m deviations from data
       values, each rounded once, and the two differ only in the order of
       that sum.  So they are within n*m*eps times the cost, which is at
-      most the one-block (one-cluster) cost; ``err`` is 4x that bound.
+      most ``scale``; ``err`` is 4x that bound.
     * L2: an a-priori rounding bound of the sums, the squares and the
       subtraction, 4(nm+n+m+4)*eps times the centered data's sum of
       squares, plus the drift of the direct path, which does not center.
@@ -288,10 +294,11 @@ class BatchCosts:
     """
 
     def __init__(self, x: DataMatrix, norm: Norm, k: int, cols: np.ndarray | None = None):
+        pooled = cols is not None
+        self.scale = pooled_cost(x, norm) if pooled else columnwise_cost(x, norm)
         v = x.values
         n, m = v.shape
         row_groups = _members(np.arange(2 if k == 1 else 1 << n), n, k)
-        pooled = cols is not None
         if pooled:
             k_c = int(cols.max()) + 1
             col_groups = _members(np.arange(2 if k_c == 1 else 1 << m), m, k_c)
@@ -312,8 +319,7 @@ class BatchCosts:
             self.err = 0.0
         else:
             self._table = _median_table(v, row_groups, col_groups, pooled)
-            scale = pooled_cost(x, norm) if pooled else columnwise_cost(x, norm)
-            self.err = 4.0 * n * m * eps * scale
+            self.err = 4.0 * n * m * eps * self.scale
         self._k = k
         width = max(k * n, k * len(col_groups), self._cols.size)
         self.batch_size = max(1, BATCH_ENTRIES // width)
@@ -448,3 +454,48 @@ class FirstMinimum:
             raise ValidationError("no finite cost: matrix entries too large")
         cost, item = self._kept[0]
         return item, cost
+
+
+def _exact_search(
+    x: DataMatrix, norm: Norm, k: int, k_c: int | None = None
+) -> tuple[Partition, Partition | None, float]:
+    """The exact solvers' search: the least-cost row partition into at
+    most ``k`` clusters or, with ``k_c``, the least-cost (row partition,
+    column partition) pair, the columns into at most ``k_c`` clusters.
+
+    Every row partition is scored in the label blocks of
+    :func:`partition_blocks`, canonical order, by :class:`BatchCosts`: on
+    its own (the row-clustering objective) or against the label table of
+    every column partition (the biclustering cost, columns inner).  Only
+    candidates and the winner become :class:`Partition` objects.
+    :class:`FirstMinimum` applies the tie rule with tolerance ``TIE_RTOL``
+    times the scorer's ``scale``: candidates are re-scored directly, by
+    :func:`oneway_row_cost` or :func:`block_costs`, unless the scorer is
+    exact (``err`` 0, binary L1).  Returns the winning rows, the winning
+    columns (None without ``k_c``) and the exact cost the winner won on.
+    The callers check the cluster counts and the enumeration caps.
+    """
+    cols = None
+    if k_c is not None:
+        cols = np.concatenate(list(partition_blocks(x.n_cols, k_c, BATCH_ENTRIES)))
+    score = BatchCosts(x, norm, k, cols)
+    if cols is None:
+        def rescore(labels) -> float:
+            return oneway_row_cost(x, Partition(labels, k), norm)
+
+        def item(i: int):  # of the block being fed
+            return tuple(block[i].tolist())
+    else:
+        def rescore(pair) -> float:
+            return float(block_costs(x, Partition(pair[0], k), Partition(pair[1], k_c), norm).sum())
+
+        def item(i: int):
+            return tuple(block[i // len(cols)].tolist()), tuple(cols[i % len(cols)].tolist())
+    pick = FirstMinimum(TIE_RTOL * score.scale, score.err, rescore if score.err else None)
+    for block in partition_blocks(x.n_rows, k, score.batch_size):
+        if pick.feed(score(block), item):
+            break
+    best, cost = pick.winner
+    if cols is None:
+        return Partition(best, k), None, cost
+    return Partition(best[0], k), Partition(best[1], k_c), cost

@@ -17,17 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import (
-    TIE_RTOL,
-    BatchCosts,
-    FirstMinimum,
-    Norm,
-    _center,
-    columnwise_cost,
-    oneway_row_cost,
-)
+from .cost import Norm, _center, _exact_search, oneway_row_cost
 from .errors import CapExceededError, CrossclustError, ValidationError
-from .model import ENUMERATION_CAP, DataMatrix, Partition, partition_blocks
+from .model import ENUMERATION_CAP, DataMatrix, Partition
 from .rng import MASK64, SplitMix64
 
 LLOYD_MAX_ITERATIONS = 200
@@ -71,22 +63,11 @@ class OnewaySolution:
 def exact_kcluster(x: DataMatrix, k: int, norm: Norm) -> OnewaySolution:
     """Globally optimal row clustering into at most ``k`` clusters.
 
-    Every partition is scored, in the label blocks of
-    :func:`partition_blocks`, by :class:`BatchCosts`, one table of block
-    costs for every input class (one float per row group, at most 2^14).
-    Only re-scored candidates and the winner become :class:`Partition`
-    objects.  Exact costs decide: batched scores within ``TIE_RTOL``
-    times the one-cluster cost, plus twice the scorer's error bound, of
-    the least one are re-scored directly with :func:`oneway_row_cost`;
-    a scorer whose bound is 0 (binary L1, whose scores are exact integers)
-    needs no re-scoring.  Costs within ``TIE_RTOL`` times the one-cluster
-    cost of the minimum count as tied, and the first tied partition in
-    canonical enumeration order wins.  The reported cost is the one the
-    winner won on: its direct evaluation, or on binary L1 its exact
-    batched integer.
-
-    With k == 1 the single all-in-one partition is returned directly and
-    no enumeration cap applies; otherwise n_rows must be <= 14.
+    ``k`` must be in [1, n_rows].  With k == 1 the single all-in-one
+    partition is returned directly and no enumeration cap applies;
+    otherwise n_rows must be <= 14, and :func:`~crossclust.cost._exact_search`
+    walks every partition, scores it and applies the tie rule.  The
+    solution holds the winning partition and the exact cost it won on.
     """
     n = x.n_rows
     if k < 1 or k > n:
@@ -98,15 +79,8 @@ def exact_kcluster(x: DataMatrix, k: int, norm: Norm) -> OnewaySolution:
         raise CapExceededError(
             f"exact clustering capped at {ENUMERATION_CAP} rows, got {n}"
         )
-    tol = TIE_RTOL * columnwise_cost(x, norm)
-    score = BatchCosts(x, norm, k)
-    rescore = (lambda a: oneway_row_cost(x, Partition(a, k), norm)) if score.err else None
-    pick = FirstMinimum(tol, score.err, rescore)
-    for block in partition_blocks(n, k, score.batch_size):
-        if pick.feed(score(block), lambda i: tuple(block[i].tolist())):
-            break
-    best, cost = pick.winner
-    return OnewaySolution(Partition(best, k), cost, SolverMode.exact())
+    part, _, cost = _exact_search(x, norm, k)
+    return OnewaySolution(part, cost, SolverMode.exact())
 
 
 def lloyd_kcluster(

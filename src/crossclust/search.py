@@ -10,28 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cost import (
-    BATCH_ENTRIES,
-    TIE_RTOL,
-    BatchCosts,
     CostBreakdown,
-    FirstMinimum,
     Norm,
+    _exact_search,
     biclustering_cost,
-    block_costs,
     certificate_bound,
     pooled_cost,
 )
 from .errors import BoundViolationError, CapExceededError, ValidationError
-from .model import (
-    ENUMERATION_CAP,
-    Biclustering,
-    DataMatrix,
-    Partition,
-    partition_blocks,
-)
+from .model import ENUMERATION_CAP, Biclustering, DataMatrix, Partition
 from .oneway import SolverMode, kcluster_cols, kcluster_rows
 
 #: Default per-axis size caps for the joint oracle enumeration.  The joint
@@ -105,21 +93,13 @@ def exact_biclustering(
     into at most ``k_r`` clusters crossed with all column partitions into
     at most ``k_c`` clusters.
 
-    Every pair is scored, in nested canonical enumeration order (rows
-    outer, columns inner).  The row partitions come in the label blocks of
-    :func:`partition_blocks`, and the scores of a block against the label
-    table of every column partition come from :class:`BatchCosts`, one
-    table of block costs for every input class.  Only re-scored pairs and
-    the winner become :class:`Partition` objects.  An axis with one
-    cluster has one partition and is exempt from every size cap.  Exact
-    costs decide: pairs whose batched score is within ``TIE_RTOL`` times
-    the one-block cost, plus twice the scorer's error bound, of the least
-    one are re-scored directly; a scorer whose bound is 0 (binary L1,
-    whose scores are exact integers) needs no re-scoring.  Costs within
-    ``TIE_RTOL`` times the one-block cost of the minimum count as tied,
-    and the first tied pair wins.  The reported cost is the one the winner
-    won on: its direct evaluation, or on binary L1 its exact batched
-    integer.
+    Each cluster count must be in [1, axis length], and an axis with more
+    than one cluster must be within its cap (``row_cap``, ``col_cap``,
+    never above the hard cap of 14); an axis with one cluster has one
+    partition and is exempt.  :func:`~crossclust.cost._exact_search`
+    walks every pair, rows outer and columns inner, scores it and applies
+    the tie rule.  The result holds the winning pair and the exact cost it
+    won on.
     """
     for t, k, cap, axis in ((x.n_cols, k_c, col_cap, "column"), (x.n_rows, k_r, row_cap, "row")):
         if k < 1 or k > t:
@@ -127,22 +107,8 @@ def exact_biclustering(
         cap = min(cap, ENUMERATION_CAP)
         if k > 1 and t > cap:
             raise CapExceededError(f"oracle enumeration over {axis}s capped at {cap}, got {t}")
-    cols = np.concatenate(list(partition_blocks(x.n_cols, k_c, BATCH_ENTRIES)))
-    tol = TIE_RTOL * pooled_cost(x, norm)
-
-    def direct(pair: tuple[tuple[int, ...], tuple[int, ...]]) -> float:
-        return float(block_costs(x, Partition(pair[0], k_r), Partition(pair[1], k_c), norm).sum())
-
-    def item(i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:  # of the block being fed
-        return tuple(rows[i // len(cols)].tolist()), tuple(cols[i % len(cols)].tolist())
-
-    score = BatchCosts(x, norm, k_r, cols)
-    pick = FirstMinimum(tol, score.err, direct if score.err else None)
-    for rows in partition_blocks(x.n_rows, k_r, score.batch_size):
-        if pick.feed(score(rows), item):
-            break
-    (best_rows, best_cols), cost = pick.winner
-    return OptimalBiclustering(Partition(best_rows, k_r), Partition(best_cols, k_c), cost)
+    rows, cols, cost = _exact_search(x, norm, k_r, k_c)
+    return OptimalBiclustering(rows, cols, cost)
 
 
 def ratio(

@@ -18,12 +18,14 @@ from crossclust import (
     oneway_row_cost,
     random_binary_matrix,
     random_real_matrix,
+    worst_case_matrix,
 )
 from crossclust import cost
 from crossclust.cost import (
     TIE_RTOL,
     BatchCosts,
     FirstMinimum,
+    _exact_search,
     block_costs,
     columnwise_cost,
     pooled_cost,
@@ -246,6 +248,32 @@ class TestReportedCosts:
         opt = exact_biclustering(x, 2, 2, norm)
         assert sol.cost == oneway_row_cost(x, sol.partition, norm) == 0.0
         assert opt.cost == block_costs(x, opt.rows, opt.cols, norm).sum() == 0.0
+
+
+class TestOneClusterFastPath:
+    """``exact_kcluster`` answers k == 1 without the search; the search at
+    k == 1 is its reference, on axes longer than any group bitmask."""
+
+    @pytest.mark.parametrize(
+        "norm, kind, shift",
+        [(Norm.L1, "binary", 0.0), (Norm.L1, "real", 0.0), (Norm.L2, "real", 0.0),
+         (Norm.L2, "real", 1e7)],
+    )
+    @pytest.mark.parametrize("source", ["70x4", "q48-transposed"])
+    def test_same_partition_and_cost_as_the_search(self, norm, kind, shift, source):
+        if source == "70x4":
+            x = _data(kind, (70, 4), 3, shift)
+        else:
+            values = worst_case_matrix(48).transpose().values  # 191 x 4, 0/1
+            if kind == "real":
+                values = values + np.random.default_rng(4).random(values.shape)
+            x = DataMatrix(values + shift) if shift else DataMatrix(values)
+        assert x.n_rows > 64
+        sol = exact_kcluster(x, 1, norm)
+        part, cols, cost = _exact_search(x, norm, 1)
+        assert cols is None
+        assert sol.partition == part
+        assert sol.cost == cost
 
 
 class TestEdgeCases:

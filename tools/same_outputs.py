@@ -1,0 +1,148 @@
+"""Compare the CLI output of two crossclust source trees, op by op.
+
+    python tools/same_outputs.py OLD_SRC NEW_SRC [--pool NAME ...]
+
+``OLD_SRC`` and ``NEW_SRC`` are directories that hold a ``crossclust``
+package (the ``src`` of two checkouts).  The ops are those of the
+benchmark's pools (``bench/spec.pool``): ``certify``, ``exact_enum``,
+``heuristic`` and ``battery`` at full size, the same four at toy size
+(``toy/certify`` ...), and ``edge``, the ``exact``, ``ratio`` and
+``run --mode exact`` commands on inputs the pools do not reach: a
+one-cluster axis (one longer than the enumeration cap among them), L1 on
+real data and L2 shifted by +1e7, plus ``sweep`` and ``verify-bounds``
+as CSV.  ``--pool`` picks some of these; the default is all of them.
+
+Each tree runs every op once, in its own subprocess, in-process through
+``crossclust.cli.main``, on inputs that tree's generators write (through
+``bench/common.write_inputs``) into a fresh temporary directory.  Every op
+whose exit code, stdout or stderr differ between the trees is listed.  The
+exit status is 0 when all ops agree, 1 when any differs, and 2 when a
+tree could not be run.  Nothing under ``bench/`` is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+
+import spec  # noqa: E402  (bench/spec.py: plain Python, imports no numpy)
+
+POOLS = (*spec.WORKLOADS, *(f"toy/{w}" for w in spec.WORKLOADS), "edge")
+SHIFT = 1e7
+
+
+def _edge_ops() -> list[dict]:
+    """``exact``, ``ratio`` and ``run --mode exact`` on every input class,
+    one-cluster axes included; ``[generator, rows, cols, seed, shift]``
+    inputs as in ``bench/spec``."""
+    classes = (("binary", "l1", 0), ("real", "l1", 0), ("real", "l2", 0), ("real", "l2", SHIFT))
+    shapes = (
+        (5, 6, ((1, 3), (3, 1), (1, 1), (2, 2))),
+        (20, 5, ((1, 2),)),  # a one-cluster axis longer than any cap
+        (5, 20, ((2, 1),)),
+    )
+    commands = (["exact"], ["ratio"], ["run", "--mode", "exact"])
+    ops = []
+    seed = 90_000
+    for gen, norm, shift in classes:
+        for n, m, budgets in shapes:
+            for k_r, k_c in budgets:
+                seed += 1
+                for cmd in commands:
+                    ops.append({
+                        "key": f"edge/{cmd[0]}/{gen}_{norm}_{n}x{m}_k{k_r}{k_c}_s{seed}"
+                        + (f"_shift{shift:g}" if shift else ""),
+                        "argv": cmd + ["--input", "{x}", "--kr", str(k_r), "--kc", str(k_c),
+                                       "--norm", norm],
+                        "inputs": {"x": [gen, n, m, seed, shift]},
+                    })
+    csv = ["--count", "3", "--format", "csv"]
+    for extra in (["sweep", "--norm", "l1"], ["sweep", "--norm", "l2"],
+                  ["sweep", "--norm", "l2", "--planted"], ["verify-bounds", "--resolution", "20"]):
+        ops.append({"key": "edge/csv/" + "_".join(extra), "argv": extra + csv, "inputs": {}})
+    return ops
+
+
+def pool_ops(name: str) -> list[dict]:
+    if name == "edge":
+        return _edge_ops()
+    toy = name.startswith("toy/")
+    kinds = spec.pool(name.removeprefix("toy/"), toy=toy)
+    return [op for ops in kinds.values() for op in ops]
+
+
+def _child(src: Path, out: Path, pools: list[str]) -> None:
+    """Run every op of ``pools`` on the crossclust in ``src``, from the
+    working directory, and write {key: [exit, stdout, stderr]} to ``out``."""
+    import common
+
+    common.cap_threads()
+    sys.path.insert(0, str(src))
+    import crossclust.cli
+
+    if Path(crossclust.cli.__file__).resolve().parent != (src / "crossclust").resolve():
+        raise SystemExit(f"error: imported crossclust from {crossclust.cli.__file__}")
+    workdir = Path("inputs")  # relative, so both trees print the same input paths
+    results = {}
+    for name in pools:
+        ops = pool_ops(name)
+        common.write_inputs(ops, workdir)
+        for op in ops:
+            argv = [
+                str(common.input_path(workdir, op["inputs"][a[1:-1]])) if a[:1] == "{" else a
+                for a in op["argv"]
+            ]
+            _, code, stdout, stderr = common.run_op(crossclust.cli, argv)
+            results[op["key"]] = [code, stdout, stderr]
+    out.write_text(json.dumps(results), encoding="utf-8")
+
+
+def _run_tree(src: Path, pools: list[str]) -> dict:
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        out = Path(tmp) / "results.json"
+        cmd = [sys.executable, __file__, "--child", str(out), str(src), str(src)]
+        for name in pools:
+            cmd += ["--pool", name]
+        proc = subprocess.run(cmd, cwd=tmp)
+        if proc.returncode != 0 or not out.is_file():
+            raise SystemExit(2)
+        return json.loads(out.read_text(encoding="utf-8"))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--pool", action="append", choices=POOLS,
+                        help="pool to run (repeatable; default: all)")
+    parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    pools = args.pool or list(POOLS)
+    for src in (args.old_src, args.new_src):
+        if not (src / "crossclust" / "__init__.py").is_file():
+            print(f"error: no crossclust package in {src}", file=sys.stderr)
+            return 2
+    if args.child:
+        _child(args.old_src.resolve(), args.child, pools)
+        return 0
+    old = _run_tree(args.old_src.resolve(), pools)
+    new = _run_tree(args.new_src.resolve(), pools)
+    differ = 0
+    for key in old:
+        fields = [f for f, a, b in zip(("exit", "stdout", "stderr"), old[key], new[key]) if a != b]
+        if fields:
+            differ += 1
+            print(f"{key}: {', '.join(fields)} differ")
+    print(f"{len(old)} ops in {', '.join(pools)}: {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
