@@ -65,7 +65,8 @@ def per_bicluster_bound(y, norm: Norm, alpha: float) -> MarginReport:
 
     For the constant to be a certificate under L1 the block must be 0/1
     valued; under L2 with alpha = 2 the inequality holds for any reals.
-    The slack may fall ``PASS_TOL`` times the pooled cost below 0.
+    The slack may fall ``PASS_TOL`` times the pooled cost below 0.  On a
+    (B, n, m) stack of blocks every field but alpha is a per-block array.
     """
     v = pooled_cost(y, norm)
     vr = columnwise_cost(y, norm)
@@ -124,11 +125,19 @@ class L2Decomposition:
 
 
 def l2_decomposition(y) -> L2Decomposition:
-    arr = _values_of(y)
-    row_means = arr.mean(axis=1)
-    col_means = arr.mean(axis=0)
-    fitted = row_means[:, None] + col_means[None, :] - arr.mean()
-    residual = float(((arr - fitted) ** 2).sum())
+    """Decompose a block, or each block of a (B, n, m) stack into per-block
+    arrays.  The additive model is fitted to the block minus its grand
+    mean, so the residual does not depend on an offset of the data, and a
+    block of equal entries has a residual of exactly 0."""
+    arr = _values_of(y, stack=True)
+    block = (-2, -1)
+    centered = arr - arr.mean(axis=block, keepdims=True)
+    fitted = centered.mean(axis=-1, keepdims=True) + centered.mean(axis=-2, keepdims=True)
+    fitted -= centered.mean(axis=block, keepdims=True)
+    residual = ((centered - fitted) ** 2).sum(axis=block)
+    residual = np.where(arr.min(axis=block) == arr.max(axis=block), 0.0, residual)
+    if arr.ndim == 2:
+        residual = float(residual)
     return L2Decomposition(
         pooled=pooled_cost(arr, Norm.L2),
         columnwise=columnwise_cost(arr, Norm.L2),
@@ -150,16 +159,13 @@ def _quadrants(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[str, np.nd
     """Majority rows and columns of a 0/1 block (strictly more ones than
     zeros; exact ties go to the non-majority side), and the (n, m) boolean
     masks of its quadrants: A majority rows x majority columns, B majority
-    rows x the rest, C the rest x majority columns, D the rest x the rest."""
-    n, m = arr.shape
-    row_mask = arr.sum(axis=1) * 2 > m
-    col_mask = arr.sum(axis=0) * 2 > n
-    quadrants = {
-        "A": np.outer(row_mask, col_mask),
-        "B": np.outer(row_mask, ~col_mask),
-        "C": np.outer(~row_mask, col_mask),
-        "D": np.outer(~row_mask, ~col_mask),
-    }
+    rows x the rest, C the rest x majority columns, D the rest x the rest.
+    A stack of blocks gives one mask per block on the leading axis."""
+    n, m = arr.shape[-2:]
+    row_mask = arr.sum(axis=-1) * 2 > m
+    col_mask = arr.sum(axis=-2) * 2 > n
+    rows, cols = row_mask[..., :, None], col_mask[..., None, :]
+    quadrants = {"A": rows & cols, "B": rows & ~cols, "C": ~rows & cols, "D": ~rows & ~cols}
     return row_mask, col_mask, quadrants
 
 
@@ -233,27 +239,23 @@ class SwapStep:
 _SWAP_ORDER = (("D", "A"), ("D", "B"), ("D", "C"), ("B", "A"), ("C", "A"))
 
 
-def _first_position(mask: np.ndarray) -> tuple[int, int]:
-    hits = np.argwhere(mask)
-    i, j = hits[0]
-    return int(i), int(j)
+def _find_swaps(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First applicable swap of each block of a (B, n, m) stack: the index
+    into ``_SWAP_ORDER`` of the first quadrant pair with a one in the
+    source and a zero in the destination (-1 when none applies), and the
+    row-major flat positions of the first such one and zero."""
+    flat = blocks.reshape(len(blocks), -1)
+    ones, zeros = flat == 1.0, flat == 0.0
+    quadrants = {q: mask.reshape(flat.shape) for q, mask in _quadrants(blocks)[2].items()}
+    src = np.stack([quadrants[a] & ones for a, _ in _SWAP_ORDER])
+    dst = np.stack([quadrants[b] & zeros for _, b in _SWAP_ORDER])
+    applies = src.any(axis=2) & dst.any(axis=2)
+    kind = np.where(applies.any(axis=0), applies.argmax(axis=0), -1)
+    each = np.arange(len(blocks))
+    return kind, src[kind, each].argmax(axis=1), dst[kind, each].argmax(axis=1)
 
 
-def _find_swap(arr: np.ndarray) -> tuple[str, tuple[int, int], tuple[int, int]] | None:
-    quadrants = _quadrants(arr)[2]
-    for src, dst in _SWAP_ORDER:
-        ones_here = quadrants[src] & (arr == 1.0)
-        zeros_there = quadrants[dst] & (arr == 0.0)
-        if ones_here.any() and zeros_there.any():
-            return (
-                f"{src}->{dst}",
-                _first_position(ones_here),
-                _first_position(zeros_there),
-            )
-    return None
-
-
-def _spread(arr: np.ndarray) -> float:
+def _spread(arr: np.ndarray):
     return columnwise_cost(arr, Norm.L1) + rowwise_cost(arr, Norm.L1)
 
 
@@ -267,35 +269,54 @@ def swap_normalize(y) -> tuple[np.ndarray, tuple[SwapStep, ...]]:
     :class:`DescentViolationError` instead of being accepted silently.
     The terminal block always matches one of the three extremal structures
     (see :func:`terminal_structure`).
+
+    A (B, n, m) stack of blocks is normalized in lockstep, one swap per
+    unfinished block and step, under the same checks.  It returns the
+    stack of terminal blocks and each block's number of swaps, not a trace.
     """
-    arr = np.array(_values_of(y), dtype=float)
-    _require_binary(arr)
-    ones = int(round(arr.sum()))
-    if 2 * ones > arr.size:
+    arr = np.array(_values_of(y, stack=True), dtype=float)
+    blocks = arr.reshape(-1, *arr.shape[-2:])  # a view: swaps land in arr
+    m = blocks.shape[2]
+    _require_binary(blocks)
+    if np.any(2 * np.rint(blocks.sum(axis=(1, 2))) > blocks[0].size):
         raise ValidationError("swap normalization requires ones <= zeros")
-    spread = _spread(arr)
+    spread = _spread(blocks)
+    steps = np.zeros(len(blocks), dtype=int)
     trace: list[SwapStep] = []
+    live = np.arange(len(blocks))
     while True:
-        found = _find_swap(arr)
-        if found is None:
+        kind, one, zero = _find_swaps(blocks[live])
+        found = kind >= 0
+        if not found.any():
             break
-        kind, one_pos, zero_pos = found
-        arr[one_pos] = 0.0
-        arr[zero_pos] = 1.0
-        new_spread = _spread(arr)
-        if new_spread > spread - 1.0 + PASS_TOL:
+        live, kind, one, zero = live[found], kind[found], one[found], zero[found]
+        blocks[live, one // m, one % m] = 0.0
+        blocks[live, zero // m, zero % m] = 1.0
+        new_spread = _spread(blocks[live])
+        bad = new_spread > spread[live] - 1.0 + PASS_TOL
+        i = int(bad.argmax())  # the first violating block, else the first (a 2-D block's)
+        step = SwapStep(
+            "->".join(_SWAP_ORDER[kind[i]]), divmod(int(one[i]), m),
+            divmod(int(zero[i]), m), float(spread[live[i]]), float(new_spread[i]),
+        )
+        if bad[i]:
             raise DescentViolationError(
-                f"swap {kind} at {one_pos}/{zero_pos} changed spread "
-                f"{spread} -> {new_spread}; expected a drop of at least 1"
+                f"swap {step.kind} at {step.one_pos}/{step.zero_pos} changed spread "
+                f"{step.spread_before} -> {step.spread_after}; expected a drop of at least 1"
             )
-        trace.append(SwapStep(kind, one_pos, zero_pos, spread, new_spread))
-        spread = new_spread
-    if terminal_structure(arr) is None:
+        trace.append(step)
+        spread[live] = new_spread
+        steps[live] += 1
+    if np.any(np.equal(terminal_structure(blocks), None)):
         raise BoundViolationError(
             "swap-normalized block matches none of the expected structures"
         )
     arr.setflags(write=False)
-    return arr, tuple(trace)
+    return arr, (tuple(trace) if arr.ndim == 2 else steps)
+
+
+#: :func:`terminal_structure`'s answers, by case index.
+_TERMINALS = np.array(["i", "ii", "iii", None], dtype=object)
 
 
 def terminal_structure(y) -> str | None:
@@ -304,17 +325,18 @@ def terminal_structure(y) -> str | None:
     Returns "i" when quadrants A, B, C are all ones, "ii" when A is all
     ones and D all zeros, "iii" when B, C, D are all zeros (empty
     quadrants count as satisfying either), or None when none applies.
+    A (B, n, m) stack of blocks gives an object array of these answers.
     """
-    arr = _values_of(y)
+    arr = _values_of(y, stack=True)
     _require_binary(arr)
-    a, b, c, d = (arr[mask] for mask in _quadrants(arr)[2].values())
-    if np.all(a == 1.0) and np.all(b == 1.0) and np.all(c == 1.0):
-        return "i"
-    if np.all(a == 1.0) and np.all(d == 0.0):
-        return "ii"
-    if np.all(b == 0.0) and np.all(c == 0.0) and np.all(d == 0.0):
-        return "iii"
-    return None
+    quadrants = _quadrants(arr)[2]
+    a, d = quadrants["A"], quadrants["D"]
+    ones = arr == 1.0
+    block = (-2, -1)
+    i = (ones | d).all(axis=block)  # all ones outside D
+    ii = (ones | ~a).all(axis=block) & ~(ones & d).any(axis=block)
+    iii = ~(ones & ~a).any(axis=block)  # no ones outside A
+    return _TERMINALS[np.where(i, 0, np.where(ii, 1, np.where(iii, 2, 3)))]
 
 
 # ---------------------------------------------------------------------------

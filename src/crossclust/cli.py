@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
 import numpy as np
 
 from .bounds import (
+    PASS_TOL,
+    _spread,
     grid_search_alpha,
     analytic_optima,
     l2_decomposition,
@@ -32,9 +35,9 @@ from .bounds import (
 )
 from .cost import BINARY_L1_RATIO_BOUND, REAL_L2_RATIO_BOUND, Norm
 from .errors import BoundViolationError, CapExceededError, CrossclustError, ValidationError
-from .model import DataMatrix, Partition, load_matrix_csv
+from .model import Partition, load_matrix_csv
 from .oneway import SolverMode
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, derive_seed, uniforms
 from .search import RatioReport, exact_biclustering, ratio, run_scheme
 from .worstcase import (
     planted_real_matrix,
@@ -95,9 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser, built on first use; every parse returns a new namespace.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
@@ -327,15 +334,42 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # Verification battery.
 
 
+def _stacks(shapes: list[tuple[int, int]], seeds):
+    """Block i of shape ``shapes[i]`` holds the first n * m floats of the
+    stream ``seeds[i]``, row-major, as ``random_real_matrix`` draws them;
+    all blocks come from one bulk draw.  Yields (indices, (B, n, m) stack)
+    once per distinct shape."""
+    sizes = [n * m for n, m in shapes]
+    flat = uniforms(seeds, sizes)
+    starts = np.cumsum(sizes) - sizes
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(i)
+    for (n, m), members in groups.items():
+        idx = np.array(members)
+        yield idx, flat[starts[idx, None] + np.arange(n * m)].reshape(-1, n, m)
+
+
+def _drawn_stacks(rng: SplitMix64, count: int, side: int):
+    """:func:`_stacks` of ``count`` blocks whose rows, columns (1..side)
+    and seed are drawn from ``rng`` in that order."""
+    draws = [(rng.randint_below(side) + 1, rng.randint_below(side) + 1, rng.next_uint64())
+             for _ in range(count)]
+    n, m, seeds = zip(*draws)
+    return _stacks(list(zip(n, m)), seeds)
+
+
 def _battery_per_block(rng: SplitMix64, count: int):
-    for _ in range(count):
-        n = rng.randint_below(6) + 1
-        m = rng.randint_below(6) + 1
-        p = (0.2, 0.5, 0.8)[rng.randint_below(3)]
-        xb = random_binary_matrix(n, m, p, rng.next_uint64())
-        yield per_bicluster_bound(xb, Norm.L1, BINARY_L1_RATIO_BOUND).passed
-        xr = random_real_matrix(n, m, rng.next_uint64())
-        yield per_bicluster_bound(xr, Norm.L2, REAL_L2_RATIO_BOUND).passed
+    draws = [(rng.randint_below(6) + 1, rng.randint_below(6) + 1,
+              (0.2, 0.5, 0.8)[rng.randint_below(3)], rng.next_uint64(), rng.next_uint64())
+             for _ in range(count)]
+    n, m, ones_p, binary_seeds, real_seeds = zip(*draws)
+    # blocks 0..count-1 are the binary ones, count..2*count-1 the real ones
+    for idx, u in _stacks(list(zip(n, m)) * 2, binary_seeds + real_seeds):
+        binary = idx < count
+        xb = (u[binary] < np.take(ones_p, idx[binary])[:, None, None]).astype(float)
+        yield from per_bicluster_bound(xb, Norm.L1, BINARY_L1_RATIO_BOUND).passed.tolist()
+        yield from per_bicluster_bound(u[~binary], Norm.L2, REAL_L2_RATIO_BOUND).passed.tolist()
 
 
 def _battery_lower_bound(rng: SplitMix64, count: int):
@@ -353,33 +387,34 @@ def _battery_lower_bound(rng: SplitMix64, count: int):
         yield lower_bound_check(x, k_r, k_c, norm).passed
 
 
+def _swap_checks(x) -> list[bool]:
+    """Swap descent on a stack of 0/1 blocks with ones <= zeros, one bool
+    per block.  A stack that raises is re-checked block by block, so that
+    only the blocks that raise fail."""
+    try:
+        terminal, steps = swap_normalize(x)
+    except BoundViolationError:
+        return [ok for block in x for ok in _swap_checks(block[None])] if len(x) > 1 else [False]
+    ones = x.sum(axis=(1, 2))  # also the pooled L1 cost
+    ok = np.not_equal(terminal_structure(terminal), None) & (terminal.sum(axis=(1, 2)) == ones)
+    # every swap lowers the spread by at least 1
+    return (ok & (_spread(terminal) <= _spread(x) - steps + PASS_TOL * ones)).tolist()
+
+
 def _battery_swaps(rng: SplitMix64, count: int):
-    for _ in range(count):
-        n = rng.randint_below(6) + 1
-        m = rng.randint_below(6) + 1
-        x = random_binary_matrix(n, m, 0.4, rng.next_uint64())
-        vals = x.values
-        if 2 * vals.sum() > vals.size:
-            x = DataMatrix(1.0 - vals, is_binary=True)
-        try:
-            terminal, trace = swap_normalize(x)
-        except BoundViolationError:
-            yield False
-            continue
-        ok = terminal_structure(terminal) is not None
-        ok = ok and int(terminal.sum()) == int(x.values.sum())
-        yield ok and all(s.spread_after <= s.spread_before - 1.0 + 1e-9 for s in trace)
+    for _, u in _drawn_stacks(rng, count, 6):
+        x = (u < 0.4).astype(float)
+        flip = 2 * x.sum(axis=(1, 2)) > x[0].size
+        x[flip] = 1.0 - x[flip]
+        yield from _swap_checks(x)
 
 
 def _battery_l2_identity(rng: SplitMix64, count: int):
-    for _ in range(count):
-        n = rng.randint_below(8) + 1
-        m = rng.randint_below(8) + 1
-        x = random_real_matrix(n, m, rng.next_uint64())
+    for _, x in _drawn_stacks(rng, count, 8):
         dec = l2_decomposition(x)
-        scale = max(1.0, abs(dec.pooled))
-        ok = abs(dec.pooled - (dec.columnwise + dec.rowwise - dec.residual)) <= 1e-9 * scale
-        yield ok and dec.residual >= -1e-12
+        tol = PASS_TOL * dec.pooled
+        ok = abs(dec.pooled - (dec.columnwise + dec.rowwise - dec.residual)) <= tol
+        yield from (ok & (dec.residual >= -tol)).tolist()
 
 
 def _tally(name: str, results) -> dict:

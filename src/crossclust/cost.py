@@ -85,14 +85,16 @@ class CostBreakdown:
                 raise ValidationError(f"{name} must be finite and >= 0, got {val}")
 
 
-def _values_of(y) -> np.ndarray:
-    """Accept a Bicluster, DataMatrix or array-like and return a 2-D array."""
+def _values_of(y, stack: bool = False) -> np.ndarray:
+    """Accept a Bicluster, DataMatrix or array-like and return a 2-D array;
+    with ``stack``, a 3-D array of equal-shape blocks on the leading axis
+    is accepted too."""
     if isinstance(y, Bicluster):
         return y.values
     if isinstance(y, DataMatrix):
         return y.values
     arr = np.asarray(y, dtype=float)
-    if arr.ndim != 2 or arr.size == 0:
+    if arr.ndim not in ((2, 3) if stack else (2,)) or arr.size == 0:
         raise ValidationError("expected a nonempty 2-D block of values")
     return arr
 
@@ -105,20 +107,23 @@ def _center(arr: np.ndarray, norm: Norm):
     return arr.mean(axis=0)
 
 
-def _columns_spread(arr: np.ndarray, norm: Norm) -> float:
+def _columns_spread(arr: np.ndarray, norm: Norm):
     """Sum over columns of the within-column dissimilarity, the deviations
-    of each column from its :func:`_center`.  A 1-D array is one column."""
+    of each column from its :func:`_center`.  A 1-D array is one column; a
+    3-D array (entries, columns, blocks) is a stack of blocks, whose
+    spreads come back as an array."""
     if norm is Norm.L1:
-        return float(np.abs(arr - _center(arr, norm)).sum())
-    # a constant column must cost exactly 0; the computed mean of n equal
-    # values can round off the value itself (e.g. three 0.1s)
-    constant = arr.min(axis=0) == arr.max(axis=0)
-    if arr.ndim == 1:
-        return 0.0 if constant else float(((arr - arr.mean()) ** 2).sum())
-    dev = (arr - _center(arr, norm)) ** 2
-    if constant.any():
-        dev[:, constant] = 0.0
-    return float(dev.sum())
+        dev = np.abs(arr - _center(arr, norm))
+    else:
+        # a constant column must cost exactly 0; the computed mean of n equal
+        # values can round off the value itself (e.g. three 0.1s)
+        constant = arr.min(axis=0) == arr.max(axis=0)
+        if arr.ndim == 1:
+            return 0.0 if constant else float(((arr - arr.mean()) ** 2).sum())
+        dev = (arr - _center(arr, norm)) ** 2
+        if constant.any():
+            dev[:, constant] = 0.0
+    return dev.sum(axis=(0, 1)) if arr.ndim == 3 else float(dev.sum())
 
 
 def dissimilarity(values, norm: Norm) -> float:
@@ -133,8 +138,14 @@ def dissimilarity(values, norm: Norm) -> float:
 
 
 def pooled_cost(y, norm: Norm) -> float:
-    """Dissimilarity of all entries of a block pooled into one multiset."""
-    return dissimilarity(_values_of(y).ravel(), norm)
+    """Dissimilarity of all entries of a block pooled into one multiset.
+
+    This and the next two costs also take a (B, n, m) stack of blocks and
+    then return the array of the B blocks' costs."""
+    arr = _values_of(y, stack=True)
+    if arr.ndim == 3:
+        return _columns_spread(arr.reshape(len(arr), 1, -1).T, norm)
+    return dissimilarity(arr.ravel(), norm)
 
 
 def columnwise_cost(y, norm: Norm) -> float:
@@ -143,12 +154,13 @@ def columnwise_cost(y, norm: Norm) -> float:
     This is the contribution the block's rows would make to the
     row-clustering objective if they formed a single cluster.
     """
-    return _columns_spread(_values_of(y), norm)
+    arr = _values_of(y, stack=True)
+    return _columns_spread(arr.transpose(1, 2, 0) if arr.ndim == 3 else arr, norm)
 
 
 def rowwise_cost(y, norm: Norm) -> float:
     """Sum of per-row dissimilarities of a block (transposed analogue)."""
-    return _columns_spread(_values_of(y).T, norm)
+    return _columns_spread(_values_of(y, stack=True).T, norm)
 
 
 def _clusters_spread(vals: np.ndarray, part: Partition, norm: Norm) -> float:

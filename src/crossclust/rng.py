@@ -4,9 +4,14 @@ All randomness in the package flows through :class:`SplitMix64`, the
 well-known 64-bit shift/multiply generator.  The algorithm is fixed and
 tiny so that a given seed reproduces the same stream on any platform or
 in any reimplementation, which keeps generated test instances portable.
+Its state advances by a fixed increment, so the j-th output depends only
+on seed + j * gamma; :func:`uniforms` uses that to draw the floats of many
+streams in one numpy pass.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -42,6 +47,26 @@ class SplitMix64:
         if n < 1:
             raise ValidationError("randint_below requires n >= 1")
         return self.next_uint64() % n
+
+
+def uniforms(seeds, counts) -> np.ndarray:
+    """The first ``counts[i]`` :meth:`SplitMix64.random` floats of the
+    stream seeded with ``seeds[i]``, for every i in turn, concatenated.
+    The j-th state (from 1) of a stream is seed + j * gamma mod 2^64, so
+    every output is mixed from its own counter in uint64 arithmetic,
+    which wraps as the scalar class masks."""
+    counts = np.asarray(counts, dtype=np.int64)
+    z = np.arange(1, counts.sum() + 1, dtype=np.uint64)
+    z -= np.repeat(np.cumsum(counts) - counts, counts).astype(np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.repeat(np.array([s & MASK64 for s in seeds], dtype=np.uint64), counts)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    return z * 2.0**-53
 
 
 def derive_seed(seed: int, index: int) -> int:

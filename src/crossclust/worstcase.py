@@ -11,7 +11,7 @@ from .cost import Norm
 from .errors import ValidationError
 from .model import DataMatrix, Partition
 from .oneway import SolverMode
-from .rng import SplitMix64
+from .rng import uniforms
 from .search import exact_biclustering, run_scheme
 
 #: Known outcomes on the adversarial family (0-based row labels): the
@@ -110,21 +110,14 @@ def random_binary_matrix(n: int, m: int, ones_probability: float, seed: int) -> 
         raise ValidationError("matrix dimensions must be >= 1")
     if not 0.0 <= ones_probability <= 1.0:
         raise ValidationError(f"ones probability must be in [0, 1], got {ones_probability}")
-    rng = SplitMix64(seed)
-    vals = [
-        [1.0 if rng.random() < ones_probability else 0.0 for _ in range(m)]
-        for _ in range(n)
-    ]
-    return DataMatrix(vals, is_binary=True)
+    return DataMatrix(uniforms([seed], [n * m]).reshape(n, m) < ones_probability, is_binary=True)
 
 
 def random_real_matrix(n: int, m: int, seed: int) -> DataMatrix:
     """I.i.d. uniform [0, 1) entries drawn row-major from one seeded stream."""
     if n < 1 or m < 1:
         raise ValidationError("matrix dimensions must be >= 1")
-    rng = SplitMix64(seed)
-    vals = [[rng.random() for _ in range(m)] for _ in range(n)]
-    return DataMatrix(vals, is_binary=False)
+    return DataMatrix(uniforms([seed], [n * m]).reshape(n, m), is_binary=False)
 
 
 def planted_real_matrix(n: int, m: int, seed: int, noise: float = 0.1) -> DataMatrix:
@@ -136,15 +129,9 @@ def planted_real_matrix(n: int, m: int, seed: int, noise: float = 0.1) -> DataMa
         raise ValidationError("matrix dimensions must be >= 1")
     if noise < 0.0:
         raise ValidationError("noise amplitude must be >= 0")
-    rng = SplitMix64(seed)
-    levels = [[rng.random() for _ in range(2)] for _ in range(2)]
-    row_split = (n + 1) // 2
-    col_split = (m + 1) // 2
-    vals = [
-        [
-            levels[i >= row_split][j >= col_split] + noise * (rng.random() - 0.5)
-            for j in range(m)
-        ]
-        for i in range(n)
-    ]
-    return DataMatrix(vals, is_binary=False)
+    u = uniforms([seed], [4 + n * m])
+    levels = u[:4].reshape(2, 2)
+    lower = (np.arange(n) >= (n + 1) // 2).astype(int)
+    right = (np.arange(m) >= (m + 1) // 2).astype(int)
+    offsets = noise * (u[4:].reshape(n, m) - 0.5)
+    return DataMatrix(levels[lower[:, None], right] + offsets, is_binary=False)

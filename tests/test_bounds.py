@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from crossclust import (
     BINARY_L1_RATIO_BOUND,
+    REAL_L2_RATIO_BOUND,
     AlphaPoint,
     DataMatrix,
     Norm,
@@ -32,6 +33,7 @@ from crossclust import (
     terminal_structure,
     worst_case_matrix,
 )
+from crossclust.bounds import PASS_TOL
 
 SQRT2 = math.sqrt(2.0)
 
@@ -171,6 +173,26 @@ class TestL2Decomposition:
         assert dec.residual >= -1e-12
 
 
+    @pytest.mark.parametrize(
+        "offset, scale", [(1e7, 1.0), (-1e7, 1.0), (0.0, 2.0**40), (0.0, 2.0**-40)]
+    )
+    def test_identity_survives_offsets_and_scales(self, offset, scale):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            n, m = rng.integers(1, 9, size=2)
+            dec = l2_decomposition(rng.random((n, m)) * scale + offset)
+            miss = abs(dec.pooled - (dec.columnwise + dec.rowwise - dec.residual))
+            assert miss <= PASS_TOL * dec.pooled
+            assert dec.residual >= 0.0
+
+    @pytest.mark.parametrize("value", [0.1, -3.3, 1e7 + 0.1, 2.0**40 / 3])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (1, 4), (3, 5), (8, 8)])
+    def test_constant_block_has_zero_residual(self, value, shape):
+        dec = l2_decomposition(np.full(shape, value))
+        assert type(dec.residual) is float
+        assert (dec.pooled, dec.columnwise, dec.rowwise, dec.residual) == (0.0, 0.0, 0.0, 0.0)
+
+
 class TestBlockDecomposition:
     def test_all_zeros(self):
         dec = block_decomposition(np.zeros((3, 3)))
@@ -307,6 +329,86 @@ class TestTerminalStructure:
             [[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1]], dtype=float
         )
         assert terminal_structure(block) is None
+
+
+def block_stack(entries):
+    """A (B, n, m) stack of 1-6 blocks of 1-8 x 1-8 entries."""
+    shapes = st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(1, 8))
+    return shapes.flatmap(
+        lambda shape: st.lists(
+            entries, min_size=math.prod(shape), max_size=math.prod(shape)
+        ).map(lambda values: np.array(values).reshape(shape))
+    )
+
+
+def fewer_ones(stack):
+    """The stack with every block that has more ones than zeros complemented."""
+    flip = 2 * stack.sum(axis=(1, 2)) > stack[0].size
+    stack[flip] = 1.0 - stack[flip]
+    return stack
+
+
+class TestStacks:
+    """Each check on a stack of blocks equals the check on every block."""
+
+    @staticmethod
+    def assert_close(stacked, single, pooled):
+        assert abs(stacked - single) <= PASS_TOL * pooled
+
+    @given(block_stack(st.sampled_from([0.0, 1.0])))
+    @settings(max_examples=60, deadline=None)
+    def test_per_block_inequality_binary(self, stack):
+        self.check_margins(stack, Norm.L1, BINARY_L1_RATIO_BOUND)
+
+    @given(block_stack(finite))
+    @settings(max_examples=60, deadline=None)
+    def test_per_block_inequality_real(self, stack):
+        self.check_margins(stack, Norm.L2, REAL_L2_RATIO_BOUND)
+        self.check_margins(stack, Norm.L1, BINARY_L1_RATIO_BOUND)
+
+    def check_margins(self, stack, norm, alpha):
+        rep = per_bicluster_bound(stack, norm, alpha)
+        assert rep.passed.shape == (len(stack),)
+        for i, block in enumerate(stack):
+            one = per_bicluster_bound(block, norm, alpha)
+            assert rep.passed[i] == one.passed
+            for field in ("pooled", "columnwise", "rowwise", "slack"):
+                self.assert_close(getattr(rep, field)[i], getattr(one, field), one.pooled)
+
+    @given(block_stack(finite))
+    @settings(max_examples=60, deadline=None)
+    def test_l2_decomposition(self, stack):
+        dec = l2_decomposition(stack)
+        for i, block in enumerate(stack):
+            one = l2_decomposition(block)
+            for field in ("pooled", "columnwise", "rowwise", "residual"):
+                self.assert_close(getattr(dec, field)[i], getattr(one, field), one.pooled)
+
+    @given(block_stack(st.sampled_from([0.0, 1.0])))
+    @settings(max_examples=60, deadline=None)
+    def test_swap_normalize_in_lockstep(self, stack):
+        stack = fewer_ones(stack)
+        terminals, steps = swap_normalize(stack)
+        labels = terminal_structure(terminals)
+        assert not terminals.flags.writeable
+        for i, block in enumerate(stack):
+            terminal, trace = swap_normalize(block)
+            assert np.array_equal(terminals[i], terminal)
+            assert steps[i] == len(trace)
+            assert labels[i] == terminal_structure(terminal) == terminal_structure(terminals[i])
+
+    def test_stack_rejections_match_single_blocks(self):
+        stack = np.zeros((3, 2, 2))
+        stack[1] = 1.0
+        with pytest.raises(ValidationError, match="ones <= zeros"):
+            swap_normalize(stack)
+        stack[1, 0, 0] = 0.5
+        with pytest.raises(ValidationError, match="0/1"):
+            swap_normalize(stack)
+        with pytest.raises(ValidationError, match="0/1"):
+            terminal_structure(stack)
+        with pytest.raises(ValidationError):
+            l2_decomposition(np.zeros((2, 2, 2, 2)))
 
 
 class TestAlphaObjective:

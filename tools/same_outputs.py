@@ -10,7 +10,9 @@ benchmark's pools (``bench/spec.pool``): ``certify``, ``exact_enum``,
 ``run --mode exact`` commands on inputs the pools do not reach: a
 one-cluster axis (one longer than the enumeration cap among them), L1 on
 real data and L2 shifted by +1e7, plus ``sweep`` and ``verify-bounds``
-as CSV.  ``--pool`` picks some of these; the default is all of them.
+as CSV, ``verify-bounds`` at odd counts and at the extreme seeds, ``sweep``
+under each generator, and ``--help`` and usage errors.  ``--pool`` picks
+some of these; the default is all of them.
 
 Each tree runs every op once, in its own subprocess, in-process through
 ``crossclust.cli.main``, on inputs that tree's generators write (through
@@ -67,6 +69,13 @@ def _edge_ops() -> list[dict]:
     for extra in (["sweep", "--norm", "l1"], ["sweep", "--norm", "l2"],
                   ["sweep", "--norm", "l2", "--planted"], ["verify-bounds", "--resolution", "20"]):
         ops.append({"key": "edge/csv/" + "_".join(extra), "argv": extra + csv, "inputs": {}})
+    other = [["verify-bounds", "--count", c] for c in ("1", "7", "333")]
+    other += [["verify-bounds", "--seed", s] for s in ("-1", "18446744073709551615")]
+    other += [["sweep", "--count", "5"] + g for g in (["--norm", "l1"], ["--norm", "l2"],
+                                                      ["--norm", "l2", "--planted"])]
+    other += [["--help"], ["verify-bounds", "--help"], ["ratio"], ["sweep", "--count", "x"]]
+    for argv in other:
+        ops.append({"key": "edge/" + "_".join(argv), "argv": argv, "inputs": {}})
     return ops
 
 
