@@ -29,7 +29,7 @@ from .cost import (
     pooled_cost,
     rowwise_cost,
 )
-from .errors import BoundViolationError, DescentViolationError, ValidationError
+from .errors import BoundViolationError, DescentViolationError, ValidationError, overflow_guard
 from .model import DataMatrix
 from .oneway import SolverMode, exact_kcluster, kcluster_cols
 from .search import DEFAULT_ORACLE_CAP, exact_biclustering
@@ -60,6 +60,7 @@ class MarginReport:
     passed: bool
 
 
+@overflow_guard
 def per_bicluster_bound(y, norm: Norm, alpha: float) -> MarginReport:
     """Evaluate the per-block inequality at the given ratio constant.
 
@@ -85,6 +86,7 @@ class LowerBoundReport:
     passed: bool
 
 
+@overflow_guard
 def lower_bound_check(
     x: DataMatrix,
     k_r: int,
@@ -124,6 +126,7 @@ class L2Decomposition:
     residual: float
 
 
+@overflow_guard
 def l2_decomposition(y) -> L2Decomposition:
     """Decompose a block, or each block of a (B, n, m) stack into per-block
     arrays.  The additive model is fitted to the block minus its grand

@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, overflow_guard
 from .model import Bicluster, DataMatrix, Partition, partition_blocks
 
 #: Certified worst-case ratio of the independent-clustering scheme cost to
@@ -109,9 +109,9 @@ def _center(arr: np.ndarray, norm: Norm):
 
 def _columns_spread(arr: np.ndarray, norm: Norm):
     """Sum over columns of the within-column dissimilarity, the deviations
-    of each column from its :func:`_center`.  A 1-D array is one column; a
-    3-D array (entries, columns, blocks) is a stack of blocks, whose
-    spreads come back as an array."""
+    of each column from its :func:`_center`.  A 1-D array is one column; an
+    array of more dimensions (entries, columns, blocks...) is a stack of
+    blocks, whose spreads come back as an array."""
     if norm is Norm.L1:
         dev = np.abs(arr - _center(arr, norm))
     else:
@@ -123,9 +123,10 @@ def _columns_spread(arr: np.ndarray, norm: Norm):
         dev = (arr - _center(arr, norm)) ** 2
         if constant.any():
             dev[:, constant] = 0.0
-    return dev.sum(axis=(0, 1)) if arr.ndim == 3 else float(dev.sum())
+    return dev.sum(axis=(0, 1)) if arr.ndim > 2 else float(dev.sum())
 
 
+@overflow_guard
 def dissimilarity(values, norm: Norm) -> float:
     """Dissimilarity of a multiset of reals under the given norm.
 
@@ -137,6 +138,7 @@ def dissimilarity(values, norm: Norm) -> float:
     return _columns_spread(v, norm)
 
 
+@overflow_guard
 def pooled_cost(y, norm: Norm) -> float:
     """Dissimilarity of all entries of a block pooled into one multiset.
 
@@ -148,6 +150,7 @@ def pooled_cost(y, norm: Norm) -> float:
     return dissimilarity(arr.ravel(), norm)
 
 
+@overflow_guard
 def columnwise_cost(y, norm: Norm) -> float:
     """Sum of per-column dissimilarities of a block.
 
@@ -158,6 +161,7 @@ def columnwise_cost(y, norm: Norm) -> float:
     return _columns_spread(arr.transpose(1, 2, 0) if arr.ndim == 3 else arr, norm)
 
 
+@overflow_guard
 def rowwise_cost(y, norm: Norm) -> float:
     """Sum of per-row dissimilarities of a block (transposed analogue)."""
     return _columns_spread(_values_of(y, stack=True).T, norm)
@@ -168,6 +172,7 @@ def _clusters_spread(vals: np.ndarray, part: Partition, norm: Norm) -> float:
     return sum(_columns_spread(vals[np.asarray(members)], norm) for members in part.clusters)
 
 
+@overflow_guard
 def oneway_row_cost(x: DataMatrix, rows: Partition, norm: Norm) -> float:
     """Row-clustering objective: for every row cluster and every column,
     the dissimilarity of that cluster's slice of the column, summed."""
@@ -178,6 +183,7 @@ def oneway_row_cost(x: DataMatrix, rows: Partition, norm: Norm) -> float:
     return _clusters_spread(x.values, rows, norm)
 
 
+@overflow_guard
 def oneway_col_cost(x: DataMatrix, cols: Partition, norm: Norm) -> float:
     """Column-clustering objective; symmetric to :func:`oneway_row_cost`."""
     if cols.n_items != x.n_cols:
@@ -187,6 +193,7 @@ def oneway_col_cost(x: DataMatrix, cols: Partition, norm: Norm) -> float:
     return _clusters_spread(x.values.T, cols, norm)
 
 
+@overflow_guard
 def block_costs(x: DataMatrix, rows: Partition, cols: Partition, norm: Norm) -> np.ndarray:
     """Grid of per-block pooled costs of a (row partition, column
     partition) pair, indexed by (row cluster label, column cluster label)."""
@@ -202,6 +209,7 @@ def block_costs(x: DataMatrix, rows: Partition, cols: Partition, norm: Norm) -> 
     return grid
 
 
+@overflow_guard
 def biclustering_cost(
     x: DataMatrix, rows: Partition, cols: Partition, norm: Norm
 ) -> tuple[CostBreakdown, np.ndarray]:
@@ -417,8 +425,7 @@ def _median_table(
                     blocks = v[row_items[r].T[:, None, :, None], col_items[c].T[None, :, None, :]]
                     if pooled:
                         blocks = blocks.reshape(a * b, 1, *blocks.shape[2:])
-                    spread = np.abs(blocks - _center(blocks, Norm.L1)).sum(axis=(0, 1))
-                    table[row_ids[r, None], col_ids[c]] = spread
+                    table[row_ids[r, None], col_ids[c]] = _columns_spread(blocks, Norm.L1)
     return table
 
 

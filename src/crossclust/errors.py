@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for input
+whose costs overflow."""
+
+import functools
+
+import numpy as np
 
 
 class CrossclustError(Exception):
@@ -24,3 +29,20 @@ class BoundViolationError(CrossclustError):
 
 class DescentViolationError(BoundViolationError):
     """A swap that must strictly lower the row/column spread failed to."""
+
+
+def overflow_guard(fn):
+    """Run ``fn`` with floating-point overflow and invalid operations
+    raised, whatever the caller's ``np.errstate``, and report them as one
+    :class:`ValidationError`: input whose costs overflow stops at the first
+    kernel that overflows, not at a warning per kernel it reaches."""
+
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise ValidationError("matrix entries too large: a cost overflows") from exc
+
+    return guarded

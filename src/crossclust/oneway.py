@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import Norm, _center, _exact_search, oneway_row_cost
-from .errors import CapExceededError, CrossclustError, ValidationError
+from .errors import CapExceededError, CrossclustError, ValidationError, overflow_guard
 from .model import ENUMERATION_CAP, DataMatrix, Partition
 from .rng import MASK64, SplitMix64
 
@@ -60,6 +60,7 @@ class OnewaySolution:
     iterations: int = 0
 
 
+@overflow_guard
 def exact_kcluster(x: DataMatrix, k: int, norm: Norm) -> OnewaySolution:
     """Globally optimal row clustering into at most ``k`` clusters.
 
@@ -83,6 +84,7 @@ def exact_kcluster(x: DataMatrix, k: int, norm: Norm) -> OnewaySolution:
     return OnewaySolution(part, cost, SolverMode.exact())
 
 
+@overflow_guard
 def lloyd_kcluster(
     x: DataMatrix, k: int, norm: Norm, restarts: int = 8, seed: int = 0
 ) -> OnewaySolution:

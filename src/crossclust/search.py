@@ -18,7 +18,7 @@ from .cost import (
     certificate_bound,
     pooled_cost,
 )
-from .errors import BoundViolationError, CapExceededError, ValidationError
+from .errors import BoundViolationError, CapExceededError, ValidationError, overflow_guard
 from .model import ENUMERATION_CAP, Biclustering, DataMatrix, Partition
 from .oneway import SolverMode, kcluster_cols, kcluster_rows
 
@@ -81,6 +81,7 @@ def run_scheme(
     return SchemeResult(bic, breakdown, mode)
 
 
+@overflow_guard
 def exact_biclustering(
     x: DataMatrix,
     k_r: int,
@@ -111,6 +112,7 @@ def exact_biclustering(
     return OptimalBiclustering(rows, cols, cost)
 
 
+@overflow_guard
 def ratio(
     x: DataMatrix,
     k_r: int,

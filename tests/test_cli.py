@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from crossclust import DescentViolationError, SplitMix64, random_real_matrix, worst_case_matrix
+from crossclust import worst_case_matrix
 from crossclust import cli
 from crossclust.cli import main
 
@@ -278,43 +278,6 @@ class TestVerifyBounds:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
-
-
-    def test_blocks_match_the_generator(self):
-        shapes = [(2, 3), (1, 1), (2, 3), (4, 2), (1, 1)]
-        seeds = [5, -1, 2**64 + 1, 7, 5]
-        blocks = {}
-        for idx, stack in cli._stacks(shapes, seeds):
-            assert len({b.shape for b in stack}) == 1
-            blocks.update(zip(idx.tolist(), stack))
-        assert sorted(blocks) == list(range(len(shapes)))
-        for i, (shape, seed) in enumerate(zip(shapes, seeds)):
-            assert np.array_equal(blocks[i], random_real_matrix(*shape, seed).values)
-
-    def test_a_failing_block_fails_alone(self, monkeypatch):
-        """A block whose swap descent fails is counted once, not with the
-        rest of its shape group."""
-        real = cli.swap_normalize
-        stacks = []
-
-        def spy(x):
-            stacks.append(np.array(x))
-            return real(x)
-
-        monkeypatch.setattr(cli, "swap_normalize", spy)
-        assert cli._tally("swap descent", cli._battery_swaps(SplitMix64(3), 80))["failures"] == 0
-        everything = [block for stack in stacks for block in stack]
-        group = max((stack for stack in stacks if len(stack) >= 2), key=lambda g: g[0].size)
-        poison = next(b for b in group if sum(np.array_equal(b, o) for o in everything) == 1)
-
-        def failing(x):
-            if any(np.array_equal(block, poison) for block in x):
-                raise DescentViolationError("injected")
-            return real(x)
-
-        monkeypatch.setattr(cli, "swap_normalize", failing)
-        tally = cli._tally("swap descent", cli._battery_swaps(SplitMix64(3), 80))
-        assert tally == {"name": "swap descent", "checks": 80, "failures": 1}
 
 
 class TestParser:

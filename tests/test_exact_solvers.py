@@ -287,9 +287,9 @@ class TestEdgeCases:
     def test_overflowing_l2_costs_are_a_validation_error(self):
         x = DataMatrix([[1e200, -1e200], [3e200, 1.0], [2.0, 5e199]])
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValidationError, match="no finite cost"):
+            with pytest.raises(ValidationError, match="matrix entries too large"):
                 exact_kcluster(x, 2, Norm.L2)
-            with pytest.raises(ValidationError, match="no finite cost"):
+            with pytest.raises(ValidationError, match="matrix entries too large"):
                 exact_biclustering(x, 2, 2, Norm.L2)
 
     def test_results_are_validated_partitions(self):

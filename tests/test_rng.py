@@ -22,7 +22,7 @@ def bits(values):
 @pytest.mark.parametrize("count", [0, 1, 100_000])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_one_stream(seed, count):
-    with np.errstate(all="raise"):  # as the CLI runs every command
+    with np.errstate(all="raise"):  # the wrapping uint64 ops must not signal, under any errstate
         got = uniforms([seed], [count])
     assert got.dtype == np.float64
     assert np.array_equal(bits(got), bits(scalar(seed, count)))

@@ -1,0 +1,68 @@
+"""The verification battery as a library call: ``crossclust.verify``."""
+
+import json
+
+import numpy as np
+import pytest
+
+from crossclust import (
+    DescentViolationError,
+    SplitMix64,
+    ValidationError,
+    random_real_matrix,
+    verify_bounds,
+)
+from crossclust import verify
+from crossclust.cli import main
+
+
+def test_blocks_match_the_generator():
+    shapes = [(2, 3), (1, 1), (2, 3), (4, 2), (1, 1)]
+    seeds = [5, -1, 2**64 + 1, 7, 5]
+    blocks = {}
+    for idx, stack in verify._stacks(shapes, seeds):
+        assert len({b.shape for b in stack}) == 1
+        blocks.update(zip(idx.tolist(), stack))
+    assert sorted(blocks) == list(range(len(shapes)))
+    for i, (shape, seed) in enumerate(zip(shapes, seeds)):
+        assert np.array_equal(blocks[i], random_real_matrix(*shape, seed).values)
+
+
+def test_a_failing_block_fails_alone(monkeypatch):
+    """A block whose swap descent fails is counted once, not with the
+    rest of its shape group."""
+    real = verify.swap_normalize
+    stacks = []
+
+    def spy(x):
+        stacks.append(np.array(x))
+        return real(x)
+
+    monkeypatch.setattr(verify, "swap_normalize", spy)
+    assert verify._tally("swap descent", verify._battery_swaps(SplitMix64(3), 80))["failures"] == 0
+    everything = [block for stack in stacks for block in stack]
+    group = max((stack for stack in stacks if len(stack) >= 2), key=lambda g: g[0].size)
+    poison = next(b for b in group if sum(np.array_equal(b, o) for o in everything) == 1)
+
+    def failing(x):
+        if any(np.array_equal(block, poison) for block in x):
+            raise DescentViolationError("injected")
+        return real(x)
+
+    monkeypatch.setattr(verify, "swap_normalize", failing)
+    tally = verify._tally("swap descent", verify._battery_swaps(SplitMix64(3), 80))
+    assert tally == {"name": "swap descent", "checks": 80, "failures": 1}
+
+
+@pytest.mark.parametrize("seed", [-1, 60000])
+@pytest.mark.parametrize("count", [1, 7, 40])
+def test_the_cli_prints_the_library_records(capsys, seed, count):
+    argv = ["verify-bounds", "--seed", str(seed), "--count", str(count), "--format", "json"]
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)["batteries"]
+    assert printed == verify_bounds(seed, count, 400)
+
+
+def test_count_is_checked():
+    with pytest.raises(ValidationError, match="count must be >= 1"):
+        verify_bounds(1, 0, 400)

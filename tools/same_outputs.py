@@ -11,12 +11,16 @@ benchmark's pools (``bench/spec.pool``): ``certify``, ``exact_enum``,
 one-cluster axis (one longer than the enumeration cap among them), L1 on
 real data and L2 shifted by +1e7, plus ``sweep`` and ``verify-bounds``
 as CSV, ``verify-bounds`` at odd counts and at the extreme seeds, ``sweep``
-under each generator, and ``--help`` and usage errors.  ``--pool`` picks
+under each generator, and ``--help`` and usage errors.  Its overflow ops
+run ``run`` (both modes), ``exact`` and ``ratio`` under both norms on
+inputs whose costs may overflow: two literal matrices with entries near
+1e308 and 1e200, and a real matrix shifted by 1e300.  ``--pool`` picks
 some of these; the default is all of them.
 
 Each tree runs every op once, in its own subprocess, in-process through
 ``crossclust.cli.main``, on inputs that tree's generators write (through
-``bench/common.write_inputs``) into a fresh temporary directory.  Every op
+``bench/common.write_inputs``) into a fresh temporary directory, next to
+the literal matrices the tool writes itself.  Every op
 whose exit code, stdout or stderr differ between the trees is listed.  The
 exit status is 0 when all ops agree, 1 when any differs, and 2 when a
 tree could not be run.  Nothing under ``bench/`` is written.
@@ -39,11 +43,19 @@ import spec  # noqa: E402  (bench/spec.py: plain Python, imports no numpy)
 POOLS = (*spec.WORKLOADS, *(f"toy/{w}" for w in spec.WORKLOADS), "edge")
 SHIFT = 1e7
 
+#: Literal inputs of the overflow ops, by file name: costs that overflow
+#: under L1 (entries near 1e308) and under L2 (squares of 1e200).
+OVERFLOW_MATRICES = {
+    "overflow_l1.csv": [[1e308, 1.0], [-1e308, 0.0], [0.0, 1.0]],
+    "overflow_l2.csv": [[1e200], [-1e200], [0.0]],
+}
+
 
 def _edge_ops() -> list[dict]:
     """``exact``, ``ratio`` and ``run --mode exact`` on every input class,
-    one-cluster axes included; ``[generator, rows, cols, seed, shift]``
-    inputs as in ``bench/spec``."""
+    one-cluster axes included, then the other commands and the overflow
+    ops.  ``inputs`` are ``[generator, rows, cols, seed, shift]`` as in
+    ``bench/spec``; ``literals`` name files of :data:`OVERFLOW_MATRICES`."""
     classes = (("binary", "l1", 0), ("real", "l1", 0), ("real", "l2", 0), ("real", "l2", SHIFT))
     shapes = (
         (5, 6, ((1, 3), (3, 1), (1, 1), (2, 2))),
@@ -76,6 +88,17 @@ def _edge_ops() -> list[dict]:
     other += [["--help"], ["verify-bounds", "--help"], ["ratio"], ["sweep", "--count", "x"]]
     for argv in other:
         ops.append({"key": "edge/" + "_".join(argv), "argv": argv, "inputs": {}})
+    inputs = [(name.removesuffix(".csv"), {}, {"x": name}) for name in OVERFLOW_MATRICES]
+    inputs.append(("real_5x6_shift1e300", {"x": ["real", 5, 6, 90_100, 1e300]}, {}))
+    for name, generated, literals in inputs:
+        for norm in ("l1", "l2"):
+            for cmd in (["run"], ["run", "--mode", "heuristic"], ["exact"], ["ratio"]):
+                ops.append({
+                    "key": f"edge/overflow/{'_'.join(cmd)}/{name}_{norm}",
+                    "argv": cmd + ["--input", "{x}", "--kr", "2", "--kc", "1", "--norm", norm],
+                    "inputs": generated,
+                    "literals": literals,
+                })
     return ops
 
 
@@ -99,15 +122,19 @@ def _child(src: Path, out: Path, pools: list[str]) -> None:
     if Path(crossclust.cli.__file__).resolve().parent != (src / "crossclust").resolve():
         raise SystemExit(f"error: imported crossclust from {crossclust.cli.__file__}")
     workdir = Path("inputs")  # relative, so both trees print the same input paths
+    workdir.mkdir()
+    for name, rows in OVERFLOW_MATRICES.items():
+        # repr round-trips every float exactly, as in bench/common.write_inputs
+        text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+        (workdir / name).write_text(text, encoding="utf-8")
     results = {}
     for name in pools:
         ops = pool_ops(name)
         common.write_inputs(ops, workdir)
         for op in ops:
-            argv = [
-                str(common.input_path(workdir, op["inputs"][a[1:-1]])) if a[:1] == "{" else a
-                for a in op["argv"]
-            ]
+            paths = {a: common.input_path(workdir, g) for a, g in op["inputs"].items()}
+            paths.update((a, workdir / f) for a, f in op.get("literals", {}).items())
+            argv = [str(paths[a[1:-1]]) if a[:1] == "{" else a for a in op["argv"]]
             _, code, stdout, stderr = common.run_op(crossclust.cli, argv)
             results[op["key"]] = [code, stdout, stderr]
     out.write_text(json.dumps(results), encoding="utf-8")
