@@ -12,7 +12,8 @@ exact solvers run one search, ``_exact_search``: it scores label blocks
 of partitions from one table of block costs (``BatchCosts``), built from
 sums over the groups under L2 and under L1 on 0/1 data, and from sorted
 medians under L1 on real data, and picks the winner by one tie rule
-(``FirstMinimum``).
+(``FirstMinimum``).  The pair search skips the partitions that the
+one-way lower bound rules out (``_bounded_pairs``).
 
 On top of the multiset measure three aggregate costs are defined for a
 matrix with a row partition and/or a column partition:
@@ -29,11 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ValidationError, overflow_guard
-from .model import Bicluster, DataMatrix, Partition, partition_blocks
+from .model import Bicluster, DataMatrix, Partition, label_table, partition_blocks, partition_count
 
 #: Certified worst-case ratio of the independent-clustering scheme cost to
 #: the optimal biclustering cost, per input class.
@@ -308,9 +310,6 @@ class BatchCosts:
       n*m*(s_max*u*M)^2, with s_max = n for the one-way objective's
       cluster-column slices and n*m for pooled blocks; ``err`` adds twice
       that.
-
-    ``batch_size`` row partitions keep every scoring temporary within
-    ``BATCH_ENTRIES`` entries.
     """
 
     def __init__(self, x: DataMatrix, norm: Norm, k: int, cols: np.ndarray | None = None):
@@ -322,8 +321,8 @@ class BatchCosts:
         if pooled:
             k_c = int(cols.max()) + 1
             col_groups = _members(np.arange(2 if k_c == 1 else 1 << m), m, k_c)
-            # entry (p, c): the table column of cluster c of column partition p
-            self._cols = _group_keys(cols, k_c)
+            # entry (c, p): the table column of cluster c of column partition p
+            self._cols = np.ascontiguousarray(_group_keys(cols, k_c).T)
         else:
             col_groups = np.ones((1, m), dtype=bool)  # all columns, each apart
             self._cols = np.zeros((1, 1), dtype=np.intp)
@@ -341,16 +340,33 @@ class BatchCosts:
             self._table = _median_table(v, row_groups, col_groups, pooled)
             self.err = 4.0 * n * m * eps * self.scale
         self._k = k
-        width = max(k * n, k * len(col_groups), self._cols.size)
-        self.batch_size = max(1, BATCH_ENTRIES // width)
+        self._width = max(k * n, k * len(col_groups))
+
+    @property
+    def batch_size(self) -> int:
+        """Row partitions per call that keep every scoring temporary within
+        ``BATCH_ENTRIES`` entries."""
+        return max(1, BATCH_ENTRIES // max(self._width, self._cols.size))
+
+    def keep_cols(self, keep: np.ndarray) -> None:
+        """Score against only the column partitions that the boolean mask
+        ``keep`` selects, in their order."""
+        self._cols = self._cols[:, keep]
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
         """Costs of every row partition of the (R, n) label block ``rows``
-        (crossed with every column partition) as one flat array, in the
-        block's order."""
-        keys = _group_keys(rows, self._k)  # (R, k)
-        per_col_group = self._table[keys].sum(axis=1)  # (R, column groups)
-        return per_col_group[:, self._cols].sum(axis=2).ravel()
+        (crossed with every column partition :meth:`keep_cols` kept) as one
+        flat array, in the block's order."""
+        # one gather and add per cluster, on each side: a sum over a short
+        # axis would cost more time, and a gather of all clusters more memory
+        keys = _group_keys(rows, self._k).T  # (k, R)
+        per_col_group = self._table[keys[0]]  # (R, column groups)
+        for keys_r in keys[1:]:
+            per_col_group += self._table[keys_r]
+        costs = per_col_group.take(self._cols[0], axis=1)
+        for keys_c in self._cols[1:]:
+            costs += per_col_group.take(keys_c, axis=1)
+        return costs.ravel()
 
 
 def _group_keys(labels: np.ndarray, k: int) -> np.ndarray:
@@ -485,36 +501,111 @@ def _exact_search(
     Every row partition is scored in the label blocks of
     :func:`partition_blocks`, canonical order, by :class:`BatchCosts`: on
     its own (the row-clustering objective) or against the label table of
-    every column partition (the biclustering cost, columns inner).  Only
-    candidates and the winner become :class:`Partition` objects.
-    :class:`FirstMinimum` applies the tie rule with tolerance ``TIE_RTOL``
-    times the scorer's ``scale``: candidates are re-scored directly, by
-    :func:`oneway_row_cost` or :func:`block_costs`, unless the scorer is
-    exact (``err`` 0, binary L1).  Returns the winning rows, the winning
-    columns (None without ``k_c``) and the exact cost the winner won on.
-    The callers check the cluster counts and the enumeration caps.
+    every column partition (the biclustering cost, columns inner).  A pair
+    search whose row partitions do not all fit in one scoring batch is
+    pruned by the one-way bound first (:func:`_bounded_pairs`); one that
+    fits is cheaper to score whole.  Only candidates and the winner become
+    :class:`Partition` objects.  :class:`FirstMinimum` applies the tie rule
+    with tolerance ``TIE_RTOL`` times the scorer's ``scale``: candidates
+    are re-scored directly, by :func:`oneway_row_cost` or
+    :func:`block_costs`, unless the scorer is exact (``err`` 0, binary L1).
+    Returns the winning rows, the winning columns (None without ``k_c``)
+    and the exact cost the winner won on.  The callers check the cluster
+    counts and the enumeration caps.
     """
-    cols = None
-    if k_c is not None:
-        cols = np.concatenate(list(partition_blocks(x.n_cols, k_c, BATCH_ENTRIES)))
+    cols = None if k_c is None else label_table(x.n_cols, k_c)
     score = BatchCosts(x, norm, k, cols)
+    # ``item`` reads the block being fed and the column partitions it is
+    # crossed with
     if cols is None:
         def rescore(labels) -> float:
             return oneway_row_cost(x, Partition(labels, k), norm)
 
-        def item(i: int):  # of the block being fed
+        def item(i: int):
             return tuple(block[i].tolist())
     else:
         def rescore(pair) -> float:
             return float(block_costs(x, Partition(pair[0], k), Partition(pair[1], k_c), norm).sum())
 
         def item(i: int):
-            return tuple(block[i // len(cols)].tolist()), tuple(cols[i % len(cols)].tolist())
+            c = len(crossed)
+            return tuple(block[i // c].tolist()), tuple(crossed[i % c].tolist())
     pick = FirstMinimum(TIE_RTOL * score.scale, score.err, rescore if score.err else None)
-    for block in partition_blocks(x.n_rows, k, score.batch_size):
+    if cols is not None and partition_count(x.n_rows, k) > score.batch_size:
+        blocks = _bounded_pairs(x, norm, k, k_c, score, pick, rescore)
+    else:
+        blocks = ((block, cols) for block in partition_blocks(x.n_rows, k, score.batch_size))
+    for block, crossed in blocks:
         if pick.feed(score(block), item):
             break
     best, cost = pick.winner
     if cols is None:
         return Partition(best, k), None, cost
     return Partition(best[0], k), Partition(best[1], k_c), cost
+
+
+def _bounded_pairs(
+    x: DataMatrix, norm: Norm, k: int, k_c: int, score: BatchCosts, pick: FirstMinimum, rescore
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pair search of :func:`_exact_search`, pruned by the one-way
+    bound: label blocks of the surviving row partitions, each with the
+    label table of the surviving column partitions, in canonical order.
+    ``score`` is narrowed to those columns as they fall.
+
+    A block's pooled cost is at least the sum of its per-column costs, so
+    every pair satisfies L(R, C) >= L_R(R) and, by symmetry, L(R, C) >=
+    L_C(C): the paper's L* >= max(L_R*, L_C*), pair by pair.  Every row and
+    every column partition is scored by a one-way :class:`BatchCosts`, and
+    the exact cost of the pair (argmin L_R, argmin L_C) is the incumbent.
+    Before each block, a partition is dropped when its bound, less its
+    scorer's ``err`` and the margin below, is above ``min(incumbent,
+    pick.best)`` plus the tie tolerance.  No pair holding it can then come
+    within the tie window of the least exact cost, which is at most that,
+    so winners, ties and costs do not change; the filter tightens as the
+    best exact cost falls.
+
+    The margin bounds how far the two direct costs so compared can stray
+    from their exact values the wrong way: the pair's cost below, the
+    one-way cost above.  No exact cost here is above the whole matrix's
+    pooled cost, as splitting a group never raises its cost, and the
+    pooled scorer's ``err`` covers both (u = eps/2):
+
+    * binary L1: 0, as every direct cost is an exact integer.
+    * L1 on real data: a center is a data value, so a direct cost is a sum
+      of at most n*m deviations, each rounded once, and within n*m*u of
+      the cost; the two together are within n*m*eps*scale, a quarter of
+      ``err``.
+    * L2: the exact mean minimizes a group's spread, so a rounded one only
+      raises it, and the pair's cost is rounded down by at most (n*m + 2)*u
+      relative, in the squares and the sums.  The one-way cost is rounded
+      up by as much plus its drift, at most n*m*(n*u*M)^2 over slices of at
+      most n entries (see :class:`BatchCosts`).  ``err`` adds up 4*(n*m + n
+      + m + 4)*eps times the centered sum of squares, which is the whole
+      matrix's cost, and a drift over groups of up to n*m entries.
+    """
+    rows, cols = label_table(x.n_rows, k), label_table(x.n_cols, k_c)
+    by_rows, by_cols = BatchCosts(x, norm, k), BatchCosts(x.transpose(), norm, k_c)
+    l_r, l_c = _all_scores(by_rows, rows), _all_scores(by_cols, cols)
+    incumbent = rescore((tuple(rows[l_r.argmin()].tolist()), tuple(cols[l_c.argmin()].tolist())))
+    row_low = l_r - by_rows.err - score.err
+    col_low = l_c - by_cols.err - score.err
+    tol = TIE_RTOL * score.scale
+    left, crossed = np.arange(len(rows)), cols
+    while True:
+        limit = min(incumbent, pick.best) + tol
+        left = left[row_low[left] <= limit]
+        if not len(left):
+            return
+        keep = col_low <= limit
+        if not keep.all():
+            col_low, crossed = col_low[keep], crossed[keep]
+            score.keep_cols(keep)
+        step = score.batch_size
+        yield rows[left[:step]], crossed
+        left = left[step:]
+
+
+def _all_scores(score: BatchCosts, labels: np.ndarray) -> np.ndarray:
+    """``score`` of every row of ``labels``, a batch at a time."""
+    step = score.batch_size
+    return np.concatenate([score(labels[i : i + step]) for i in range(0, len(labels), step)])

@@ -297,6 +297,26 @@ def _blocks(t: int, k: int, rows: int) -> Iterator[np.ndarray]:
     yield buf[:size]
 
 
+def partition_count(t: int, k: int) -> int:
+    """Number of partitions of ``t`` items into at most ``k`` clusters: the
+    sum of the Stirling numbers S(t, j), j = 1..k, by their recurrence
+    S(i, j) = j S(i - 1, j) + S(i - 1, j - 1)."""
+    row = [1] + [0] * k  # S(0, j)
+    for _ in range(t):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return sum(row)
+
+
+@lru_cache(maxsize=16)
+def label_table(t: int, k: int) -> np.ndarray:
+    """Read-only (P, t) int8 table of every partition of ``t`` items into
+    at most ``k`` clusters, one label string per row, in the order of
+    :func:`enumerate_partitions`; built once per (t, k)."""
+    table = np.concatenate(list(partition_blocks(t, k, 1 << 12)))
+    table.setflags(write=False)
+    return table
+
+
 @lru_cache(maxsize=64)
 def _completions(s: int, k: int, top: int) -> np.ndarray:
     """Read-only (C, s) int8 table of the label strings that extend a

@@ -2,6 +2,9 @@
 caller's values raises one ValidationError, with no numpy warning (pytest
 turns warnings into errors), whatever the caller's ``np.errstate``."""
 
+import threading
+import traceback
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,7 @@ from crossclust import (
 )
 from crossclust.cli import main
 from crossclust.cost import block_costs
+from crossclust.errors import overflow_guard
 
 MESSAGE = "matrix entries too large: a cost overflows"
 
@@ -93,6 +97,42 @@ def test_one_validation_error(call, matrix, callers):
         assert np.geterr() == inside
     assert np.geterr() == before
     assert str(info.value) == MESSAGE
+
+
+def test_a_nested_guarded_call_raises_under_the_callers_errstate():
+    """Only the outermost guard enters ``np.errstate``: the overflow comes
+    from ``pooled_cost``, a guarded call nested in ``exact_biclustering``,
+    and still raises one ValidationError over the FloatingPointError."""
+    x = DataMatrix(MATRICES["l2"][0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside = np.geterr()
+        with pytest.raises(ValidationError) as info:
+            exact_biclustering(x, 2, 1, Norm.L2)
+        assert np.geterr() == inside
+    cause = info.value.__cause__
+    assert isinstance(cause, FloatingPointError)
+    assert "pooled_cost" in [frame.name for frame in traceback.extract_tb(cause.__traceback__)]
+
+
+def test_a_thread_started_inside_a_guard_enters_its_own():
+    x = DataMatrix(MATRICES["l2"][0])
+    raised = []
+
+    def work():
+        try:
+            pooled_cost(x, Norm.L2)
+        except ValidationError as exc:
+            raised.append(str(exc))
+
+    @overflow_guard
+    def outer():
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+
+    outer()
+    assert raised == [MESSAGE]
 
 
 #: [[1e150], [-1e150], [0]] under L2: the squares stay finite.

@@ -13,7 +13,7 @@ import pytest
 
 from crossclust import CapExceededError, ValidationError, enumerate_partitions
 from crossclust.cost import BATCH_ENTRIES
-from crossclust.model import partition_blocks
+from crossclust.model import label_table, partition_blocks, partition_count
 
 from oracles import (
     partitions_by_block_recursion,
@@ -79,7 +79,7 @@ class TestCounts:
     @pytest.mark.parametrize("t, k", [(t, k) for t in range(1, 15) for k in (1, 2, 3) if k <= t])
     def test_rows_are_the_stirling_sums(self, t, k):
         rows = sum(len(b) for b in _blocks(t, k, BATCH_ENTRIES // (k * t)))
-        assert rows == sum(stirling2(t, j) for j in range(1, k + 1))
+        assert rows == sum(stirling2(t, j) for j in range(1, k + 1)) == partition_count(t, k)
 
     def test_first_blocks_of_a_large_space_stay_small(self):
         # (14, 4) has 11.2M partitions, a 157 MB table; the first blocks
@@ -98,6 +98,16 @@ class TestCounts:
         assert [tuple(r) for r in got.tolist()] == walk
         view = islice(enumerate_partitions(14, 4), len(got))
         assert [p.assignment for p in view] == walk
+
+
+class TestTheFullTable:
+    @pytest.mark.parametrize("t", range(1, 9))
+    def test_the_walk_read_only_and_built_once(self, t):
+        for k, walk in _walk_tables(t).items():
+            table = label_table(t, k)
+            assert table.dtype == np.int8 and table.tobytes() == walk.tobytes()
+            assert not table.flags.writeable
+            assert label_table(t, k) is table
 
 
 class TestEdges:

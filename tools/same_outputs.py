@@ -9,13 +9,17 @@ benchmark's pools (``bench/spec.pool``): ``certify``, ``exact_enum``,
 (``toy/certify`` ...), and ``edge``, the ``exact``, ``ratio`` and
 ``run --mode exact`` commands on inputs the pools do not reach: a
 one-cluster axis (one longer than the enumeration cap among them), L1 on
-real data and L2 shifted by +1e7, plus ``sweep`` and ``verify-bounds``
-as CSV, ``verify-bounds`` at odd counts and at the extreme seeds, ``sweep``
-under each generator, and ``--help`` and usage errors.  Its overflow ops
-run ``run`` (both modes), ``exact`` and ``ratio`` under both norms on
-inputs whose costs may overflow: two literal matrices with entries near
-1e308 and 1e200, and a real matrix shifted by 1e300.  ``--pool`` picks
-some of these; the default is all of them.
+real data and L2 shifted by +1e7; ``exact`` and ``ratio`` at 8x8 with
+k=3,3 and k=3,2, where the oracle's pair search is bounded, on each of
+those input classes, planted L2 and a literal small-integer matrix full
+of ties; plus ``sweep`` and ``verify-bounds`` as CSV, ``verify-bounds``
+at odd counts and at the extreme seeds, ``sweep`` under each generator,
+and ``--help`` and usage errors.  Its overflow ops run ``run`` (both
+modes), ``exact`` and ``ratio`` under both norms on inputs whose costs
+may overflow: two literal matrices with entries near 1e308 and 1e200,
+and a real matrix shifted by 1e300; and ``exact`` at 8x8, k=3,3, under
+L2 on a literal matrix with entries near +-1e154.  ``--pool`` picks some
+of these; the default is all of them.
 
 Each tree runs every op once, in its own subprocess, in-process through
 ``crossclust.cli.main``, on inputs that tree's generators write (through
@@ -50,12 +54,33 @@ OVERFLOW_MATRICES = {
     "overflow_l2.csv": [[1e200], [-1e200], [0.0]],
 }
 
+#: Literal 8x8 inputs, by file name: small integers with repeated rows and
+#: columns, so that many pairs tie, and entries near +-1e154, whose sums of
+#: squares overflow under L2.
+MATRICES_8X8 = {
+    "ties_8x8.csv": [
+        [0, 1, 2, 0, 1, 2, 0, 1],
+        [0, 1, 2, 0, 1, 2, 0, 1],
+        [2, 2, 0, 0, 1, 1, 2, 2],
+        [1, 0, 1, 0, 1, 0, 1, 0],
+        [2, 2, 0, 0, 1, 1, 2, 2],
+        [0, 0, 0, 1, 1, 1, 2, 2],
+        [1, 0, 1, 0, 1, 0, 1, 0],
+        [2, 1, 0, 2, 1, 0, 2, 1],
+    ],
+    "overflow_l2_8x8.csv": [
+        [(-1) ** (i + j) * (1.0 + (3 * i + j) % 5 / 10) * 1e154 for j in range(8)]
+        for i in range(8)
+    ],
+}
+
 
 def _edge_ops() -> list[dict]:
     """``exact``, ``ratio`` and ``run --mode exact`` on every input class,
     one-cluster axes included, then the other commands and the overflow
     ops.  ``inputs`` are ``[generator, rows, cols, seed, shift]`` as in
-    ``bench/spec``; ``literals`` name files of :data:`OVERFLOW_MATRICES`."""
+    ``bench/spec``; ``literals`` name files of :data:`OVERFLOW_MATRICES` and
+    :data:`MATRICES_8X8`."""
     classes = (("binary", "l1", 0), ("real", "l1", 0), ("real", "l2", 0), ("real", "l2", SHIFT))
     shapes = (
         (5, 6, ((1, 3), (3, 1), (1, 1), (2, 2))),
@@ -77,6 +102,23 @@ def _edge_ops() -> list[dict]:
                                        "--norm", norm],
                         "inputs": {"x": [gen, n, m, seed, shift]},
                     })
+    # 8x8 at k=3,3 and k=3,2: the row partitions do not fit in one scoring
+    # batch, so the oracle prunes its pair search by the one-way bound
+    for gen, norm, shift in classes + (("planted", "l2", 0), ("ties", "l1", 0), ("ties", "l2", 0)):
+        for k_r, k_c in ((3, 3), (3, 2)):
+            seed += 1
+            generated, literals = {"x": [gen, 8, 8, seed, shift]}, {}
+            if gen == "ties":
+                generated, literals = {}, {"x": "ties_8x8.csv"}
+            for cmd in (["exact"], ["ratio"]):
+                ops.append({
+                    "key": f"edge/{cmd[0]}/{gen}_{norm}_8x8_k{k_r}{k_c}_s{seed}"
+                    + (f"_shift{shift:g}" if shift else ""),
+                    "argv": cmd + ["--input", "{x}", "--kr", str(k_r), "--kc", str(k_c),
+                                   "--norm", norm],
+                    "inputs": generated,
+                    "literals": literals,
+                })
     csv = ["--count", "3", "--format", "csv"]
     for extra in (["sweep", "--norm", "l1"], ["sweep", "--norm", "l2"],
                   ["sweep", "--norm", "l2", "--planted"], ["verify-bounds", "--resolution", "20"]):
@@ -99,6 +141,12 @@ def _edge_ops() -> list[dict]:
                     "inputs": generated,
                     "literals": literals,
                 })
+    ops.append({
+        "key": "edge/overflow/exact/overflow_l2_8x8_k33",
+        "argv": ["exact", "--input", "{x}", "--kr", "3", "--kc", "3", "--norm", "l2"],
+        "inputs": {},
+        "literals": {"x": "overflow_l2_8x8.csv"},
+    })
     return ops
 
 
@@ -123,7 +171,7 @@ def _child(src: Path, out: Path, pools: list[str]) -> None:
         raise SystemExit(f"error: imported crossclust from {crossclust.cli.__file__}")
     workdir = Path("inputs")  # relative, so both trees print the same input paths
     workdir.mkdir()
-    for name, rows in OVERFLOW_MATRICES.items():
+    for name, rows in {**OVERFLOW_MATRICES, **MATRICES_8X8}.items():
         # repr round-trips every float exactly, as in bench/common.write_inputs
         text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
         (workdir / name).write_text(text, encoding="utf-8")
