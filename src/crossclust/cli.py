@@ -231,7 +231,7 @@ def _ratio_fields(rep: RatioReport, integral: bool) -> dict:
 
 def _cmd_ratio(args: argparse.Namespace) -> int:
     x = load_matrix_csv(args.input)
-    rep = ratio(x, args.kr, args.kc, args.norm, seed=args.seed)
+    rep = ratio(x, args.kr, args.kc, args.norm)
     integral = x.is_binary and args.norm is Norm.L1
     report = _config_echo(args)
     report.update(input=args.input, n_rows=x.n_rows, n_cols=x.n_cols, is_binary=x.is_binary)
@@ -269,7 +269,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             x = planted_real_matrix(args.rows, args.cols, seed_i)
         else:
             x = random_real_matrix(args.rows, args.cols, seed_i)
-        rep = ratio(x, args.kr, args.kc, args.norm, seed=seed_i)
+        rep = ratio(x, args.kr, args.kc, args.norm)
         integral = x.is_binary and args.norm is Norm.L1
         violated = rep.certified is False
         violations += violated

@@ -12,8 +12,8 @@ exact solvers run one search, ``_exact_search``: it scores label blocks
 of partitions from one table of block costs (``BatchCosts``), built from
 sums over the groups under L2 and under L1 on 0/1 data, and from sorted
 medians under L1 on real data, and picks the winner by one tie rule
-(``FirstMinimum``).  The pair search skips the partitions that the
-one-way lower bound rules out (``_bounded_pairs``).
+(``FirstMinimum``).  The pair search skips the partitions ruled out
+by the one-way lower bound, read off the same table (``_bounded_pairs``).
 
 On top of the multiset measure three aggregate costs are defined for a
 matrix with a row partition and/or a column partition:
@@ -276,11 +276,10 @@ class BatchCosts:
     than ``k`` clusters; its entries are 0.
 
     With ``cols``, the (P_c, m) label table of the column partitions, an
-    entry is a block's pooled cost, and the scores are the biclustering
-    costs of every (row partition, column partition) pair, rows outer and
-    columns inner.  Without ``cols`` every column is its own
-    group: the table has one column, a row group's per-column costs summed,
-    and the scores are row-clustering objectives.  The table has a row per
+    entry is a block's pooled cost, and the scores are biclustering costs.
+    Without ``cols`` every column is its own group: the table has one
+    column, a row group's per-column costs summed, and the scores are
+    row-clustering objectives.  The table has a row per
     row key (2^n, or 2 when k == 1) and a column per column key (2^m, or 2
     when the column partitions have one cluster).  At the default oracle
     cap of 8 that is at most 256 x 256 floats, about 0.5 MB; one more row
@@ -342,29 +341,25 @@ class BatchCosts:
         self._k = k
         self._width = max(k * n, k * len(col_groups))
 
-    @property
-    def batch_size(self) -> int:
-        """Row partitions per call that keep every scoring temporary within
-        ``BATCH_ENTRIES`` entries."""
-        return max(1, BATCH_ENTRIES // max(self._width, self._cols.size))
+    def batch_size(self, cols=slice(None)) -> int:
+        """Row partitions per call, crossed with the column partitions
+        ``cols``, that keep every scoring temporary within ``BATCH_ENTRIES``
+        entries."""
+        return max(1, BATCH_ENTRIES // max(self._width, self._cols[:, cols].size))
 
-    def keep_cols(self, keep: np.ndarray) -> None:
-        """Score against only the column partitions that the boolean mask
-        ``keep`` selects, in their order."""
-        self._cols = self._cols[:, keep]
-
-    def __call__(self, rows: np.ndarray) -> np.ndarray:
-        """Costs of every row partition of the (R, n) label block ``rows``
-        (crossed with every column partition :meth:`keep_cols` kept) as one
-        flat array, in the block's order."""
+    def __call__(self, rows: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """Costs of every row partition of the (R, n) label block ``rows``,
+        crossed with every column partition at the indices ``cols`` of the
+        label table (all by default), as one flat array, rows outer."""
         # one gather and add per cluster, on each side: a sum over a short
         # axis would cost more time, and a gather of all clusters more memory
         keys = _group_keys(rows, self._k).T  # (k, R)
         per_col_group = self._table[keys[0]]  # (R, column groups)
         for keys_r in keys[1:]:
             per_col_group += self._table[keys_r]
-        costs = per_col_group.take(self._cols[0], axis=1)
-        for keys_c in self._cols[1:]:
+        crossed = self._cols[:, cols]
+        costs = per_col_group.take(crossed[0], axis=1)
+        for keys_c in crossed[1:]:
             costs += per_col_group.take(keys_c, axis=1)
         return costs.ravel()
 
@@ -372,9 +367,13 @@ class BatchCosts:
 def _group_keys(labels: np.ndarray, k: int) -> np.ndarray:
     """(P, t) labels to the (P, k) keys of each partition's groups (see
     :class:`BatchCosts`); an empty group has key 0."""
-    t = labels.shape[1]
-    bits = 1 << np.arange(t) if k > 1 else (np.arange(t) == 0).astype(np.intp)
-    return (labels[:, None, :] == np.arange(k, dtype=labels.dtype)[:, None]) @ bits
+    eq = labels[:, None, :] == np.arange(k, dtype=labels.dtype)[:, None]
+    return eq @ _item_keys(labels.shape[1], k)
+
+
+def _item_keys(t: int, k: int) -> np.ndarray:
+    """What each of ``t`` items adds to its group's key (see :class:`BatchCosts`)."""
+    return 1 << np.arange(t) if k > 1 else (np.arange(t) == 0).astype(np.intp)
 
 
 def _members(keys: np.ndarray, t: int, k: int) -> np.ndarray:
@@ -500,23 +499,22 @@ def _exact_search(
 
     Every row partition is scored in the label blocks of
     :func:`partition_blocks`, canonical order, by :class:`BatchCosts`: on
-    its own (the row-clustering objective) or against the label table of
-    every column partition (the biclustering cost, columns inner).  A pair
-    search whose row partitions do not all fit in one scoring batch is
-    pruned by the one-way bound first (:func:`_bounded_pairs`); one that
-    fits is cheaper to score whole.  Only candidates and the winner become
-    :class:`Partition` objects.  :class:`FirstMinimum` applies the tie rule
-    with tolerance ``TIE_RTOL`` times the scorer's ``scale``: candidates
-    are re-scored directly, by :func:`oneway_row_cost` or
-    :func:`block_costs`, unless the scorer is exact (``err`` 0, binary L1).
-    Returns the winning rows, the winning columns (None without ``k_c``)
-    and the exact cost the winner won on.  The callers check the cluster
-    counts and the enumeration caps.
+    its own (the row-clustering objective) or against every column
+    partition (the biclustering cost, columns inner).  A pair search whose
+    row partitions do not all fit in one scoring batch is pruned first by
+    the one-way bound, read off the same table (:func:`_bounded_pairs`);
+    one that fits is cheaper to score whole.  Only candidates and the
+    winner become :class:`Partition` objects.  :class:`FirstMinimum`
+    applies the tie rule with tolerance ``TIE_RTOL`` times the scorer's
+    ``scale``: candidates are re-scored directly, by
+    :func:`oneway_row_cost` or :func:`block_costs`, unless the scorer is
+    exact (``err`` 0, binary L1).  Returns the winning rows, the winning
+    columns (None without ``k_c``) and the exact cost the winner won on.
+    The callers check the cluster counts and the enumeration caps.
     """
     cols = None if k_c is None else label_table(x.n_cols, k_c)
     score = BatchCosts(x, norm, k, cols)
-    # ``item`` reads the block being fed and the column partitions it is
-    # crossed with
+    # ``item`` reads the block being fed and the indices of its column partitions
     if cols is None:
         def rescore(labels) -> float:
             return oneway_row_cost(x, Partition(labels, k), norm)
@@ -529,14 +527,15 @@ def _exact_search(
 
         def item(i: int):
             c = len(crossed)
-            return tuple(block[i // c].tolist()), tuple(crossed[i % c].tolist())
+            return tuple(block[i // c].tolist()), tuple(cols[crossed[i % c]].tolist())
     pick = FirstMinimum(TIE_RTOL * score.scale, score.err, rescore if score.err else None)
-    if cols is not None and partition_count(x.n_rows, k) > score.batch_size:
-        blocks = _bounded_pairs(x, norm, k, k_c, score, pick, rescore)
+    if cols is not None and partition_count(x.n_rows, k) > score.batch_size():
+        blocks = _bounded_pairs(x, k, k_c, score, pick, rescore)
     else:
-        blocks = ((block, cols) for block in partition_blocks(x.n_rows, k, score.batch_size))
+        every = np.arange(1 if cols is None else len(cols))
+        blocks = ((block, every) for block in partition_blocks(x.n_rows, k, score.batch_size()))
     for block, crossed in blocks:
-        if pick.feed(score(block), item):
+        if pick.feed(score(block, crossed), item):
             break
     best, cost = pick.winner
     if cols is None:
@@ -545,30 +544,29 @@ def _exact_search(
 
 
 def _bounded_pairs(
-    x: DataMatrix, norm: Norm, k: int, k_c: int, score: BatchCosts, pick: FirstMinimum, rescore
+    x: DataMatrix, k: int, k_c: int, score: BatchCosts, pick: FirstMinimum, rescore
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The pair search of :func:`_exact_search`, pruned by the one-way
     bound: label blocks of the surviving row partitions, each with the
-    label table of the surviving column partitions, in canonical order.
-    ``score`` is narrowed to those columns as they fall.
+    indices of the surviving column partitions, in canonical order.
 
     A block's pooled cost is at least the sum of its per-column costs, so
     every pair satisfies L(R, C) >= L_R(R) and, by symmetry, L(R, C) >=
-    L_C(C): the paper's L* >= max(L_R*, L_C*), pair by pair.  Every row and
-    every column partition is scored by a one-way :class:`BatchCosts`, and
-    the exact cost of the pair (argmin L_R, argmin L_C) is the incumbent.
-    Before each block, a partition is dropped when its bound, less its
-    scorer's ``err`` and the margin below, is above ``min(incumbent,
-    pick.best)`` plus the tie tolerance.  No pair holding it can then come
-    within the tie window of the least exact cost, which is at most that,
-    so winners, ties and costs do not change; the filter tightens as the
-    best exact cost falls.
+    L_C(C): the paper's L* >= max(L_R*, L_C*), pair by pair.  The bounds
+    come from ``score``'s table (:func:`_oneway_bounds`), and the exact
+    cost of the pair of least bounds is the incumbent.  Before each block,
+    a partition is dropped when its bound, less ``2 * score.err``, is above
+    ``min(incumbent, pick.best)`` plus the tie tolerance.  No pair holding
+    it can then come within the tie window of the least exact cost, which
+    is at most that, so winners, ties and costs do not change; the filter
+    tightens as the best exact cost falls.
 
-    The margin bounds how far the two direct costs so compared can stray
-    from their exact values the wrong way: the pair's cost below, the
-    one-way cost above.  No exact cost here is above the whole matrix's
-    pooled cost, as splitting a group never raises its cost, and the
-    pooled scorer's ``err`` covers both (u = eps/2):
+    The margin: the bound of R is the batched cost of R crossed with F,
+    every column apart, within ``err`` of its direct cost (the derivation
+    of :class:`BatchCosts` holds for any partition), and ``err`` again
+    covers that direct cost rounding above its exact value and the pair's
+    below its own; likewise for C.  No exact cost here is above the whole
+    matrix's pooled cost, as splitting a group never raises it (u = eps/2):
 
     * binary L1: 0, as every direct cost is an exact integer.
     * L1 on real data: a center is a data value, so a direct cost is a sum
@@ -577,35 +575,37 @@ def _bounded_pairs(
       ``err``.
     * L2: the exact mean minimizes a group's spread, so a rounded one only
       raises it, and the pair's cost is rounded down by at most (n*m + 2)*u
-      relative, in the squares and the sums.  The one-way cost is rounded
-      up by as much plus its drift, at most n*m*(n*u*M)^2 over slices of at
+      relative, in the squares and the sums.  That of (R, F) is rounded up
+      by as much plus its drift, at most n*m*(n*u*M)^2 over slices of at
       most n entries (see :class:`BatchCosts`).  ``err`` adds up 4*(n*m + n
       + m + 4)*eps times the centered sum of squares, which is the whole
       matrix's cost, and a drift over groups of up to n*m entries.
     """
     rows, cols = label_table(x.n_rows, k), label_table(x.n_cols, k_c)
-    by_rows, by_cols = BatchCosts(x, norm, k), BatchCosts(x.transpose(), norm, k_c)
-    l_r, l_c = _all_scores(by_rows, rows), _all_scores(by_cols, cols)
+    l_r, l_c = _oneway_bounds(x, k, k_c, score, rows)
     incumbent = rescore((tuple(rows[l_r.argmin()].tolist()), tuple(cols[l_c.argmin()].tolist())))
-    row_low = l_r - by_rows.err - score.err
-    col_low = l_c - by_cols.err - score.err
-    tol = TIE_RTOL * score.scale
-    left, crossed = np.arange(len(rows)), cols
+    margin = 2.0 * score.err + TIE_RTOL * score.scale
+    left, crossed = np.arange(len(rows)), np.arange(len(cols))
     while True:
-        limit = min(incumbent, pick.best) + tol
-        left = left[row_low[left] <= limit]
+        limit = min(incumbent, pick.best) + margin
+        left = left[l_r[left] <= limit]
         if not len(left):
             return
-        keep = col_low <= limit
-        if not keep.all():
-            col_low, crossed = col_low[keep], crossed[keep]
-            score.keep_cols(keep)
-        step = score.batch_size
+        crossed = crossed[l_c[crossed] <= limit]
+        step = score.batch_size(crossed)
         yield rows[left[:step]], crossed
         left = left[step:]
 
 
-def _all_scores(score: BatchCosts, labels: np.ndarray) -> np.ndarray:
-    """``score`` of every row of ``labels``, a batch at a time."""
-    step = score.batch_size
-    return np.concatenate([score(labels[i : i + step]) for i in range(0, len(labels), step)])
+def _oneway_bounds(
+    x: DataMatrix, k: int, k_c: int, score: BatchCosts, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds of :func:`_bounded_pairs` from ``score``'s table T: of
+    each row partition in ``rows``, T[g, {j}] summed over its groups g and
+    the columns j; of each column partition ``score`` crosses, T[{i}, h]
+    likewise.  With one cluster on the other axis that is the pair's cost."""
+    t_r = score._table[:, _item_keys(x.n_cols, k_c)].sum(axis=1)
+    t_c = score._table[_item_keys(x.n_rows, k)].sum(axis=0)
+    step = max(1, BATCH_ENTRIES // (k * x.n_rows))
+    l_r = [t_r[_group_keys(rows[i : i + step], k)].sum(axis=1) for i in range(0, len(rows), step)]
+    return np.concatenate(l_r), t_c[score._cols].sum(axis=0)

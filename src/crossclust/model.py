@@ -188,8 +188,7 @@ class Partition:
     @classmethod
     def from_labels(cls, labels: Sequence[int], k: int | None = None) -> "Partition":
         canon = canonical_labels(labels)
-        used = max(canon) + 1
-        return cls(canon, used if k is None else k)
+        return cls(canon, max(canon, default=0) + 1 if k is None else k)
 
     @property
     def n_items(self) -> int:

@@ -67,7 +67,6 @@ class RatioReport:
     dims: tuple[int, int]
     k_r: int
     k_c: int
-    seed: int | None = None
 
 
 def run_scheme(
@@ -120,7 +119,6 @@ def ratio(
     norm: Norm,
     row_cap: int = DEFAULT_ORACLE_CAP,
     col_cap: int = DEFAULT_ORACLE_CAP,
-    seed: int | None = None,
 ) -> RatioReport:
     """Exact scheme cost over oracle cost, with the applicable certificate.
 
@@ -158,5 +156,4 @@ def ratio(
         dims=(x.n_rows, x.n_cols),
         k_r=k_r,
         k_c=k_c,
-        seed=seed,
     )

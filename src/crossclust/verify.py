@@ -32,6 +32,8 @@ def verify_bounds(seed: int, count: int, resolution: int) -> list[dict]:
     (plus ``alpha`` and ``lattice_alpha`` for the search) and ``passed``."""
     if count < 1:
         raise ValidationError("count must be >= 1")
+    if resolution < 2:
+        raise ValidationError("resolution must be >= 2")
     rng = SplitMix64(seed)
     batteries = [
         _tally("per-block inequality", _battery_per_block(rng, count)),

@@ -35,7 +35,7 @@ ALPHA_REAL = 2.0
 
 def _collect(x, k_r, k_c, norm, seed):
     """Ratio report plus heuristic one-way costs for one instance."""
-    rep = ratio(x, k_r, k_c, norm, seed=seed)
+    rep = ratio(x, k_r, k_c, norm)
     heur_rows = lloyd_kcluster(x, k_r, norm, restarts=2, seed=seed)
     heur_cols = kcluster_cols(x, k_c, norm, SolverMode.heuristic(restarts=2, seed=seed))
     return {

@@ -233,6 +233,11 @@ class TestPartition:
         p = Partition.from_labels([5, 5, 2, 5])
         assert p.assignment == (0, 0, 1, 0)
 
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_from_labels_rejects_no_items(self, k):
+        with pytest.raises(ValidationError, match="partition needs at least one item"):
+            Partition.from_labels([], k)
+
     def test_equality_ignores_k(self):
         assert Partition((0, 1), 2) == Partition((0, 1), 5)
         assert hash(Partition((0, 1), 2)) == hash(Partition((0, 1), 5))

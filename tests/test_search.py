@@ -196,8 +196,7 @@ class TestRatio:
 
     def test_report_metadata(self):
         x = random_binary_matrix(4, 5, 0.5, seed=9)
-        rep = ratio(x, 2, 3, Norm.L1, seed=42)
+        rep = ratio(x, 2, 3, Norm.L1)
         assert rep.dims == (4, 5)
         assert (rep.k_r, rep.k_c) == (2, 3)
-        assert rep.seed == 42
         assert rep.norm is Norm.L1

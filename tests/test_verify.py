@@ -66,3 +66,13 @@ def test_the_cli_prints_the_library_records(capsys, seed, count):
 def test_count_is_checked():
     with pytest.raises(ValidationError, match="count must be >= 1"):
         verify_bounds(1, 0, 400)
+
+
+def test_resolution_is_checked_before_any_battery(monkeypatch, capsys):
+    ran = []
+    for name in ("_battery_per_block", "_battery_lower_bound", "_battery_swaps",
+                 "_battery_l2_identity"):
+        monkeypatch.setattr(verify, name, lambda *args, name=name: ran.append(name) or [])
+    assert main(["verify-bounds", "--resolution", "1"]) == 3
+    assert "resolution must be >= 2" in capsys.readouterr().err
+    assert ran == []

@@ -10,11 +10,13 @@ benchmark's pools (``bench/spec.pool``): ``certify``, ``exact_enum``,
 ``run --mode exact`` commands on inputs the pools do not reach: a
 one-cluster axis (one longer than the enumeration cap among them), L1 on
 real data and L2 shifted by +1e7; ``exact`` and ``ratio`` at 8x8 with
-k=3,3 and k=3,2, where the oracle's pair search is bounded, on each of
-those input classes, planted L2 and a literal small-integer matrix full
-of ties; plus ``sweep`` and ``verify-bounds`` as CSV, ``verify-bounds``
-at odd counts and at the extreme seeds, ``sweep`` under each generator,
-and ``--help`` and usage errors.  Its overflow ops run ``run`` (both
+k=3,3, k=3,2 and k=4,1, where the oracle's pair search is bounded (k=4,1
+with one column cluster), on each of those input classes, planted L2,
+and, under both norms, a literal small-integer matrix full of ties and a
+literal one whose columns are shifted by different powers of ten; plus
+``sweep`` and ``verify-bounds`` as CSV, ``verify-bounds`` at odd counts
+and at the extreme seeds, ``sweep`` under each generator, and ``--help``
+and usage errors.  Its overflow ops run ``run`` (both
 modes), ``exact`` and ``ratio`` under both norms on inputs whose costs
 may overflow: two literal matrices with entries near 1e308 and 1e200,
 and a real matrix shifted by 1e300; and ``exact`` at 8x8, k=3,3, under
@@ -55,8 +57,9 @@ OVERFLOW_MATRICES = {
 }
 
 #: Literal 8x8 inputs, by file name: small integers with repeated rows and
-#: columns, so that many pairs tie, and entries near +-1e154, whose sums of
-#: squares overflow under L2.
+#: columns, so that many pairs tie; eighths with column j shifted by 10^j,
+#: which the pair table, centered on the grand mean, rounds the most; and
+#: entries near +-1e154, whose sums of squares overflow under L2.
 MATRICES_8X8 = {
     "ties_8x8.csv": [
         [0, 1, 2, 0, 1, 2, 0, 1],
@@ -68,6 +71,7 @@ MATRICES_8X8 = {
         [1, 0, 1, 0, 1, 0, 1, 0],
         [2, 1, 0, 2, 1, 0, 2, 1],
     ],
+    "offsets_8x8.csv": [[(3 * i + 5 * j) % 8 / 8 + 10.0**j for j in range(8)] for i in range(8)],
     "overflow_l2_8x8.csv": [
         [(-1) ** (i + j) * (1.0 + (3 * i + j) % 5 / 10) * 1e154 for j in range(8)]
         for i in range(8)
@@ -102,14 +106,17 @@ def _edge_ops() -> list[dict]:
                                        "--norm", norm],
                         "inputs": {"x": [gen, n, m, seed, shift]},
                     })
-    # 8x8 at k=3,3 and k=3,2: the row partitions do not fit in one scoring
-    # batch, so the oracle prunes its pair search by the one-way bound
-    for gen, norm, shift in classes + (("planted", "l2", 0), ("ties", "l1", 0), ("ties", "l2", 0)):
-        for k_r, k_c in ((3, 3), (3, 2)):
+    # 8x8 at k=3,3, k=3,2 and k=4,1: the row partitions do not fit in one
+    # scoring batch, so the oracle prunes its pair search by the one-way bound
+    literal = ("ties", "offsets")
+    for gen, norm, shift in classes + (("planted", "l2", 0),) + tuple(
+        (name, norm, 0) for name in literal for norm in ("l1", "l2")
+    ):
+        for k_r, k_c in ((3, 3), (3, 2), (4, 1)):
             seed += 1
             generated, literals = {"x": [gen, 8, 8, seed, shift]}, {}
-            if gen == "ties":
-                generated, literals = {}, {"x": "ties_8x8.csv"}
+            if gen in literal:
+                generated, literals = {}, {"x": f"{gen}_8x8.csv"}
             for cmd in (["exact"], ["ratio"]):
                 ops.append({
                     "key": f"edge/{cmd[0]}/{gen}_{norm}_8x8_k{k_r}{k_c}_s{seed}"
