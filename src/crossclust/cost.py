@@ -6,12 +6,14 @@ under ``Norm.L2`` it is the sum of squared deviations from its mean, and
 a constant multiset costs exactly 0.  For an even-sized multiset every
 point of the closed median interval gives the same absolute-deviation
 sum; fixing the lower median just makes outputs deterministic.  The
-center is defined once, in ``_center``, and every direct cost goes
-through ``_columns_spread``; Lloyd's centers follow the same rule.  Both
+center is defined once, in ``_center`` (the lower median's position in
+``_lower_median``), and every direct cost goes through
+``_columns_spread``; Lloyd's centers follow the same rule.  Both
 exact solvers run one search, ``_exact_search``: it scores label blocks
 of partitions from one table of block costs (``BatchCosts``), built from
-sums over the groups under L2 and under L1 on 0/1 data, and from sorted
-medians under L1 on real data, and picks the winner by one tie rule
+sums over the groups under L2 and under L1 on 0/1 data, and under L1 on
+real data from the same lower medians, read off sorted contiguous lanes
+(``_median_table``), and picks the winner by one tie rule
 (``FirstMinimum``).  The pair search skips the partitions ruled out
 by the one-way lower bound, read off the same table (``_bounded_pairs``).
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -101,11 +104,16 @@ def _values_of(y, stack: bool = False) -> np.ndarray:
     return arr
 
 
+def _lower_median(s: int) -> int:
+    """Index of the lower median among ``s`` sorted values."""
+    return (s - 1) // 2
+
+
 def _center(arr: np.ndarray, norm: Norm):
     """Per-column center of ``arr``: the lower median under L1, the mean
     under L2.  A 1-D array is one column."""
     if norm is Norm.L1:
-        return np.sort(arr, axis=0)[(arr.shape[0] - 1) // 2]
+        return np.sort(arr, axis=0)[_lower_median(arr.shape[0])]
     return arr.mean(axis=0)
 
 
@@ -266,26 +274,33 @@ class BatchCosts:
     * Under L1 on 0/1 data a block costs min(S1, size - S1), the smaller
       of its ones and its zeros, from the same products.
     * Under L1 on real data a block's cost needs its median, which no sum
-      gives.  The blocks are gathered per (row-group size, column-group
-      size) bucket, and each one's lower median (:func:`_center`) and sum
-      of absolute deviations are taken.
+      gives.  Per (row-group size, column-group size) bucket, the entries
+      of every block are copied into the last axis of one array, where
+      they sit contiguous; each such lane is sorted in place, and its
+      lower median (:func:`_lower_median`, as in :func:`_center`) and
+      sum of absolute deviations are read along that axis.
 
     A group is keyed by its bitmask (item i is bit i), in integers.  With
     ``k == 1`` the one group holds item 0 and is keyed by that item alone,
     so a long axis needs no wide mask.  Key 0 is the empty group of a partition with fewer
-    than ``k`` clusters; its entries are 0.
+    than ``k`` clusters; its entries are 0.  What depends only on the
+    shape is built once and kept read-only: the groups' membership rows
+    (:func:`_members`) and size buckets (:func:`_size_buckets`), per item
+    count and whether there is one cluster, and the keys of every column
+    partition (:func:`_label_keys`), per (m, k_c).
 
-    With ``cols``, the (P_c, m) label table of the column partitions, an
-    entry is a block's pooled cost, and the scores are biclustering costs.
-    Without ``cols`` every column is its own group: the table has one
-    column, a row group's per-column costs summed, and the scores are
-    row-clustering objectives.  The table has a row per
-    row key (2^n, or 2 when k == 1) and a column per column key (2^m, or 2
-    when the column partitions have one cluster).  At the default oracle
-    cap of 8 that is at most 256 x 256 floats, about 0.5 MB; one more row
-    and one more column make it 4x larger.
+    With ``k_c``, the column partitions are those of
+    ``label_table(m, k_c)``, an entry is a block's pooled cost, and the
+    scores are biclustering costs.  Without ``k_c`` every column is its
+    own group: the table has one column, a row group's per-column costs
+    summed, and the scores are row-clustering objectives.  The table has
+    a row per row key (2^n, or 2 when k == 1) and a column per column key
+    (2^m, or 2 when k_c == 1).  At the default oracle cap of 8 that is at
+    most 256 x 256 floats, about 0.5 MB; one more row and one more column
+    make it 4x larger.  The build's temporaries, like the scoring's, stay
+    within ``BATCH_ENTRIES`` entries each.
 
-    ``scale`` is the cost of the whole matrix as one block (with ``cols``)
+    ``scale`` is the cost of the whole matrix as one block (with ``k_c``)
     or as one cluster (without).  It is the unit of the tie tolerance,
     ``TIE_RTOL * scale``, and of ``err`` under L1 on real data.
 
@@ -311,17 +326,16 @@ class BatchCosts:
       that.
     """
 
-    def __init__(self, x: DataMatrix, norm: Norm, k: int, cols: np.ndarray | None = None):
-        pooled = cols is not None
+    def __init__(self, x: DataMatrix, norm: Norm, k: int, k_c: int | None = None):
+        pooled = k_c is not None
         self.scale = pooled_cost(x, norm) if pooled else columnwise_cost(x, norm)
         v = x.values
         n, m = v.shape
-        row_groups = _members(np.arange(2 if k == 1 else 1 << n), n, k)
+        row_groups = _members(n, k == 1)
         if pooled:
-            k_c = int(cols.max()) + 1
-            col_groups = _members(np.arange(2 if k_c == 1 else 1 << m), m, k_c)
+            col_groups = _members(m, k_c == 1)
             # entry (c, p): the table column of cluster c of column partition p
-            self._cols = np.ascontiguousarray(_group_keys(cols, k_c).T)
+            self._cols = _label_keys(m, k_c)
         else:
             col_groups = np.ones((1, m), dtype=bool)  # all columns, each apart
             self._cols = np.zeros((1, 1), dtype=np.intp)
@@ -336,7 +350,12 @@ class BatchCosts:
             self._table = _sum_table(v, row_groups, col_groups, pooled, l2=False)
             self.err = 0.0
         else:
-            self._table = _median_table(v, row_groups, col_groups, pooled)
+            if pooled:
+                col_buckets = _size_buckets(m, k_c == 1)
+            else:  # one bucket: the one group of all m columns
+                col_buckets = ((m, np.zeros(1, dtype=np.intp), np.arange(m)[None]),)
+            shape = (len(row_groups), len(col_groups))
+            self._table = _median_table(v, _size_buckets(n, k == 1), col_buckets, shape, pooled)
             self.err = 4.0 * n * m * eps * self.scale
         self._k = k
         self._width = max(k * n, k * len(col_groups))
@@ -367,8 +386,12 @@ class BatchCosts:
 def _group_keys(labels: np.ndarray, k: int) -> np.ndarray:
     """(P, t) labels to the (P, k) keys of each partition's groups (see
     :class:`BatchCosts`); an empty group has key 0."""
-    eq = labels[:, None, :] == np.arange(k, dtype=labels.dtype)[:, None]
-    return eq @ _item_keys(labels.shape[1], k)
+    # one BLAS product per cluster; exact, as every key is an integer below 2^t
+    weights = _item_keys(labels.shape[1], k).astype(float)
+    keys = np.empty((len(labels), k), dtype=np.intp)
+    for c in range(k):
+        keys[:, c] = (labels == c) @ weights
+    return keys
 
 
 def _item_keys(t: int, k: int) -> np.ndarray:
@@ -376,12 +399,43 @@ def _item_keys(t: int, k: int) -> np.ndarray:
     return 1 << np.arange(t) if k > 1 else (np.arange(t) == 0).astype(np.intp)
 
 
-def _members(keys: np.ndarray, t: int, k: int) -> np.ndarray:
-    """(G,) group keys of partitions of ``t`` items into at most ``k``
-    clusters to (G, t) boolean membership rows."""
-    if k == 1:
-        return np.repeat(keys[:, None] > 0, t, axis=1)
-    return (keys[:, None] >> np.arange(t)) & 1 == 1
+@lru_cache(maxsize=32)
+def _members(t: int, single: bool) -> np.ndarray:
+    """Read-only (G, t) boolean membership rows of every group key of
+    partitions of ``t`` items, into one cluster if ``single`` and into
+    any number otherwise (see :class:`BatchCosts`), in key order."""
+    keys = np.arange(2 if single else 1 << t)
+    if single:
+        members = np.repeat(keys[:, None] > 0, t, axis=1)
+    else:
+        members = (keys[:, None] >> np.arange(t)) & 1 == 1
+    members.setflags(write=False)
+    return members
+
+
+@lru_cache(maxsize=32)
+def _size_buckets(t: int, single: bool) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """The groups of :func:`_members` per nonempty size s: s, the groups'
+    indices and their (G_s, s) items.  Read-only."""
+    members = _members(t, single)
+    sizes = members.sum(axis=1)
+    buckets = []
+    for s in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
+        ids = np.flatnonzero(sizes == s)
+        items = np.nonzero(members[ids])[1].reshape(-1, s)
+        ids.setflags(write=False)
+        items.setflags(write=False)
+        buckets.append((int(s), ids, items))
+    return tuple(buckets)
+
+
+@lru_cache(maxsize=16)
+def _label_keys(t: int, k: int) -> np.ndarray:
+    """Read-only (k, P) keys of the groups of the P partitions of
+    ``label_table(t, k)``, cluster-major; built once per (t, k)."""
+    keys = np.ascontiguousarray(_group_keys(label_table(t, k), k).T)
+    keys.setflags(write=False)
+    return keys
 
 
 def _sum_table(
@@ -408,40 +462,51 @@ def _sum_table(
     return table
 
 
-def _size_buckets(groups: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Per nonempty group size s: the indices of the groups of that size
-    in ``groups`` (boolean membership rows) and their (G_s, s) items."""
-    sizes = groups.sum(axis=1)
-    buckets = []
-    for s in np.unique(sizes[sizes > 0]):
-        ids = np.flatnonzero(sizes == s)
-        buckets.append((int(s), ids, np.nonzero(groups[ids])[1].reshape(-1, s)))
-    return buckets
-
-
 def _median_table(
-    v: np.ndarray, row_groups: np.ndarray, col_groups: np.ndarray, pooled: bool
+    v: np.ndarray, row_buckets, col_buckets, shape: tuple[int, int], pooled: bool
 ) -> np.ndarray:
-    """L1 cost of every (row group, column group) block of ``v``, groups
-    given as boolean membership rows; an empty group's entries are 0.
-    Pooled, each block is one multiset; otherwise each column of a block
-    has its own median and the costs are summed."""
-    table = np.zeros((len(row_groups), len(col_groups)))
-    col_buckets = _size_buckets(col_groups)
-    for a, row_ids, row_items in _size_buckets(row_groups):
-        for b, col_ids, col_items in col_buckets:
-            col_step = max(1, BATCH_ENTRIES // (a * b))
-            row_step = max(1, BATCH_ENTRIES // (a * b * min(col_step, len(col_ids))))
-            for i in range(0, len(row_ids), row_step):
-                r = slice(i, i + row_step)
-                for j in range(0, len(col_ids), col_step):
-                    c = slice(j, j + col_step)
-                    # (a, b, row groups, column groups): entries first, as _center wants
-                    blocks = v[row_items[r].T[:, None, :, None], col_items[c].T[None, :, None, :]]
+    """L1 cost of every (row group, column group) block of ``v``, into a
+    table of ``shape``, groups given as in :func:`_size_buckets`;
+    an empty group's entries are 0.  Pooled, each block is one multiset;
+    otherwise each column of a block has its own median and the costs are
+    summed.
+
+    For each column-size bucket b, the data of the bucket's G_c groups is
+    copied once, into a (G_c, n, b) array: each group's columns side by
+    side, a row at a time.  Taking a row-size bucket's (G_r, a) items
+    along the rows makes (G_c, G_r, a, b) lanes, each block's a*b entries
+    last and contiguous.  Not pooled, the copy is (G_c, b, n) and the
+    lanes (G_c, b, G_r, a): each of a block's columns is a lane.  Every
+    lane is sorted in place; its lower median (:func:`_lower_median`) is
+    read, and the absolute deviations from it are summed along the
+    lane.  Copies and lanes are made in chunks of at most
+    ``BATCH_ENTRIES`` entries."""
+    n = v.shape[0]
+    table = np.zeros(shape)
+    for b, col_ids, col_items in col_buckets:
+        col_step = max(1, BATCH_ENTRIES // (n * b))
+        for j in range(0, len(col_ids), col_step):
+            c = slice(j, j + col_step)
+            groups = v[:, col_items[c]].transpose((1, 0, 2) if pooled else (1, 2, 0)).copy()
+            for a, row_ids, row_items in row_buckets:
+                row_step = max(1, BATCH_ENTRIES // (a * b * len(groups)))
+                for i in range(0, len(row_ids), row_step):
+                    r = slice(i, i + row_step)
                     if pooled:
-                        blocks = blocks.reshape(a * b, 1, *blocks.shape[2:])
-                    table[row_ids[r, None], col_ids[c]] = _columns_spread(blocks, Norm.L1)
+                        lanes = groups.take(row_items[r], axis=1)
+                        spread = _lanes_spread(lanes.reshape(*lanes.shape[:2], a * b))
+                    else:
+                        spread = _lanes_spread(groups.take(row_items[r], axis=2)).sum(axis=1)
+                    table[row_ids[r, None], col_ids[c]] = spread.T
     return table
+
+
+def _lanes_spread(lanes: np.ndarray) -> np.ndarray:
+    """Sum of absolute deviations from the lower median along the last
+    axis of ``lanes``, which it sorts and overwrites."""
+    lanes.sort(axis=-1)
+    lanes -= lanes[..., [_lower_median(lanes.shape[-1])]]
+    return np.abs(lanes, out=lanes).sum(axis=-1)
 
 
 class FirstMinimum:
@@ -513,7 +578,7 @@ def _exact_search(
     The callers check the cluster counts and the enumeration caps.
     """
     cols = None if k_c is None else label_table(x.n_cols, k_c)
-    score = BatchCosts(x, norm, k, cols)
+    score = BatchCosts(x, norm, k, k_c)
     # ``item`` reads the block being fed and the indices of its column partitions
     if cols is None:
         def rescore(labels) -> float:
@@ -530,7 +595,7 @@ def _exact_search(
             return tuple(block[i // c].tolist()), tuple(cols[crossed[i % c]].tolist())
     pick = FirstMinimum(TIE_RTOL * score.scale, score.err, rescore if score.err else None)
     if cols is not None and partition_count(x.n_rows, k) > score.batch_size():
-        blocks = _bounded_pairs(x, k, k_c, score, pick, rescore)
+        blocks = _bounded_pairs(x, k, k_c, score, pick)
     else:
         every = np.arange(1 if cols is None else len(cols))
         blocks = ((block, every) for block in partition_blocks(x.n_rows, k, score.batch_size()))
@@ -544,7 +609,7 @@ def _exact_search(
 
 
 def _bounded_pairs(
-    x: DataMatrix, k: int, k_c: int, score: BatchCosts, pick: FirstMinimum, rescore
+    x: DataMatrix, k: int, k_c: int, score: BatchCosts, pick: FirstMinimum
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The pair search of :func:`_exact_search`, pruned by the one-way
     bound: label blocks of the surviving row partitions, each with the
@@ -553,13 +618,15 @@ def _bounded_pairs(
     A block's pooled cost is at least the sum of its per-column costs, so
     every pair satisfies L(R, C) >= L_R(R) and, by symmetry, L(R, C) >=
     L_C(C): the paper's L* >= max(L_R*, L_C*), pair by pair.  The bounds
-    come from ``score``'s table (:func:`_oneway_bounds`), and the exact
-    cost of the pair of least bounds is the incumbent.  Before each block,
-    a partition is dropped when its bound, less ``2 * score.err``, is above
-    ``min(incumbent, pick.best)`` plus the tie tolerance.  No pair holding
-    it can then come within the tie window of the least exact cost, which
-    is at most that, so winners, ties and costs do not change; the filter
-    tightens as the best exact cost falls.
+    come from ``score``'s table (:func:`_oneway_bounds`).  The incumbent
+    is the batched cost of the pair of least bounds plus ``score.err``:
+    at least that pair's direct cost, so at least the least exact cost
+    (the direct costs are the ones :class:`FirstMinimum` compares).
+    Before each block, a partition is dropped when its bound, less
+    ``2 * score.err``, is above ``min(incumbent, pick.best)`` plus the tie
+    tolerance.  No pair holding it can then come within the tie window of
+    the least exact cost, which is at most that, so winners, ties and
+    costs do not change; the filter tightens as the best exact cost falls.
 
     The margin: the bound of R is the batched cost of R crossed with F,
     every column apart, within ``err`` of its direct cost (the derivation
@@ -583,7 +650,7 @@ def _bounded_pairs(
     """
     rows, cols = label_table(x.n_rows, k), label_table(x.n_cols, k_c)
     l_r, l_c = _oneway_bounds(x, k, k_c, score, rows)
-    incumbent = rescore((tuple(rows[l_r.argmin()].tolist()), tuple(cols[l_c.argmin()].tolist())))
+    incumbent = float(score(rows[[l_r.argmin()]], [l_c.argmin()])[0]) + score.err
     margin = 2.0 * score.err + TIE_RTOL * score.scale
     left, crossed = np.arange(len(rows)), np.arange(len(cols))
     while True:

@@ -142,7 +142,7 @@ class TestTableBounds:
         # every row and every column partition, at k = 3 on both axes
         x = DataMatrix(_values(kind, 6, 5, 7))
         rows, cols = label_table(6, 3), label_table(5, 3)
-        score = BatchCosts(x, norm, 3, cols)
+        score = BatchCosts(x, norm, 3, 3)
         l_r, l_c = cost._oneway_bounds(x, 3, 3, score, rows)
         direct_r = [oneway_row_cost(x, Partition(r, 3), norm) for r in map(tuple, rows.tolist())]
         direct_c = [oneway_col_cost(x, Partition(c, 3), norm) for c in map(tuple, cols.tolist())]

@@ -156,6 +156,19 @@ class TestOnewayCosts:
         with pytest.raises(ValidationError):
             oneway_row_cost(x, Partition((0, 0, 0), 1), Norm.L1)
 
+    @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
+    @pytest.mark.parametrize("ties", [False, True], ids=["uniform", "integers"])
+    def test_col_equals_row_on_transpose_bit_for_bit(self, norm, ties):
+        # what kcluster_cols reports must be the scheme's l_c exactly, also
+        # where a 1e7 offset leaves few bits to the deviations
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            n, m = rng.integers(1, 7, size=2)
+            values = rng.integers(0, 4, size=(n, m)) if ties else rng.random((n, m))
+            x = DataMatrix(values + rng.choice([0.0, 1e7]))
+            cols = Partition.from_labels(rng.integers(0, 3, size=m).tolist())
+            assert oneway_col_cost(x, cols, norm) == oneway_row_cost(x.transpose(), cols, norm)
+
     @given(small_matrix(), st.data())
     @settings(max_examples=60)
     def test_matches_naive_oracle(self, rows, data):

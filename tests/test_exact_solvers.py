@@ -30,6 +30,7 @@ from crossclust.cost import (
     columnwise_cost,
     pooled_cost,
 )
+from crossclust.model import label_table, partition_blocks
 
 from oracles import exact_biclustering_argmin_naive, exact_oneway_argmin_naive
 
@@ -79,7 +80,7 @@ class TestBatchCosts:
         x = DataMatrix(random_real_matrix(*shape, seed=seed).values + shift)
         rows = list(enumerate_partitions(shape[0], min(3, shape[0])))
         cols = list(enumerate_partitions(shape[1], 2))
-        kernel = BatchCosts(x, Norm.L2, min(3, shape[0]), _labels(cols))
+        kernel = BatchCosts(x, Norm.L2, min(3, shape[0]), 2)
         direct = [block_costs(x, r, c, Norm.L2).sum() for r in rows for c in cols]
         assert np.abs(kernel(_labels(rows)) - direct).max() <= kernel.err
         assert kernel.err <= 1e-12 * pooled_cost(x, Norm.L2)
@@ -88,7 +89,7 @@ class TestBatchCosts:
         x = random_binary_matrix(5, 4, 0.4, seed=7)
         rows = list(enumerate_partitions(5, 3))
         cols = list(enumerate_partitions(4, 3))
-        kernel = BatchCosts(x, Norm.L1, 3, _labels(cols))
+        kernel = BatchCosts(x, Norm.L1, 3, 3)
         assert kernel.err == 0.0
         direct = [block_costs(x, r, c, Norm.L1).sum() for r in rows for c in cols]
         assert kernel(_labels(rows)).tolist() == direct
@@ -102,7 +103,7 @@ class TestBatchCosts:
         x = _summed(norm, 5, 4, 8)
         rows = list(enumerate_partitions(5, 2))
         cols = list(enumerate_partitions(4, 2))
-        pairs = BatchCosts(x, norm, 4, _labels(cols))
+        pairs = BatchCosts(x, norm, 4, 2)
         direct = [block_costs(x, r, c, norm).sum() for r in rows for c in cols]
         assert np.abs(pairs(_labels(rows)) - direct).max() <= pairs.err
         oneway = BatchCosts(x, norm, 4)
@@ -114,7 +115,7 @@ class TestBatchCosts:
         x = _summed(norm, 70, 3, 9)
         whole = Partition((0,) * 70, 1)
         cols = list(enumerate_partitions(3, 3))
-        pairs = BatchCosts(x, norm, 1, _labels(cols))
+        pairs = BatchCosts(x, norm, 1, 3)
         direct = [block_costs(x, whole, c, norm).sum() for c in cols]
         assert np.abs(pairs(_labels([whole])) - direct).max() <= pairs.err
         oneway = BatchCosts(x, norm, 1)
@@ -124,10 +125,38 @@ class TestBatchCosts:
         # three 0.1s do not average to 0.1, so the centered data is not 0
         x = DataMatrix(np.full((3, 4), 0.1))
         rows = list(enumerate_partitions(3, 2))
-        for kernel in (BatchCosts(x, Norm.L2, 2, _labels(enumerate_partitions(4, 2))),
+        for kernel in (BatchCosts(x, Norm.L2, 2, 2),
                        BatchCosts(x, Norm.L2, 2)):
             assert 0.0 < kernel.err <= 1e-12
             assert np.abs(kernel(_labels(rows))).max() <= kernel.err
+
+
+def _group_keys_one_product(labels, k):
+    """The group keys as one integer product over all clusters, the
+    formula that ``cost._group_keys``'s float products must reproduce."""
+    t = labels.shape[1]
+    eq = labels[:, None, :] == np.arange(k, dtype=labels.dtype)[:, None]
+    return eq @ (1 << np.arange(t) if k > 1 else (np.arange(t) == 0).astype(np.intp))
+
+
+class TestGroupKeys:
+    @staticmethod
+    def _check(labels, k):
+        keys, expected = cost._group_keys(labels, k), _group_keys_one_product(labels, k)
+        assert keys.dtype == expected.dtype and keys.shape == expected.shape
+        assert np.array_equal(keys, expected)
+
+    @pytest.mark.parametrize("t", range(1, 11))
+    def test_every_label_table_up_to_ten_items(self, t):
+        for k in range(1, min(t, 4) + 1):
+            self._check(label_table(t, k), k)
+
+    @pytest.mark.parametrize("rows", [1, 300])
+    def test_one_cluster_on_twenty_items(self, rows):
+        self._check(np.zeros((rows, 20), dtype=np.int8), 1)
+
+    def test_a_block_at_fourteen_items(self):
+        self._check(next(partition_blocks(14, 4, 1 << 12)), 4)
 
 
 class TestFirstMinimum:

@@ -1,6 +1,8 @@
 """The block-cost table (``cost.BatchCosts``) under L1 on real data,
 against direct costs and the exhaustive naive oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,7 +54,7 @@ class TestWithinErrorBound:
         x = _real(make(5, 4, 6) + shift)
         rows = list(enumerate_partitions(5, 3))
         cols = list(enumerate_partitions(4, 3))
-        table = BatchCosts(x, Norm.L1, 3, _labels(cols))
+        table = BatchCosts(x, Norm.L1, 3, 3)
         direct = np.array([block_costs(x, r, c, Norm.L1).sum() for r in rows for c in cols])
         assert np.abs(table(_labels(rows)) - direct).max() <= table.err
         assert table.err <= 1e-12 * pooled_cost(x, Norm.L1)
@@ -75,7 +77,7 @@ class TestWithinErrorBound:
         cols = list(enumerate_partitions(4, 2))
         direct = [block_costs(x, r, c, Norm.L1).sum() for r in rows for c in cols]
         labels = _labels(rows)
-        np.testing.assert_allclose(BatchCosts(x, Norm.L1, 4, _labels(cols))(labels), direct, rtol=1e-12)
+        np.testing.assert_allclose(BatchCosts(x, Norm.L1, 4, 2)(labels), direct, rtol=1e-12)
         oneway = [oneway_row_cost(x, p, Norm.L1) for p in rows]
         np.testing.assert_allclose(BatchCosts(x, Norm.L1, 4)(labels), oneway, rtol=1e-12)
 
@@ -85,15 +87,52 @@ class TestWithinErrorBound:
         cols = list(enumerate_partitions(3, 3))
         direct = [block_costs(x, whole, c, Norm.L1).sum() for c in cols]
         labels = _labels([whole])
-        np.testing.assert_allclose(BatchCosts(x, Norm.L1, 1, _labels(cols))(labels), direct, rtol=1e-12)
+        np.testing.assert_allclose(BatchCosts(x, Norm.L1, 1, 3)(labels), direct, rtol=1e-12)
         assert BatchCosts(x, Norm.L1, 1)(labels)[0] == pytest.approx(columnwise_cost(x, Norm.L1))
 
     def test_constant_matrix_costs_exactly_zero(self):
         x = _real(np.full((4, 3), 0.1))
         rows = list(enumerate_partitions(4, 2))
-        table = BatchCosts(x, Norm.L1, 2, _labels(enumerate_partitions(3, 2)))
+        table = BatchCosts(x, Norm.L1, 2, 2)
         assert table.err == 0.0
         assert not table(_labels(rows)).any()
+
+
+class TestTableBuild:
+    @pytest.mark.parametrize("entries", [1 << 13, cost.BATCH_ENTRIES])
+    def test_temporaries_stay_within_batch_entries(self, monkeypatch, entries):
+        # 9x9 at k=3,3: a 512 x 512 table, 2 MB; the shape's cached
+        # structure is built before tracing starts
+        x = _real(_uniform(9, 9, 3))
+        BatchCosts(x, Norm.L1, 3, 3)
+        monkeypatch.setattr(cost, "BATCH_ENTRIES", entries)
+        tracemalloc.start()
+        try:
+            table = BatchCosts(x, Norm.L1, 3, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table._table.nbytes == 512 * 512 * 8
+        assert peak <= table._table.nbytes + 3 * entries * 8
+
+    @pytest.mark.parametrize("k_c", [None, 1, 3])
+    @pytest.mark.parametrize("make", [_uniform, _quarters])
+    def test_one_entry_per_temporary_gives_the_same_table(self, monkeypatch, make, k_c):
+        x = _real(make(6, 5, 2) + 1e7)
+        whole = BatchCosts(x, Norm.L1, 3, k_c)
+        monkeypatch.setattr(cost, "BATCH_ENTRIES", 1)
+        single = BatchCosts(x, Norm.L1, 3, k_c)
+        assert np.abs(single._table - whole._table).max() <= whole.err
+
+    def test_shape_structure_is_shared_across_cluster_counts(self):
+        # the groups of every k >= 2 are all 2^t subsets: one cache entry each
+        x = _real(_uniform(6, 5, 4))
+        cost._members.cache_clear()
+        cost._size_buckets.cache_clear()
+        for k, k_c in [(2, 2), (3, 3), (4, 2)]:
+            BatchCosts(x, Norm.L1, k, k_c)
+        assert cost._members.cache_info().currsize == 2
+        assert cost._size_buckets.cache_info().currsize == 2
 
 
 class TestSolvers:

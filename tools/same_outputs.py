@@ -13,7 +13,10 @@ real data and L2 shifted by +1e7; ``exact`` and ``ratio`` at 8x8 with
 k=3,3, k=3,2 and k=4,1, where the oracle's pair search is bounded (k=4,1
 with one column cluster), on each of those input classes, planted L2,
 and, under both norms, a literal small-integer matrix full of ties and a
-literal one whose columns are shifted by different powers of ten; plus
+literal one whose columns are shifted by different powers of ten;
+``exact`` and ``ratio`` under real L1 at 7x7, k=2,2 and k=3,3, on a
+literal matrix of repeated quarters with a -0.0 entry and one column
+shifted by 1e7; plus
 ``sweep`` and ``verify-bounds`` as CSV, ``verify-bounds`` at odd counts
 and at the extreme seeds, ``sweep`` under each generator, and ``--help``
 and usage errors.  Its overflow ops run ``run`` (both
@@ -79,12 +82,24 @@ MATRICES_8X8 = {
 }
 
 
+#: A literal 7x7 real input for the L1 median lanes: quarters, each value
+#: repeated within its row, so that medians tie; a -0.0 among the zeros;
+#: and column 4 shifted by 1e7.
+MEDIANS_7X7 = {
+    "medians_7x7.csv": [
+        [-0.0 if (i, j) == (1, 0) else (2 * i + 3 * j) % 5 / 4 - 0.5 + (1e7 if j == 4 else 0.0)
+         for j in range(7)]
+        for i in range(7)
+    ],
+}
+
+
 def _edge_ops() -> list[dict]:
     """``exact``, ``ratio`` and ``run --mode exact`` on every input class,
     one-cluster axes included, then the other commands and the overflow
     ops.  ``inputs`` are ``[generator, rows, cols, seed, shift]`` as in
-    ``bench/spec``; ``literals`` name files of :data:`OVERFLOW_MATRICES` and
-    :data:`MATRICES_8X8`."""
+    ``bench/spec``; ``literals`` name files of :data:`OVERFLOW_MATRICES`,
+    :data:`MATRICES_8X8` and :data:`MEDIANS_7X7`."""
     classes = (("binary", "l1", 0), ("real", "l1", 0), ("real", "l2", 0), ("real", "l2", SHIFT))
     shapes = (
         (5, 6, ((1, 3), (3, 1), (1, 1), (2, 2))),
@@ -126,6 +141,15 @@ def _edge_ops() -> list[dict]:
                     "inputs": generated,
                     "literals": literals,
                 })
+    # real L1 at 7x7, where ties and signed zeros reach the median lanes
+    for k in ("2", "3"):
+        for cmd in ("exact", "ratio"):
+            ops.append({
+                "key": f"edge/{cmd}/medians_l1_7x7_k{k}{k}",
+                "argv": [cmd, "--input", "{x}", "--kr", k, "--kc", k, "--norm", "l1"],
+                "inputs": {},
+                "literals": {"x": "medians_7x7.csv"},
+            })
     csv = ["--count", "3", "--format", "csv"]
     for extra in (["sweep", "--norm", "l1"], ["sweep", "--norm", "l2"],
                   ["sweep", "--norm", "l2", "--planted"], ["verify-bounds", "--resolution", "20"]):
@@ -178,7 +202,7 @@ def _child(src: Path, out: Path, pools: list[str]) -> None:
         raise SystemExit(f"error: imported crossclust from {crossclust.cli.__file__}")
     workdir = Path("inputs")  # relative, so both trees print the same input paths
     workdir.mkdir()
-    for name, rows in {**OVERFLOW_MATRICES, **MATRICES_8X8}.items():
+    for name, rows in {**OVERFLOW_MATRICES, **MATRICES_8X8, **MEDIANS_7X7}.items():
         # repr round-trips every float exactly, as in bench/common.write_inputs
         text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
         (workdir / name).write_text(text, encoding="utf-8")
