@@ -38,7 +38,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ValidationError, overflow_guard
-from .model import Bicluster, DataMatrix, Partition, label_table, partition_blocks, partition_count
+from .model import DataMatrix, Partition, label_table, partition_blocks, partition_count
 
 #: Certified worst-case ratio of the independent-clustering scheme cost to
 #: the optimal biclustering cost, per input class.
@@ -91,11 +91,9 @@ class CostBreakdown:
 
 
 def _values_of(y, stack: bool = False) -> np.ndarray:
-    """Accept a Bicluster, DataMatrix or array-like and return a 2-D array;
-    with ``stack``, a 3-D array of equal-shape blocks on the leading axis
-    is accepted too."""
-    if isinstance(y, Bicluster):
-        return y.values
+    """Accept a DataMatrix or array-like and return a 2-D array; with
+    ``stack``, a 3-D array of equal-shape blocks on the leading axis is
+    accepted too."""
     if isinstance(y, DataMatrix):
         return y.values
     arr = np.asarray(y, dtype=float)

@@ -1,4 +1,4 @@
-"""Core data model: dense matrices, canonical set partitions, biclusters.
+"""Core data model: dense matrices, canonical set partitions, biclusterings.
 
 Partitions are stored as restricted growth strings: the first item gets
 label 0 and every later item is labeled either like some earlier item or
@@ -25,29 +25,23 @@ ENUMERATION_CAP = 14
 
 
 class DataMatrix:
-    """Immutable dense matrix of finite reals with a validated 0/1 flag.
+    """Immutable dense matrix of finite reals.
 
-    When ``is_binary`` is omitted it is auto-detected from the entries;
-    an explicit value overrides detection, except that claiming binary
-    for a matrix with entries outside {0, 1} is rejected.
+    ``is_binary`` holds exactly when every entry is 0 or 1: the input
+    class, and with it the L1 certificate, is read off the entries.
     """
 
     __slots__ = ("_values", "is_binary")
 
-    def __init__(self, values, is_binary: bool | None = None):
+    def __init__(self, values):
         arr = np.array(values, dtype=float, order="C")
         if arr.ndim != 2 or arr.size == 0:
             raise ValidationError("matrix values must form a nonempty 2-D grid")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("matrix entries must all be finite")
-        detected = bool(np.all((arr == 0.0) | (arr == 1.0)))
-        if is_binary is None:
-            is_binary = detected
-        elif is_binary and not detected:
-            raise ValidationError("binary flag set but entries are not all 0 or 1")
         arr.setflags(write=False)
         self._values = arr
-        self.is_binary = bool(is_binary)
+        self.is_binary = bool(np.all((arr == 0.0) | (arr == 1.0)))
 
     @property
     def values(self) -> np.ndarray:
@@ -66,21 +60,19 @@ class DataMatrix:
         return self._values.shape
 
     def transpose(self) -> "DataMatrix":
-        return DataMatrix(self._values.T.copy(), is_binary=self.is_binary)
+        return DataMatrix(self._values.T)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DataMatrix):
             return NotImplemented
-        return self.is_binary == other.is_binary and np.array_equal(
-            self._values, other._values
-        )
+        return np.array_equal(self._values, other._values)
 
     def __repr__(self) -> str:
         kind = "binary" if self.is_binary else "real"
         return f"DataMatrix({self.n_rows}x{self.n_cols}, {kind})"
 
 
-def load_matrix_csv(path, binary: bool | None = None) -> DataMatrix:
+def load_matrix_csv(path) -> DataMatrix:
     """Read a headerless numeric CSV file, one matrix row per line.
 
     One ``np.loadtxt`` call parses a well-formed file.  A file it rejects,
@@ -104,7 +96,7 @@ def load_matrix_csv(path, binary: bool | None = None) -> DataMatrix:
             pass
     if values is None or not np.isfinite(values).all():
         values = _parse_csv_lines(raw)
-    return DataMatrix(values, is_binary=binary)
+    return DataMatrix(values)
 
 
 def _parse_csv_lines(raw: bytes) -> list[list[float]]:
@@ -334,59 +326,6 @@ def _completions(s: int, k: int, top: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Bicluster:
-    """A block of a matrix induced by a row subset and a column subset.
-
-    Both index sets must be nonempty, strictly increasing and in bounds.
-    """
-
-    row_set: tuple[int, ...]
-    col_set: tuple[int, ...]
-    source: DataMatrix
-
-    def __post_init__(self):
-        _check_index_set(self.row_set, self.source.n_rows, "row")
-        _check_index_set(self.col_set, self.source.n_cols, "column")
-
-    @classmethod
-    def whole(cls, x: DataMatrix) -> "Bicluster":
-        return cls(tuple(range(x.n_rows)), tuple(range(x.n_cols)), x)
-
-    @property
-    def n(self) -> int:
-        return len(self.row_set)
-
-    @property
-    def m(self) -> int:
-        return len(self.col_set)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        block = self.source.values[np.ix_(self.row_set, self.col_set)]
-        block.setflags(write=False)
-        return block
-
-
-def _check_index_set(indices: tuple[int, ...], bound: int, axis: str) -> None:
-    if len(indices) == 0:
-        raise ValidationError(f"{axis} subset must be nonempty")
-    prev = -1
-    for i in indices:
-        if not isinstance(i, (int, np.integer)):
-            raise ValidationError(f"{axis} indices must be integers")
-        if i <= prev:
-            raise ValidationError(f"{axis} subset must be strictly increasing")
-        if i < 0 or i >= bound:
-            raise ValidationError(f"{axis} index {i} out of bounds [0, {bound})")
-        prev = i
-
-
-def submatrix(x: DataMatrix, rows: Sequence[int], cols: Sequence[int]) -> Bicluster:
-    """View of ``x`` restricted to the given sorted row/column subsets."""
-    return Bicluster(tuple(int(r) for r in rows), tuple(int(c) for c in cols), x)
-
-
-@dataclass(frozen=True, eq=False)
 class Biclustering:
     """A row partition crossed with a column partition, plus the cost of
     every induced block (indexed by row-cluster label and column-cluster
@@ -407,7 +346,3 @@ class Biclustering:
             raise ValidationError("per-bicluster costs must be finite and >= 0")
         grid.setflags(write=False)
         object.__setattr__(self, "per_bicluster_costs", grid)
-
-    @property
-    def total_cost(self) -> float:
-        return float(self.per_bicluster_costs.sum())

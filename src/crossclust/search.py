@@ -97,9 +97,10 @@ def exact_biclustering(
     than one cluster must be within its cap (``row_cap``, ``col_cap``,
     never above the hard cap of 14); an axis with one cluster has one
     partition and is exempt.  :func:`~crossclust.cost._exact_search`
-    walks every pair, rows outer and columns inner, scores it and applies
-    the tie rule.  The result holds the winning pair and the exact cost it
-    won on.
+    scores the pairs, rows outer and columns inner, skips those the
+    one-way lower bound rules out when the row partitions fill more than
+    one scoring batch, and applies the tie rule.  The result holds the
+    winning pair and the exact cost it won on.
     """
     for t, k, cap, axis in ((x.n_cols, k_c, col_cap, "column"), (x.n_rows, k_r, row_cap, "row")):
         if k < 1 or k > t:

@@ -20,35 +20,21 @@ SCHEME_ROW_ASSIGNMENT = (0, 0, 1, 1)
 OPTIMAL_ROW_ASSIGNMENT = (0, 1, 0, 1)
 
 
-@dataclass(frozen=True)
-class WorstCaseSpec:
-    """Parameter of the adversarial family; the matrix is 4 x (4q-1)."""
-
-    q: int
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValidationError(f"q must be >= 1, got {self.q}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (4, 4 * self.q - 1)
-
-
 def worst_case_matrix(q: int) -> DataMatrix:
     """Binary 4 x (4q-1) matrix over three column groups of widths
     q, q, 2q-1 with row patterns (0,1,0), (0,1,1), (1,0,0), (1,0,1)."""
-    spec = WorstCaseSpec(q)
+    if q < 1:
+        raise ValidationError(f"q must be >= 1, got {q}")
     patterns = ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1))
     widths = (q, q, 2 * q - 1)
-    arr = np.zeros(spec.shape)
+    arr = np.zeros((4, 4 * q - 1))
     for i, pattern in enumerate(patterns):
         offset = 0
         for bit, width in zip(pattern, widths):
             if bit:
                 arr[i, offset : offset + width] = 1.0
             offset += width
-    return DataMatrix(arr, is_binary=True)
+    return DataMatrix(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,28 +96,27 @@ def random_binary_matrix(n: int, m: int, ones_probability: float, seed: int) -> 
         raise ValidationError("matrix dimensions must be >= 1")
     if not 0.0 <= ones_probability <= 1.0:
         raise ValidationError(f"ones probability must be in [0, 1], got {ones_probability}")
-    return DataMatrix(uniforms([seed], [n * m]).reshape(n, m) < ones_probability, is_binary=True)
+    return DataMatrix(uniforms([seed], [n * m]).reshape(n, m) < ones_probability)
 
 
 def random_real_matrix(n: int, m: int, seed: int) -> DataMatrix:
     """I.i.d. uniform [0, 1) entries drawn row-major from one seeded stream."""
     if n < 1 or m < 1:
         raise ValidationError("matrix dimensions must be >= 1")
-    return DataMatrix(uniforms([seed], [n * m]).reshape(n, m), is_binary=False)
+    return DataMatrix(uniforms([seed], [n * m]).reshape(n, m))
 
 
-def planted_real_matrix(n: int, m: int, seed: int, noise: float = 0.1) -> DataMatrix:
+def planted_real_matrix(n: int, m: int, seed: int) -> DataMatrix:
     """Two row groups crossed with two column groups, each block a uniform
-    level plus additive uniform noise.  Pure uniform matrices make both
-    costs large and uninformative; planted structure gives the solvers
-    something real to find while the guarantees must still hold."""
+    level plus additive uniform noise in [-0.05, 0.05).  Pure uniform
+    matrices make both costs large and uninformative; planted structure
+    gives the solvers something real to find while the guarantees must
+    still hold."""
     if n < 1 or m < 1:
         raise ValidationError("matrix dimensions must be >= 1")
-    if noise < 0.0:
-        raise ValidationError("noise amplitude must be >= 0")
     u = uniforms([seed], [4 + n * m])
     levels = u[:4].reshape(2, 2)
     lower = (np.arange(n) >= (n + 1) // 2).astype(int)
     right = (np.arange(m) >= (m + 1) // 2).astype(int)
-    offsets = noise * (u[4:].reshape(n, m) - 0.5)
-    return DataMatrix(levels[lower[:, None], right] + offsets, is_binary=False)
+    offsets = 0.1 * (u[4:].reshape(n, m) - 0.5)
+    return DataMatrix(levels[lower[:, None], right] + offsets)

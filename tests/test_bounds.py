@@ -107,7 +107,7 @@ class TestPerBiclusterBound:
     def test_summing_over_grid_bounds_total_cost(self, rows, data):
         # adding the per-block inequality over a full grid bounds the
         # biclustering cost by (alpha/2) * (one-way costs sum)
-        x = DataMatrix(rows, is_binary=True)
+        x = DataMatrix(rows)
         row_part = Partition.from_labels(
             data.draw(st.lists(st.integers(0, 1), min_size=x.n_rows, max_size=x.n_rows))
         )

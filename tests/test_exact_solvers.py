@@ -200,7 +200,8 @@ class TestBatching:
             rows = (np.asarray(rows) > 0.05).astype(float).tolist()
         elif kind == "quarters":
             rows = (np.random.default_rng(3).integers(0, 5, size=(5, 4)) / 4).tolist()
-        x = DataMatrix(rows, is_binary=kind == "binary")
+        x = DataMatrix(rows)
+        assert x.is_binary == (kind == "binary")
         whole = exact_biclustering(x, 3, 2, norm)
         oneway = exact_kcluster(x, 3, norm)
         monkeypatch.setattr(cost, "BATCH_ENTRIES", 1)
@@ -396,22 +397,23 @@ class TestAgainstNaiveOracles:
 
 @st.composite
 def tie_heavy(draw, max_rows, max_cols):
-    """0/1 or quarter-grid matrices, the latter scored as real data: many
-    partitions tie, so ties fall across block boundaries."""
+    """0/1 matrices, or quarter-grid ones moved to [0.5, 1.5] and scored as
+    real data (unless every entry is 1): many partitions tie, so ties fall
+    across block boundaries."""
     n = draw(st.integers(2, max_rows))
     m = draw(st.integers(1, max_cols))
     binary = draw(st.booleans())
-    values = st.sampled_from([0.0, 1.0]) if binary else st.integers(0, 4).map(lambda v: v / 4)
-    return draw(_grid(n, m, values)), binary
+    quarters = st.integers(0, 4).map(lambda v: v / 4 + 0.5)
+    values = st.sampled_from([0.0, 1.0]) if binary else quarters
+    return draw(_grid(n, m, values))
 
 
 class TestTiesAcrossBlocks:
     @settings(max_examples=60, deadline=None)
     @given(tie_heavy(5, 4), st.integers(2, 3), st.integers(1, 3), NORMS)
-    def test_winners_match_the_naive_argmins_at_every_batch_size(self, case, k_r, k_c, norm):
-        rows, binary = case
+    def test_winners_match_the_naive_argmins_at_every_batch_size(self, rows, k_r, k_c, norm):
         k_r, k_c = min(k_r, len(rows)), min(k_c, len(rows[0]))
-        x = DataMatrix(rows, is_binary=binary)
+        x = DataMatrix(rows)
         labels, _ = exact_oneway_argmin_naive(rows, k_r, norm.value, TIE_RTOL)
         pair, _ = exact_biclustering_argmin_naive(rows, k_r, k_c, norm.value, TIE_RTOL)
         for entries in (cost.BATCH_ENTRIES, 1):

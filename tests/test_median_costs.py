@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from crossclust import (
     DataMatrix,
@@ -15,6 +15,7 @@ from crossclust import (
     exact_biclustering,
     exact_kcluster,
     oneway_row_cost,
+    random_binary_matrix,
     random_real_matrix,
 )
 from crossclust import cost
@@ -35,8 +36,10 @@ def _labels(parts):
 
 
 def _real(values) -> DataMatrix:
-    """A matrix on the L1-on-real-data path even if its entries are 0/1."""
-    return DataMatrix(values, is_binary=False)
+    """A matrix on the L1-on-real-data path: its entries are not all 0 or 1."""
+    x = DataMatrix(values)
+    assert not x.is_binary
+    return x
 
 
 def _uniform(n, m, seed):
@@ -168,14 +171,15 @@ class TestSolvers:
 
 @st.composite
 def real_matrices(draw, max_rows, max_cols):
-    """Small real matrices: uniform, on a quarter grid (exact ties), with a
-    constant column or with a duplicated row."""
+    """Small real matrices: uniform, on a quarter grid moved to [0.5, 1.5]
+    (exact ties, and 0/1 draws off {0, 1}), with a constant column or with
+    a duplicated row."""
     n = draw(st.integers(2, max_rows))
     m = draw(st.integers(1, max_cols))
     kind = draw(st.sampled_from(["uniform", "quarters", "const_col", "dup_row"]))
     if kind == "uniform":
         return _uniform(n, m, draw(st.integers(0, 2**32))).tolist()
-    quarter = st.integers(0, 4).map(lambda v: v / 4)
+    quarter = st.integers(0, 4).map(lambda v: v / 4 + 0.5)
     rows = draw(st.lists(st.lists(quarter, min_size=m, max_size=m), min_size=n, max_size=n))
     if kind == "const_col":
         j = draw(st.integers(0, m - 1))
@@ -183,6 +187,7 @@ def real_matrices(draw, max_rows, max_cols):
             row[j] = rows[0][j]
     elif kind == "dup_row":
         rows[draw(st.integers(1, n - 1))] = list(rows[0])
+    assume(not DataMatrix(rows).is_binary)  # all ones
     return rows
 
 
@@ -206,3 +211,26 @@ class TestAgainstNaiveOracles:
         )
         assert (opt.rows.assignment, opt.cols.assignment) == (labels_r, labels_c)
         assert opt.cost == pytest.approx(float(best), rel=1e-9, abs=1e-9)
+
+
+class TestBinaryDataMovedOffZeroOne:
+    """0/1 data is scored exactly from sums (``err`` 0); moved to 0.5/1.5 it
+    is real data, scored from the median lanes.  Every L1 cost is the same
+    on both, so the winners must be too, and the costs bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, m, k_r, k_c", [(5, 4, 2, 2), (6, 5, 3, 2), (7, 3, 3, 1), (4, 6, 1, 3), (8, 8, 3, 3)]
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_partitions_and_costs(self, n, m, k_r, k_c, seed):
+        x = random_binary_matrix(n, m, 0.5, seed)
+        moved = _real(x.values + 0.5)
+        assert x.is_binary
+        assert BatchCosts(x, Norm.L1, k_r, k_c).err == 0.0
+        assert BatchCosts(moved, Norm.L1, k_r, k_c).err > 0.0
+        sol, sol_moved = (exact_kcluster(y, k_r, Norm.L1) for y in (x, moved))
+        assert sol.partition == sol_moved.partition
+        assert sol.cost.hex() == sol_moved.cost.hex()
+        opt, opt_moved = (exact_biclustering(y, k_r, k_c, Norm.L1) for y in (x, moved))
+        assert (opt.rows, opt.cols) == (opt_moved.rows, opt_moved.cols)
+        assert opt.cost.hex() == opt_moved.cost.hex()

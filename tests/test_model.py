@@ -7,15 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossclust import (
-    Bicluster,
     CapExceededError,
     DataMatrix,
     Partition,
     ValidationError,
     enumerate_partitions,
     load_matrix_csv,
-    submatrix,
-    worst_case_matrix,
 )
 from crossclust.model import canonical_labels
 
@@ -33,13 +30,26 @@ class TestDataMatrix:
         assert DataMatrix([[0, 1], [1, 0]]).is_binary
         assert not DataMatrix([[0.5, 1.0]]).is_binary
 
-    def test_binary_override_down(self):
-        x = DataMatrix([[0, 1], [1, 0]], is_binary=False)
-        assert not x.is_binary
-
-    def test_binary_override_up_rejected(self):
-        with pytest.raises(ValidationError):
-            DataMatrix([[0.5, 1.0]], is_binary=True)
+    @pytest.mark.parametrize(
+        "values, binary",
+        [
+            ([[-0.0, 1.0], [0.0, 1.0]], True),
+            ([[0.0]], True),
+            ([[1.0]], True),
+            ([[0.5]], False),
+            (np.zeros((3, 4)), True),
+            (np.ones((2, 5)), True),
+            ([[0.0, 1.0, 2.0]], False),
+            ([[0.0, 1.0 + 2.0**-52]], False),
+            ([[-1.0, 0.0]], False),
+            ([[5e-324, 1.0]], False),
+        ],
+    )
+    def test_binary_exactly_when_every_entry_is_0_or_1(self, values, binary):
+        x = DataMatrix(values)
+        assert x.is_binary is binary
+        assert x.transpose().is_binary is binary
+        assert x.transpose().transpose() == x
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
@@ -144,11 +154,6 @@ class TestCsvLoader:
         path.write_text("")
         with pytest.raises(ValidationError):
             load_matrix_csv(path)
-
-    def test_binary_override(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("0,1\n1,0\n")
-        assert not load_matrix_csv(path, binary=False).is_binary
 
     # Each file gives the matrix, or the error text, of the line-by-line
     # reader that predates the one-call parse.
@@ -311,42 +316,8 @@ class TestBiclustering:
         rows = Partition((0, 0, 1), 2)
         cols = Partition((0, 1), 2)
         good = Biclustering(rows, cols, np.zeros((2, 2)))
-        assert good.total_cost == 0.0
+        assert not good.per_bicluster_costs.any()
         with pytest.raises(ValidationError):
             Biclustering(rows, cols, np.zeros((2, 3)))
         with pytest.raises(ValidationError):
             Biclustering(rows, cols, np.full((2, 2), -1.0))
-
-
-class TestBicluster:
-    def test_identity_view(self):
-        x = DataMatrix([[1, 2], [3, 4]])
-        y = submatrix(x, [0, 1], [0, 1])
-        assert np.array_equal(y.values, x.values)
-
-    def test_single_entry(self):
-        x = DataMatrix([[1, 2], [3, 4]])
-        y = submatrix(x, [1], [0])
-        assert y.values.tolist() == [[3.0]]
-        assert (y.n, y.m) == (1, 1)
-
-    def test_worst_case_column_slice(self):
-        # rows 1 and 3 of the q=1 family start with entries 0 and 1
-        y = submatrix(worst_case_matrix(1), [1, 3], [0])
-        assert y.values.ravel().tolist() == [0.0, 1.0]
-
-    def test_whole(self):
-        x = DataMatrix([[1, 2], [3, 4]])
-        y = Bicluster.whole(x)
-        assert (y.n, y.m) == (2, 2)
-
-    def test_rejects_bad_subsets(self):
-        x = DataMatrix([[1, 2], [3, 4]])
-        with pytest.raises(ValidationError):
-            submatrix(x, [], [0])
-        with pytest.raises(ValidationError):
-            submatrix(x, [1, 0], [0])
-        with pytest.raises(ValidationError):
-            submatrix(x, [0, 0], [0])
-        with pytest.raises(ValidationError):
-            submatrix(x, [0, 2], [0])

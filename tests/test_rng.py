@@ -56,9 +56,9 @@ def test_generators_follow_the_scalar_stream(seed, n, m):
     rng = SplitMix64(seed)
     levels = [[rng.random() for _ in range(2)] for _ in range(2)]
     want = [
-        [levels[i >= (n + 1) // 2][j >= (m + 1) // 2] + 0.25 * (rng.random() - 0.5)
+        [levels[i >= (n + 1) // 2][j >= (m + 1) // 2] + 0.1 * (rng.random() - 0.5)
          for j in range(m)]
         for i in range(n)
     ]
-    got = planted_real_matrix(n, m, seed, noise=0.25).values
+    got = planted_real_matrix(n, m, seed).values
     assert np.array_equal(bits(got), bits(want))

@@ -104,7 +104,7 @@ class TestExactBiclustering:
         # every 0/1 matrix on 3x3, two clusters per axis
         for bits in range(2**9):
             rows = [[float((bits >> (3 * i + j)) & 1) for j in range(3)] for i in range(3)]
-            x = DataMatrix(rows, is_binary=True)
+            x = DataMatrix(rows)
             opt = exact_biclustering(x, 2, 2, Norm.L1)
             naive = exact_biclustering_naive(rows, 2, 2, "l1")
             assert opt.cost == naive
@@ -156,7 +156,7 @@ class TestExactBiclustering:
 
 class TestRatio:
     def test_constant_matrix_convention(self):
-        x = DataMatrix(np.zeros((3, 3)), is_binary=True)
+        x = DataMatrix(np.zeros((3, 3)))
         rep = ratio(x, 2, 2, Norm.L1)
         assert rep.ratio == 1.0
         assert rep.l == 0.0 and rep.l_star == 0.0

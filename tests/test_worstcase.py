@@ -6,13 +6,13 @@ import pytest
 from crossclust import (
     SplitMix64,
     ValidationError,
-    WorstCaseSpec,
     planted_real_matrix,
     random_binary_matrix,
     random_real_matrix,
     worst_case_matrix,
     worst_case_report,
 )
+from crossclust.rng import uniforms
 
 
 class TestSplitMix64:
@@ -55,10 +55,11 @@ class TestWorstCaseFamily:
         assert int(x.values.sum()) == 8 * q - 2
         assert [int(s) for s in x.values.sum(axis=1)] == [q, 3 * q - 1, q, 3 * q - 1]
 
-    def test_spec_shape(self):
-        assert WorstCaseSpec(3).shape == (4, 11)
-        with pytest.raises(ValidationError):
-            WorstCaseSpec(0)
+    def test_shape_and_invalid_q(self):
+        assert worst_case_matrix(3).shape == (4, 11)
+        assert worst_case_matrix(3).is_binary
+        with pytest.raises(ValidationError, match=r"^q must be >= 1, got 0$"):
+            worst_case_matrix(0)
 
     @pytest.mark.parametrize("q", [1, 2, 3, 10])
     def test_report_passes(self, q):
@@ -112,18 +113,16 @@ class TestRandomGenerators:
         assert x.shape == (1, 1)
 
     def test_planted_structure(self):
-        x = planted_real_matrix(6, 6, seed=7, noise=0.0)
-        # with zero noise each quadrant is constant
-        top_left = x.values[:3, :3]
-        assert np.all(top_left == top_left[0, 0])
-        bottom_right = x.values[3:, 3:]
-        assert np.all(bottom_right == bottom_right[0, 0])
+        x = planted_real_matrix(6, 6, seed=7)
+        assert not x.is_binary
+        # each quadrant is within 0.05 of its level, the stream's first four draws
+        levels = uniforms([7], [4]).reshape(2, 2)
+        for i in range(2):
+            for j in range(2):
+                quadrant = x.values[3 * i : 3 * i + 3, 3 * j : 3 * j + 3]
+                assert np.abs(quadrant - levels[i, j]).max() <= 0.05
 
     def test_planted_determinism(self):
         a = planted_real_matrix(5, 4, seed=3)
         b = planted_real_matrix(5, 4, seed=3)
         assert np.array_equal(a.values, b.values)
-
-    def test_planted_invalid_noise(self):
-        with pytest.raises(ValidationError):
-            planted_real_matrix(2, 2, seed=1, noise=-0.5)

@@ -16,10 +16,11 @@ and, under both norms, a literal small-integer matrix full of ties and a
 literal one whose columns are shifted by different powers of ten;
 ``exact`` and ``ratio`` under real L1 at 7x7, k=2,2 and k=3,3, on a
 literal matrix of repeated quarters with a -0.0 entry and one column
-shifted by 1e7; plus
+shifted by 1e7; ``run`` and ``ratio`` under L1 on a 0/1 CSV written with
+``-0``, ``0.0`` and ``1.0`` fields, which must be detected binary; plus
 ``sweep`` and ``verify-bounds`` as CSV, ``verify-bounds`` at odd counts
-and at the extreme seeds, ``sweep`` under each generator, and ``--help``
-and usage errors.  Its overflow ops run ``run`` (both
+and at the extreme seeds, ``sweep`` under each generator and at 1x1, and
+``--help`` and usage errors.  Its overflow ops run ``run`` (both
 modes), ``exact`` and ``ratio`` under both norms on inputs whose costs
 may overflow: two literal matrices with entries near 1e308 and 1e200,
 and a real matrix shifted by 1e300; and ``exact`` at 8x8, k=3,3, under
@@ -94,12 +95,21 @@ MEDIANS_7X7 = {
 }
 
 
+#: A literal 0/1 input as text, its zeros written ``-0`` and ``0.0`` and its
+#: ones ``1.0``: the loader must read it as binary, so L1 costs print as
+#: integers and the 1 + sqrt(2) certificate applies.
+ZERO_ONE_TEXT = {
+    "zero_one_text.csv": "-0,1.0,0.0,1.0\n1.0,-0,1.0,0.0\n0.0,0.0,-0,1.0\n"
+    "1.0,1.0,0.0,-0\n-0,1.0,1.0,0.0\n",
+}
+
+
 def _edge_ops() -> list[dict]:
     """``exact``, ``ratio`` and ``run --mode exact`` on every input class,
     one-cluster axes included, then the other commands and the overflow
     ops.  ``inputs`` are ``[generator, rows, cols, seed, shift]`` as in
     ``bench/spec``; ``literals`` name files of :data:`OVERFLOW_MATRICES`,
-    :data:`MATRICES_8X8` and :data:`MEDIANS_7X7`."""
+    :data:`MATRICES_8X8`, :data:`MEDIANS_7X7` and :data:`ZERO_ONE_TEXT`."""
     classes = (("binary", "l1", 0), ("real", "l1", 0), ("real", "l2", 0), ("real", "l2", SHIFT))
     shapes = (
         (5, 6, ((1, 3), (3, 1), (1, 1), (2, 2))),
@@ -150,6 +160,13 @@ def _edge_ops() -> list[dict]:
                 "inputs": {},
                 "literals": {"x": "medians_7x7.csv"},
             })
+    for cmd in ("run", "ratio"):
+        ops.append({
+            "key": f"edge/{cmd}/zero_one_text_l1",
+            "argv": [cmd, "--input", "{x}", "--norm", "l1"],
+            "inputs": {},
+            "literals": {"x": "zero_one_text.csv"},
+        })
     csv = ["--count", "3", "--format", "csv"]
     for extra in (["sweep", "--norm", "l1"], ["sweep", "--norm", "l2"],
                   ["sweep", "--norm", "l2", "--planted"], ["verify-bounds", "--resolution", "20"]):
@@ -158,6 +175,8 @@ def _edge_ops() -> list[dict]:
     other += [["verify-bounds", "--seed", s] for s in ("-1", "18446744073709551615")]
     other += [["sweep", "--count", "5"] + g for g in (["--norm", "l1"], ["--norm", "l2"],
                                                       ["--norm", "l2", "--planted"])]
+    other += [["sweep", "--rows", "1", "--cols", "1", "--norm", "l2"] + k
+              for k in ([], ["--kr", "1", "--kc", "1"])]
     other += [["--help"], ["verify-bounds", "--help"], ["ratio"], ["sweep", "--count", "x"]]
     for argv in other:
         ops.append({"key": "edge/" + "_".join(argv), "argv": argv, "inputs": {}})
@@ -205,6 +224,8 @@ def _child(src: Path, out: Path, pools: list[str]) -> None:
     for name, rows in {**OVERFLOW_MATRICES, **MATRICES_8X8, **MEDIANS_7X7}.items():
         # repr round-trips every float exactly, as in bench/common.write_inputs
         text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+        (workdir / name).write_text(text, encoding="utf-8")
+    for name, text in ZERO_ONE_TEXT.items():
         (workdir / name).write_text(text, encoding="utf-8")
     results = {}
     for name in pools:
