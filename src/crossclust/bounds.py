@@ -23,7 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cost import (
+    BATCH_ENTRIES,
     Norm,
+    _binary_l1,
     _values_of,
     columnwise_cost,
     pooled_cost,
@@ -259,7 +261,16 @@ def _find_swaps(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _spread(arr: np.ndarray):
-    return columnwise_cost(arr, Norm.L1) + rowwise_cost(arr, Norm.L1)
+    """Combined L1 spread, ``columnwise_cost + rowwise_cost``, of a 0/1
+    block, or of each block of a (B, n, m) stack.
+
+    Counted, not sorted: each column's cost is min(ones, n - ones) and each
+    row's min(ones, m - ones) (:func:`~crossclust.cost._binary_l1`).  The
+    one-counts are sums of 0s and 1s, exact in floating point, and so is
+    every sum of these integers, so the result equals the direct costs."""
+    n, m = arr.shape[-2:]
+    return (_binary_l1(arr.sum(axis=-2), n).sum(axis=-1)
+            + _binary_l1(arr.sum(axis=-1), m).sum(axis=-1))
 
 
 def swap_normalize(y) -> tuple[np.ndarray, tuple[SwapStep, ...]]:
@@ -470,82 +481,37 @@ def grid_search_alpha(resolution: int) -> GridSearchResult:
     variables sits at an interval endpoint.  Only those endpoints are
     evaluated; every skipped lattice point is dominated by an evaluated
     one, so the returned lattice maximum is the exact lattice maximum.
+
+    The lattice is evaluated in tiles of whole rows of x, at most
+    ``BATCH_ENTRIES`` points each (one row when a row is longer), so
+    memory stays flat however fine the resolution.  Every point gets the
+    float operations a whole-lattice evaluation gives it
+    (:func:`_lattice_cases`), and each case keeps its first row-major
+    maximum across tiles, so the result does not depend on the tiling.
     """
     if resolution < 2:
         raise ValidationError("resolution must be >= 2")
     res = resolution
     g = np.arange(res + 1) / res
-    X, Y = np.meshgrid(g, g, indexing="ij")
-    eps = 1e-9
+    one_minus_g = 1.0 - g
+    step = max(1, BATCH_ENTRIES // (res + 1))
+    # per case, in the order of _lattice_cases: the best value and its flat index
+    case_best = [(-np.inf, 0)] * 4
+    for i in range(0, res + 1, step):
+        rows = slice(i, i + step)
+        objs = _lattice_cases(g[rows, None], one_minus_g[rows, None], g, one_minus_g, res)[0]
+        for case, obj in enumerate(objs):
+            j = int(np.argmax(obj))
+            if obj.flat[j] > case_best[case][0]:
+                case_best[case] = (float(obj.flat[j]), i * (res + 1) + j)
+
     best_lattice: AlphaPoint | None = None
-
-    def consider(obj: np.ndarray, builder) -> None:
-        nonlocal best_lattice
-        idx = np.unravel_index(int(np.argmax(obj)), obj.shape)
-        val = float(obj[idx])
+    for case, (val, flat) in enumerate(case_best):
         if not np.isfinite(val):
-            return
+            continue
         if best_lattice is None or val > best_lattice.objective:
-            best_lattice = builder(idx)
-
-    a_full = X * Y
-    b_full = X * (1.0 - Y)
-    c_full = (1.0 - X) * Y
-
-    # Case i: a, b, c pinned to their quadrant capacities, d free.  The
-    # objective is monotone in d, so check both endpoints of the d range.
-    s0 = a_full + b_full + c_full
-    d_room = np.minimum((1.0 - X) * (1.0 - Y), 0.5 - s0)
-    feasible = d_room >= -1e-15
-    d_top = np.floor(np.maximum(d_room, 0.0) * res + eps) / res
-    den0 = X + Y - 2.0 * a_full
-    for d_grid in (np.zeros_like(d_top), d_top):
-        den = den0 + 2.0 * d_grid
-        ok = feasible & (den > DENOM_GUARD)
-        obj = np.where(ok, 2.0 * (s0 + d_grid) / np.where(ok, den, 1.0), -np.inf)
-
-        def build_i(idx, d_grid=d_grid):
-            return make_alpha_point(
-                float(X[idx]), float(Y[idx]), float(a_full[idx]),
-                float(b_full[idx]), float(c_full[idx]), float(d_grid[idx]), "i",
-            )
-
-        consider(obj, build_i)
-
-    # Case ii: a pinned to x*y, d = 0, b and c free on the lattice.  The
-    # denominator involves neither, so the maximum is at the largest
-    # feasible lattice value of b + c.
-    nb = np.floor(b_full * res + eps)
-    nc = np.floor(c_full * res + eps)
-    cap = np.floor((0.5 - a_full) * res + eps)
-    s_units = np.minimum(nb + nc, cap)
-    den = X + Y - 2.0 * a_full
-    ok = (cap >= 0) & (den > DENOM_GUARD)
-    obj = np.where(ok, 2.0 * (a_full + s_units / res) / np.where(ok, den, 1.0), -np.inf)
-
-    def build_ii(idx):
-        b_units = min(float(nb[idx]), float(s_units[idx]))
-        c_units = float(s_units[idx]) - b_units
-        return make_alpha_point(
-            float(X[idx]), float(Y[idx]), float(a_full[idx]),
-            b_units / res, c_units / res, 0.0, "ii",
-        )
-
-    consider(obj, build_ii)
-
-    # Case iii: b = c = d = 0, a free; monotone in a, so only the top
-    # lattice value below min(x*y, 1/2) matters.
-    a_top = np.floor(np.minimum(a_full, 0.5) * res + eps) / res
-    den = X + Y - 2.0 * a_top
-    ok = den > DENOM_GUARD
-    obj = np.where(ok, 2.0 * a_top / np.where(ok, den, 1.0), -np.inf)
-
-    def build_iii(idx):
-        return make_alpha_point(
-            float(X[idx]), float(Y[idx]), float(a_top[idx]), 0.0, 0.0, 0.0, "iii"
-        )
-
-    consider(obj, build_iii)
+            i, j = divmod(flat, res + 1)
+            best_lattice = _lattice_point(case, g[i], one_minus_g[i], g[j], one_minus_g[j], res)
 
     assert best_lattice is not None and best_lattice.objective is not None
     best = best_lattice
@@ -554,3 +520,60 @@ def grid_search_alpha(resolution: int) -> GridSearchResult:
         if candidate.objective > best.objective:
             best = candidate
     return GridSearchResult(best=best, lattice_best=best_lattice, resolution=res)
+
+
+def _lattice_cases(x, one_minus_x, y, one_minus_y, res: int):
+    """The ratio objective at lattice points (x, y), broadcast against each
+    other, per case, in the order i at d = 0, i at its top lattice d, ii,
+    iii (-inf where the case is infeasible or the denominator vanishes),
+    and the per-point values that :func:`_lattice_point` reads."""
+    eps = 1e-9
+    a_full = x * y
+    b_full = x * one_minus_y
+    c_full = one_minus_x * y
+
+    # Case i: a, b, c pinned to their quadrant capacities, d free.  The
+    # objective is monotone in d, so check both endpoints of the d range.
+    s0 = a_full + b_full + c_full
+    d_room = np.minimum(one_minus_x * one_minus_y, 0.5 - s0)
+    feasible = d_room >= -1e-15
+    d_top = np.floor(np.maximum(d_room, 0.0) * res + eps) / res
+    den0 = x + y - 2.0 * a_full
+    objs = []
+    for d_grid in (0.0, d_top):
+        den = den0 + 2.0 * d_grid
+        ok = feasible & (den > DENOM_GUARD)
+        objs.append(np.where(ok, 2.0 * (s0 + d_grid) / np.where(ok, den, 1.0), -np.inf))
+
+    # Case ii: a pinned to x*y, d = 0, b and c free on the lattice.  The
+    # denominator involves neither, so the maximum is at the largest
+    # feasible lattice value of b + c.
+    nb = np.floor(b_full * res + eps)
+    nc = np.floor(c_full * res + eps)
+    cap = np.floor((0.5 - a_full) * res + eps)
+    s_units = np.minimum(nb + nc, cap)
+    ok = (cap >= 0) & (den0 > DENOM_GUARD)
+    objs.append(np.where(ok, 2.0 * (a_full + s_units / res) / np.where(ok, den0, 1.0), -np.inf))
+
+    # Case iii: b = c = d = 0, a free; monotone in a, so only the top
+    # lattice value below min(x*y, 1/2) matters.
+    a_top = np.floor(np.minimum(a_full, 0.5) * res + eps) / res
+    den = x + y - 2.0 * a_top
+    ok = den > DENOM_GUARD
+    objs.append(np.where(ok, 2.0 * a_top / np.where(ok, den, 1.0), -np.inf))
+    return objs, (a_full, b_full, c_full, d_top, nb, s_units, a_top)
+
+
+def _lattice_point(case: int, x, one_minus_x, y, one_minus_y, res: int) -> AlphaPoint:
+    """The point that case ``case`` of :func:`_lattice_cases` evaluates at
+    the lattice point (x, y), from the same operations."""
+    a_full, b_full, c_full, d_top, nb, s_units, a_top = map(
+        float, _lattice_cases(x, one_minus_x, y, one_minus_y, res)[1]
+    )
+    x, y = float(x), float(y)
+    if case < 2:
+        return make_alpha_point(x, y, a_full, b_full, c_full, d_top if case else 0.0, "i")
+    if case == 2:
+        b_units = min(nb, s_units)
+        return make_alpha_point(x, y, a_full, b_units / res, (s_units - b_units) / res, 0.0, "ii")
+    return make_alpha_point(x, y, a_top, 0.0, 0.0, 0.0, "iii")

@@ -270,7 +270,8 @@ class BatchCosts:
       biclustering cost), so large offsets cannot cancel (Chan, Golub &
       LeVeque, 1983).
     * Under L1 on 0/1 data a block costs min(S1, size - S1), the smaller
-      of its ones and its zeros, from the same products.
+      of its ones and its zeros (:func:`_binary_l1`), from the same
+      products.
     * Under L1 on real data a block's cost needs its median, which no sum
       gives.  Per (row-group size, column-group size) bucket, the entries
       of every block are copied into the last axis of one array, where
@@ -362,7 +363,8 @@ class BatchCosts:
         """Row partitions per call, crossed with the column partitions
         ``cols``, that keep every scoring temporary within ``BATCH_ENTRIES``
         entries."""
-        return max(1, BATCH_ENTRIES // max(self._width, self._cols[:, cols].size))
+        n_cols = len(range(self._cols.shape[1])[cols]) if isinstance(cols, slice) else len(cols)
+        return max(1, BATCH_ENTRIES // max(self._width, len(self._cols) * n_cols))
 
     def __call__(self, rows: np.ndarray, cols=slice(None)) -> np.ndarray:
         """Costs of every row partition of the (R, n) label block ``rows``,
@@ -374,7 +376,7 @@ class BatchCosts:
         per_col_group = self._table[keys[0]]  # (R, column groups)
         for keys_r in keys[1:]:
             per_col_group += self._table[keys_r]
-        crossed = self._cols[:, cols]
+        crossed = self._cols[:, cols] if isinstance(cols, slice) else self._cols.take(cols, axis=1)
         costs = per_col_group.take(crossed[0], axis=1)
         for keys_c in crossed[1:]:
             costs += per_col_group.take(keys_c, axis=1)
@@ -455,9 +457,16 @@ def _sum_table(
         s1, s2, size = rows @ v, rows @ sq, rows.sum(axis=1, keepdims=True)
         if pooled:
             s1, s2, size = s1 @ cols, s2 @ cols, size * cols.sum(axis=0)
-        spread = s2 - s1 * s1 / np.maximum(size, 1.0) if l2 else np.minimum(s1, size - s1)
+        spread = s2 - s1 * s1 / np.maximum(size, 1.0) if l2 else _binary_l1(s1, size)
         table[i : i + step] = spread if pooled else spread @ cols
     return table
+
+
+def _binary_l1(ones, size):
+    """L1 cost of a 0/1 multiset of ``size`` entries, ``ones`` of them
+    ones: min(ones, size - ones).  Its lower median is its majority value
+    (0 on a tie), so the cost counts the entries of the other value."""
+    return np.minimum(ones, size - ones)
 
 
 def _median_table(

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crossclust import (
     BINARY_L1_RATIO_BOUND,
@@ -33,7 +33,7 @@ from crossclust import (
     terminal_structure,
     worst_case_matrix,
 )
-from crossclust.bounds import PASS_TOL
+from crossclust.bounds import PASS_TOL, _spread
 
 SQRT2 = math.sqrt(2.0)
 
@@ -396,6 +396,16 @@ class TestStacks:
             assert np.array_equal(terminals[i], terminal)
             assert steps[i] == len(trace)
             assert labels[i] == terminal_structure(terminal) == terminal_structure(terminals[i])
+
+    @given(block_stack(st.sampled_from([0.0, 1.0])))
+    @example(np.array([[[1.0, 0.0, 1.0, 1.0]], [[0.0, 0.0, 0.0, 1.0]]]))  # 1 x m
+    @example(np.array([[[1.0], [1.0], [0.0]]]))  # n x 1
+    @settings(max_examples=100, deadline=None)
+    def test_spread_by_counting_equals_the_direct_costs(self, stack):
+        direct = columnwise_cost(stack, Norm.L1) + rowwise_cost(stack, Norm.L1)
+        assert np.array_equal(_spread(stack), direct)
+        for block, expected in zip(stack, direct):
+            assert _spread(block) == expected
 
     def test_stack_rejections_match_single_blocks(self):
         stack = np.zeros((3, 2, 2))

@@ -121,6 +121,30 @@ class TestBatchCosts:
         oneway = BatchCosts(x, norm, 1)
         assert abs(oneway(_labels([whole]))[0] - columnwise_cost(x, norm)) <= oneway.err
 
+    @pytest.mark.parametrize("k_c", [None, 1, 2, 3])
+    @pytest.mark.parametrize("entries", [1, 97, cost.BATCH_ENTRIES])
+    def test_batch_size_counts_the_crossed_column_partitions(self, k_c, entries, monkeypatch):
+        # k_c keys per column partition, counted without gathering them
+        monkeypatch.setattr(cost, "BATCH_ENTRIES", entries)
+        kernel = BatchCosts(random_real_matrix(5, 6, seed=3), Norm.L2, 3, k_c)
+        p = kernel._cols.shape[1]
+        for cols in (slice(None), slice(2, None), slice(None, None, 3), slice(-2, None),
+                     slice(p, None), np.arange(p), np.arange(p)[::2], np.array([p - 1]),
+                     np.array([], dtype=np.intp), [0, p - 1]):
+            expected = max(1, cost.BATCH_ENTRIES // max(kernel._width, kernel._cols[:, cols].size))
+            assert kernel.batch_size(cols) == expected, cols
+
+    @pytest.mark.parametrize("k_c", [1, 3])
+    def test_indexed_columns_score_as_the_full_cross(self, k_c):
+        x = random_real_matrix(4, 5, seed=4)
+        rows = _labels(enumerate_partitions(4, 2))
+        kernel = BatchCosts(x, Norm.L2, 2, k_c)
+        full = kernel(rows).reshape(len(rows), -1)
+        p = full.shape[1]
+        for cols in (np.arange(p)[::-2], [0], [p - 1, 0]):
+            assert np.array_equal(kernel(rows, cols), full[:, cols].ravel())
+        assert np.array_equal(kernel(rows, slice(1, None)), full[:, 1:].ravel())
+
     def test_constant_l2_matrix_scores_within_error_of_zero(self):
         # three 0.1s do not average to 0.1, so the centered data is not 0
         x = DataMatrix(np.full((3, 4), 0.1))

@@ -18,8 +18,9 @@ literal one whose columns are shifted by different powers of ten;
 literal matrix of repeated quarters with a -0.0 entry and one column
 shifted by 1e7; ``run`` and ``ratio`` under L1 on a 0/1 CSV written with
 ``-0``, ``0.0`` and ``1.0`` fields, which must be detected binary; plus
-``sweep`` and ``verify-bounds`` as CSV, ``verify-bounds`` at odd counts
-and at the extreme seeds, ``sweep`` under each generator and at 1x1, and
+``sweep`` and ``verify-bounds`` as CSV, ``verify-bounds`` at odd counts,
+at the extreme seeds and at lattice resolutions from 2 to 1001, ``sweep``
+under each generator and at 1x1, and
 ``--help`` and usage errors.  Its overflow ops run ``run`` (both
 modes), ``exact`` and ``ratio`` under both norms on inputs whose costs
 may overflow: two literal matrices with entries near 1e308 and 1e200,
@@ -173,6 +174,9 @@ def _edge_ops() -> list[dict]:
         ops.append({"key": "edge/csv/" + "_".join(extra), "argv": extra + csv, "inputs": {}})
     other = [["verify-bounds", "--count", c] for c in ("1", "7", "333")]
     other += [["verify-bounds", "--seed", s] for s in ("-1", "18446744073709551615")]
+    # lattices of one row tile (2, 81) and of many (401, 1001)
+    other += [["verify-bounds", "--count", "20", "--resolution", r]
+              for r in ("2", "81", "401", "1001")]
     other += [["sweep", "--count", "5"] + g for g in (["--norm", "l1"], ["--norm", "l2"],
                                                       ["--norm", "l2", "--planted"])]
     other += [["sweep", "--rows", "1", "--cols", "1", "--norm", "l2"] + k
