@@ -94,10 +94,12 @@ def lloyd_kcluster(
     are distances under the active norm), then alternates nearest-center
     assignment and center recomputation (coordinate-wise lower median for
     L1, mean for L2) until assignments stabilize or 200 iterations pass.
-    The assignment step recomputes only the points whose nearest center
-    is not proven unchanged by Hamerly's bounds (see :func:`_skip_margin`),
-    so the iterates are those of plain Lloyd.  Deterministic for a fixed
-    seed; restart r uses stream seed + r.
+    The assignment step keeps one lower bound per (point, center) pair
+    (Elkan, ICML 2003) and computes only the distances those bounds and
+    the centers' spacing cannot rule out, with the rounding margin of
+    :func:`_skip_margin`, so the iterates, iteration counts and errors
+    are those of plain Lloyd.  Deterministic for a fixed seed; restart r
+    uses stream seed + r.
     """
     n = x.n_rows
     if k < 1 or k > n:
@@ -153,17 +155,6 @@ def _seed_centers(points: np.ndarray, k: int, norm: Norm, rng: SplitMix64) -> np
     return points[np.asarray(chosen)].copy()
 
 
-def _centers_from_assignment(
-    points: np.ndarray, assignment: np.ndarray, k: int, old: np.ndarray, norm: Norm
-) -> np.ndarray:
-    centers = old.copy()
-    for c in range(k):
-        members = points[assignment == c]
-        if members.shape[0]:  # else keep the stale center; repair may repopulate later
-            centers[c] = _center(members, norm)
-    return centers
-
-
 def _skip_margin(points: np.ndarray, norm: Norm) -> float:
     """Slack of the bounded assignment's skip test, in distance units.
 
@@ -184,21 +175,29 @@ def _skip_margin(points: np.ndarray, norm: Norm) -> float:
       box's diameter, bounds every distance, so each computed distance
       errs by at most gX in absolute terms, however far the data sits
       from the origin and however close two of its points are.
-    * A lower bound is set from computed distances (error gX) and then
-      lowered at most T times by a computed largest shift (error gX),
-      each subtraction rounding by at most eps(T + 1)2X, the largest
-      magnitude a bound reaches.  So it errs by at most
-      E = (T + 1)gX + 2T(T + 1)eps X.
-    * A skip with u + M < max(l, s) then proves that the computed
-      distance to every other center exceeds the computed distance to
-      the point's own center: it takes M >= E + 3gX against l, and
-      M >= 2.5gX against s (half the computed distance to the nearest
-      other center, itself within gX), plus 3 eps X for the rounding of
-      u + M.
+    * Each (point, center) pair keeps its own lower bound l.  It is set
+      from that pair's computed distance (error gX) and then lowered at
+      most T times by that center's computed shift (error gX), each
+      subtraction rounding by at most eps(T + 1)2X, the largest magnitude
+      a bound reaches.  So every bound errs by at most
+      E = (T + 1)gX + 2T(T + 1)eps X, as a bound shared by all the other
+      centers would.
+    * The point's own distance u is the one computed when its center was
+      last set, and the assignment step reuses that very value.  A skip
+      of center c with u + M < max(l, s) then proves that the computed
+      distance to c exceeds u, so ``argmin`` cannot pick c:
+      - against l, the computed distance is at least l - E - gX, which
+        takes M >= E + gX;
+      - against s, half the computed distance between the own center and
+        c (within gX of the true one), the triangle inequality puts the
+        computed distance at or above 2s - u - 3gX, which takes
+        M >= 1.5gX;
+      plus 3 eps X for the rounding of u + M.
 
-    Together M >= 2 eps X ((T + 4)(m + 3) + (T + 1)^2 + 1).  The return
-    value is twice that, so that the rounding of X and of the product
-    cannot bring it below.
+    The formula allows M >= 2 eps X ((T + 4)(m + 3) + (T + 1)^2 + 1),
+    which is E + 3gX + 3 eps X or more and so covers both cases.  The
+    return value is twice that, so that the rounding of X and of the
+    product cannot bring it below.
     """
     eps = np.finfo(float).eps / 2
     n, m = points.shape
@@ -219,53 +218,91 @@ def _metric(dist: np.ndarray, norm: Norm) -> np.ndarray:
     return dist if norm is Norm.L1 else np.sqrt(dist)
 
 
-def _stale(upper, lower, half_gap, margin: float) -> np.ndarray:
-    """Indexes of the points whose own center is not provably the nearest:
-    those where upper + margin is not below max(lower, half_gap).  A tie
-    or a NaN bound counts as not proven."""
-    return np.flatnonzero(~(upper + margin < np.maximum(lower, half_gap)))
+def _unproven(upper, lower, half_gap, margin: float) -> np.ndarray:
+    """Mask of the (point, center) pairs whose distance must be computed:
+    those where upper + margin is not below max(lower, half_gap).  ``upper``
+    holds one value per point, ``lower`` and ``half_gap`` one per pair.  A
+    tie or a NaN bound counts as not proven."""
+    return ~(upper[:, None] + margin < np.maximum(lower, half_gap))
+
+
+def _reassign(
+    points: np.ndarray,
+    centers: np.ndarray,
+    assignment: np.ndarray,
+    own: np.ndarray,
+    lower: np.ndarray,
+    margin: float,
+    norm: Norm,
+) -> np.ndarray:
+    """Nearest-center assignment that computes only the distances the
+    bounds cannot rule out, and sets ``lower`` from those it computes.
+
+    ``own`` holds each point's distance to its own center, as
+    :func:`_distances` gives it (inf when there is none yet).  A center
+    that is not computed is provably farther than the own one, so the
+    ``argmin`` over the own and the computed distances picks the center
+    plain Lloyd picks, the lowest index on ties."""
+    k = centers.shape[0]
+    gaps = np.stack([_distances(centers, centers[c], norm) for c in range(k)])
+    np.fill_diagonal(gaps, np.inf)  # so the own center is computed only when own is inf
+    half_gap = 0.5 * _metric(gaps, norm)
+    todo = _unproven(_metric(own, norm), lower, half_gap[assignment], margin)
+    stale = np.flatnonzero(todo.any(axis=1))
+    new_assignment = assignment.copy()
+    if stale.size:
+        todo = todo[stale]
+        dist = np.full(todo.shape, np.inf)
+        dist[np.arange(stale.size), assignment[stale]] = own[stale]
+        for c in range(k):
+            pick = np.flatnonzero(todo[:, c])
+            if pick.size:
+                d = _distances(points.take(stale[pick], axis=0), centers[c], norm)
+                dist[pick, c] = d
+                lower[stale[pick], c] = _metric(d, norm)
+        new_assignment[stale] = dist.argmin(axis=1)  # lowest index on ties
+    return new_assignment
 
 
 def _lloyd_once(points: np.ndarray, k: int, norm: Norm, seed: int) -> tuple[Partition, int]:
-    """One Lloyd restart with Hamerly's bounds (SDM 2010): a point is
-    re-assigned only when its own center is not provably still the
-    nearest, so the iterates are those of plain Lloyd."""
+    """One Lloyd restart with Elkan's per-center bounds (ICML 2003): a
+    (point, center) distance is computed only when the triangle
+    inequality cannot prove that center farther than the point's own, so
+    the iterates are those of plain Lloyd.
+
+    Each iteration sorts the points by cluster once (stably, so members
+    keep index order); each cluster's members then give both its new
+    center and their own distances to it, which the objective sums and
+    the next assignment step reuses."""
     n = points.shape[0]
     rng = SplitMix64(seed)
     centers = _seed_centers(points, k, norm, rng)
     assignment = np.zeros(n, dtype=int)
     margin = _skip_margin(points, norm)
-    # upper: distance to the own center; lower: a bound on the distance to
-    # every other center.  Both are in metric form; +-inf forces a recompute.
-    upper = np.full(n, np.inf)
-    lower = np.full(n, -np.inf)
+    # own: the distance to the own center, as _distances gives it; lower: a
+    # metric bound on the distance to each center.  inf and -inf force a
+    # computation.
+    own = np.full(n, np.inf)
+    lower = np.full((n, k), -np.inf)
     prev_objective = float("inf")
     iterations = 0
     for iterations in range(1, LLOYD_MAX_ITERATIONS + 1):
-        gaps = np.stack([_distances(centers, centers[c], norm) for c in range(k)])
-        np.fill_diagonal(gaps, np.inf)
-        half_gap = 0.5 * _metric(gaps.min(axis=1), norm)
-        stale = _stale(upper, lower, half_gap[assignment], margin)
-        new_assignment = assignment.copy()
-        if stale.size:
-            rows = points[stale]
-            dist = np.stack([_distances(rows, centers[c], norm) for c in range(k)], axis=1)
-            new_assignment[stale] = dist.argmin(axis=1)  # lowest index on ties
-            if k > 1:  # with one center, half_gap is inf and proves every skip
-                lower[stale] = _metric(np.partition(dist, 1, axis=1)[:, 1], norm)
-        moved = _repair_empty_clusters(points, new_assignment, centers, k, norm)
-        lower[moved] = -np.inf
-        old = centers
-        centers = _centers_from_assignment(points, new_assignment, k, centers, norm)
-        lower -= _metric(_distances(centers, old, norm), norm).max()
-        parts = []
-        for c in range(k):
-            members = new_assignment == c
-            if members.any():
-                own = _distances(points[members], centers[c], norm)
-                upper[members] = own
-                parts.append(own.sum())
-        upper = _metric(upper, norm)
+        new_assignment = _reassign(points, centers, assignment, own, lower, margin, norm)
+        _repair_empty_clusters(points, new_assignment, centers, k, norm)
+        order = np.argsort(new_assignment, kind="stable")
+        ends = np.cumsum(np.bincount(new_assignment, minlength=k))
+        old, centers = centers, centers.copy()
+        parts, lo = [], 0
+        for c, hi in enumerate(ends):
+            if hi > lo:  # else keep the stale center; repair may repopulate later
+                members = order[lo:hi]
+                rows = points.take(members, axis=0)
+                centers[c] = _center(rows, norm)
+                d = _distances(rows, centers[c], norm)
+                own[members] = d
+                parts.append(d.sum())
+            lo = hi
+        lower -= _metric(_distances(centers, old, norm), norm)  # each column by its center's shift
         objective = float(sum(parts))
         # Both steps can only lower the objective; a rise means a bug.
         if objective > prev_objective + 1e-9:
@@ -285,17 +322,25 @@ def _repair_empty_clusters(
 ) -> list[int]:
     """Reseed each empty cluster with the point farthest from its own
     current center, stealing only from clusters with >= 2 members.
-    Returns the indexes of the points moved."""
+    Returns the indexes of the points moved.
+
+    The sizes are counted once and kept up to date as points move, and
+    the own distances are computed once: the only point whose own center
+    changes is the one moved, and it is then alone in its cluster, so
+    barred from moving again."""
+    counts = np.bincount(assignment, minlength=k)
+    empty = np.flatnonzero(counts == 0)
     moved = []
-    for c in range(k):
-        if np.any(assignment == c):
-            continue
-        counts = np.bincount(assignment, minlength=k)
-        own_dist = _distances(points, centers[assignment], norm)
+    if not empty.size:
+        return moved
+    own_dist = _distances(points, centers[assignment], norm)
+    for c in empty:
         own_dist[counts[assignment] < 2] = -1.0
         far = int(own_dist.argmax())
         if own_dist[far] <= 0.0:
-            continue  # nothing gains from splitting; leave the cluster empty
+            break  # nothing gains from splitting; leave this and later clusters empty
+        counts[assignment[far]] -= 1
+        counts[c] = 1
         assignment[far] = c
         moved.append(far)
     return moved

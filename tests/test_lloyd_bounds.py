@@ -1,9 +1,10 @@
-"""Lloyd with Hamerly's bounds against plain Lloyd.
+"""Lloyd with per-center bounds against plain Lloyd.
 
 ``plain_lloyd_once`` is a frozen copy of the restart loop from before the
-bounds: every iteration computes every point's distance to every center.
-The bounded loop must give the same assignment and iteration count, or
-raise the same error, on every input.
+bounds: every iteration computes every point's distance to every center
+and gathers each cluster through a boolean mask.  The bounded loop must
+give the same assignment and iteration count, or raise the same error, on
+every input.
 """
 
 import numpy as np
@@ -11,18 +12,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossclust import Norm, planted_real_matrix, random_real_matrix
+from crossclust.cost import _center
 from crossclust.errors import CrossclustError
 from crossclust.model import Partition
 from crossclust.rng import SplitMix64
 from crossclust import oneway
 from crossclust.oneway import (
     LLOYD_MAX_ITERATIONS,
-    _centers_from_assignment,
     _lloyd_once,
     _repair_empty_clusters,
     _seed_centers,
     _skip_margin,
-    _stale,
+    _unproven,
 )
 
 
@@ -30,6 +31,15 @@ def plain_distances(points, center, norm):
     if norm is Norm.L1:
         return np.abs(points - center).sum(axis=1)
     return ((points - center) ** 2).sum(axis=1)
+
+
+def plain_centers(points, assignment, k, old, norm):
+    centers = old.copy()
+    for c in range(k):
+        members = points[assignment == c]
+        if members.shape[0]:
+            centers[c] = _center(members, norm)
+    return centers
 
 
 def plain_lloyd_once(points, k, norm, seed):
@@ -43,7 +53,7 @@ def plain_lloyd_once(points, k, norm, seed):
         dist = np.stack([plain_distances(points, centers[c], norm) for c in range(k)], axis=1)
         new_assignment = dist.argmin(axis=1)
         _repair_empty_clusters(points, new_assignment, centers, k, norm)
-        centers = _centers_from_assignment(points, new_assignment, k, centers, norm)
+        centers = plain_centers(points, new_assignment, k, centers, norm)
         objective = float(
             sum(
                 plain_distances(points[new_assignment == c], centers[c], norm).sum()
@@ -105,6 +115,34 @@ def instances(draw):
     return points * scale + offset, k, norm, seed
 
 
+@st.composite
+def mid_instances(draw):
+    """Instances large enough for the bounds to skip most pairs: rows
+    planted around 1-6 integer levels, with some rows copied over others,
+    near the origin or 1e7 away from it.  The entries come from a seeded
+    numpy generator, as hypothesis cannot draw this many floats."""
+    n = draw(st.integers(30, 150))
+    m = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = rng.integers(0, 10, size=(draw(st.integers(1, 6)), m))
+    noise = draw(st.sampled_from([0.0, 0.5, 4.0]))
+    points = levels[rng.integers(0, len(levels), size=n)] + noise * rng.random((n, m))
+    copies = rng.integers(0, n, size=draw(st.integers(0, n // 2)))
+    points[copies] = points[rng.integers(0, n, size=copies.size)]
+    offset = draw(st.sampled_from([0.0, 1e7]))
+    k = draw(st.integers(2, 6))
+    norm = draw(st.sampled_from([Norm.L1, Norm.L2]))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return points + offset, k, norm, seed
+
+
+BENCH_MATRICES = pytest.mark.parametrize(
+    "matrix",
+    [random_real_matrix(2000, 50, 40_000), planted_real_matrix(2000, 50, 50_000)],
+    ids=["uniform", "planted"],
+)
+
+
 class TestSameIterates:
     @settings(max_examples=400, deadline=None)
     @given(instances())
@@ -136,20 +174,58 @@ class TestSameIterates:
             assert_same(np.array(rows) + offset, k, norm, seed)
         assert moved
 
+    @settings(max_examples=60, deadline=None)
+    @given(mid_instances())
+    def test_mid_size_instances(self, instance):
+        assert_same(*instance)
+
     @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
-    @pytest.mark.parametrize(
-        "matrix",
-        [random_real_matrix(2000, 50, 40_000), planted_real_matrix(2000, 50, 50_000)],
-        ids=["uniform", "planted"],
-    )
+    @BENCH_MATRICES
     def test_benchmark_matrices(self, matrix, norm):
-        for seed in (1, 2):
+        for seed in (1, 2, 3, 4):
             assert_same(matrix.values, 5, norm, seed)
             assert_same(matrix.values.T, 5, norm, seed)
 
 
+class TestPruning:
+    @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
+    @BENCH_MATRICES
+    def test_most_distances_are_skipped(self, monkeypatch, matrix, norm):
+        # count the rows _distances gets inside the assignment step (the
+        # k * k center rows of the gaps included)
+        counted = {"inside": False, "rows": 0}
+        distances, reassign = oneway._distances, oneway._reassign
+
+        def counting_distances(points, center, norm):
+            if counted["inside"]:
+                counted["rows"] += points.shape[0]
+            return distances(points, center, norm)
+
+        def counting_reassign(*args):
+            counted["inside"] = True
+            try:
+                return reassign(*args)
+            finally:
+                counted["inside"] = False
+
+        monkeypatch.setattr(oneway, "_distances", counting_distances)
+        monkeypatch.setattr(oneway, "_reassign", counting_reassign)
+        n, k = matrix.n_rows, 5
+        for seed in (1, 2):
+            counted["rows"] = 0
+            _, iterations = _lloyd_once(matrix.values, k, norm, seed)
+            assert iterations > 2
+            assert counted["rows"] <= 0.25 * n * k * iterations
+
+
 class TestSkipTest:
     points = np.array([[0.0, 1.0], [3.0, 5.0], [1e-3, 2.0]])
+
+    @staticmethod
+    def unproven(upper, lower, half_gap, margin):
+        """The skip test on one point and one other center."""
+        pair = np.array([[lower]]), np.array([[half_gap]])
+        return bool(_unproven(np.array([upper]), *pair, margin)[0, 0])
 
     @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
     def test_point_on_its_center_is_recomputed(self, norm):
@@ -157,21 +233,29 @@ class TestSkipTest:
         assert margin > 0
         # distance 0 to its own center, another center within the margin:
         # a relative slack would be 0 here and skip it
-        zero, one = np.zeros(1), np.ones(1)
-        assert _stale(zero, one * margin, one * margin / 2, margin).tolist() == [0]
-        assert _stale(zero, one * 3 * margin, zero, margin).size == 0
+        assert self.unproven(0.0, margin, margin / 2, margin)
+        assert not self.unproven(0.0, 3 * margin, 0.0, margin)
 
     @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
     def test_equidistant_point_is_recomputed(self, norm):
         margin = _skip_margin(self.points, norm)
-        d = np.array([2.5])
-        assert _stale(d, d, d * 0, margin).tolist() == [0]  # as near another center
-        assert _stale(d, d * 0, d, margin).tolist() == [0]  # halfway to the nearest
-        assert _stale(d, d + 4 * margin, d * 0, margin).size == 0
+        d = 2.5
+        assert self.unproven(d, d, 0.0, margin)  # as near the other center
+        assert self.unproven(d, 0.0, d, margin)  # halfway to the other center
+        assert not self.unproven(d, d + 4 * margin, 0.0, margin)
 
     def test_nan_bound_is_recomputed(self):
-        nan = np.array([np.nan])
-        assert _stale(np.array([1.0]), nan, np.array([5.0]), 1e-12).tolist() == [0]
+        assert self.unproven(1.0, np.nan, 5.0, 1e-12)
+
+    def test_each_pair_is_tested_on_its_own(self):
+        # one point, four centers: the own one (half gap inf), one ruled
+        # out by its lower bound, one by half the gap, one by neither
+        upper = np.array([1.0])
+        lower = np.array([[0.0, 2.0, 0.0, 1.0]])
+        half_gap = np.array([[np.inf, 0.0, 2.0, 0.5]])
+        assert _unproven(upper, lower, half_gap, 1e-9).tolist() == [[False, False, False, True]]
+        # an own distance not computed yet forces every pair, the own one too
+        assert _unproven(upper * np.inf, lower, half_gap, 1e-9).all()
 
     @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
     def test_margin_follows_the_extent(self, norm):

@@ -16,7 +16,11 @@ and, under both norms, a literal small-integer matrix full of ties and a
 literal one whose columns are shifted by different powers of ten;
 ``exact`` and ``ratio`` under real L1 at 7x7, k=2,2 and k=3,3, on a
 literal matrix of repeated quarters with a -0.0 entry and one column
-shifted by 1e7; ``run`` and ``ratio`` under L1 on a 0/1 CSV written with
+shifted by 1e7; ``run --mode heuristic``, under both norms, on a 300x10
+real matrix shifted by 1e7, on the 8x8 ties matrix at k=6 with three
+restarts, where a cluster stays empty, and on two literal small-integer
+matrices where Lloyd's empty-cluster repair moves a point; ``run`` and
+``ratio`` under L1 on a 0/1 CSV written with
 ``-0``, ``0.0`` and ``1.0`` fields, which must be detected binary; plus
 ``sweep`` and ``verify-bounds`` as CSV, ``verify-bounds`` at odd counts,
 at the extreme seeds and at lattice resolutions from 2 to 1001, ``sweep``
@@ -96,6 +100,17 @@ MEDIANS_7X7 = {
 }
 
 
+#: Literal small-integer inputs, by file name, on which one Lloyd restart
+#: moves a point into an empty cluster after its first iteration (the
+#: ``edge/heuristic/repair_*`` ops give the budget, norm and seed).
+REPAIR_MATRICES = {
+    "repair_11x2.csv": [[0, 2], [1, 0], [3, 1], [1, 2], [0, 2], [2, 0], [2, 3], [0, 3], [0, 1],
+                        [1, 2], [2, 3]],
+    "repair_13x2.csv": [[3, 1], [1, 1], [3, 2], [0, 3], [1, 0], [0, 3], [1, 0], [0, 0], [0, 0],
+                        [3, 3], [2, 3], [1, 3], [0, 0]],
+}
+
+
 #: A literal 0/1 input as text, its zeros written ``-0`` and ``0.0`` and its
 #: ones ``1.0``: the loader must read it as binary, so L1 costs print as
 #: integers and the 1 + sqrt(2) certificate applies.
@@ -110,7 +125,8 @@ def _edge_ops() -> list[dict]:
     one-cluster axes included, then the other commands and the overflow
     ops.  ``inputs`` are ``[generator, rows, cols, seed, shift]`` as in
     ``bench/spec``; ``literals`` name files of :data:`OVERFLOW_MATRICES`,
-    :data:`MATRICES_8X8`, :data:`MEDIANS_7X7` and :data:`ZERO_ONE_TEXT`."""
+    :data:`MATRICES_8X8`, :data:`MEDIANS_7X7`, :data:`REPAIR_MATRICES` and
+    :data:`ZERO_ONE_TEXT`."""
     classes = (("binary", "l1", 0), ("real", "l1", 0), ("real", "l2", 0), ("real", "l2", SHIFT))
     shapes = (
         (5, 6, ((1, 3), (3, 1), (1, 1), (2, 2))),
@@ -161,6 +177,32 @@ def _edge_ops() -> list[dict]:
                 "inputs": {},
                 "literals": {"x": "medians_7x7.csv"},
             })
+    # Lloyd's bounds far from the origin, and its empty-cluster repair: on
+    # the ties matrix a cluster stays empty (8 rows, 5 of them distinct), on
+    # the repair matrices a point moves after the first iteration
+    repairs = {"l1": ("repair_11x2.csv", 6, 787), "l2": ("repair_13x2.csv", 4, 384)}
+    for norm in ("l1", "l2"):
+        heuristic = ["run", "--mode", "heuristic", "--input", "{x}", "--norm", norm]
+        seed += 1
+        ops.append({
+            "key": f"edge/heuristic/real_{norm}_300x10_k43_s{seed}_shift{SHIFT:g}",
+            "argv": heuristic + ["--kr", "4", "--kc", "3"],
+            "inputs": {"x": ["real", 300, 10, seed, SHIFT]},
+        })
+        ops.append({
+            "key": f"edge/heuristic/ties_{norm}_8x8_k66_r3",
+            "argv": heuristic + ["--kr", "6", "--kc", "6", "--restarts", "3"],
+            "inputs": {},
+            "literals": {"x": "ties_8x8.csv"},
+        })
+        name, k, lloyd_seed = repairs[norm]
+        ops.append({
+            "key": f"edge/heuristic/{name.removesuffix('.csv')}_{norm}_k{k}1_s{lloyd_seed}",
+            "argv": heuristic + ["--kr", str(k), "--kc", "1", "--restarts", "1",
+                                 "--seed", str(lloyd_seed)],
+            "inputs": {},
+            "literals": {"x": name},
+        })
     for cmd in ("run", "ratio"):
         ops.append({
             "key": f"edge/{cmd}/zero_one_text_l1",
@@ -225,7 +267,8 @@ def _child(src: Path, out: Path, pools: list[str]) -> None:
         raise SystemExit(f"error: imported crossclust from {crossclust.cli.__file__}")
     workdir = Path("inputs")  # relative, so both trees print the same input paths
     workdir.mkdir()
-    for name, rows in {**OVERFLOW_MATRICES, **MATRICES_8X8, **MEDIANS_7X7}.items():
+    literal = {**OVERFLOW_MATRICES, **MATRICES_8X8, **MEDIANS_7X7, **REPAIR_MATRICES}
+    for name, rows in literal.items():
         # repr round-trips every float exactly, as in bench/common.write_inputs
         text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
         (workdir / name).write_text(text, encoding="utf-8")
