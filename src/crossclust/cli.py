@@ -138,12 +138,11 @@ def _maybe_int(value: float, integral: bool):
 
 
 def _partition_fields(prefix: str, part: Partition) -> dict:
-    display = "{" + ",".join(
-        "{" + ",".join(str(i) for i in grp) + "}" for grp in part.one_based_clusters()
-    ) + "}"
+    groups = part.one_based_clusters()
+    display = "{" + ",".join("{" + ",".join(map(str, grp)) + "}" for grp in groups) + "}"
     return {
         f"{prefix}_assignment": list(part.assignment),
-        f"{prefix}_clusters": [list(g) for g in part.one_based_clusters()],
+        f"{prefix}_clusters": [list(g) for g in groups],
         f"{prefix}_display": display,
     }
 

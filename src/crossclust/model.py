@@ -241,6 +241,20 @@ def _partitions(blocks: Iterator[np.ndarray], k: int) -> Iterator[Partition]:
             yield part
 
 
+def _canonical_partition(labels: np.ndarray, k: int) -> Partition:
+    """``Partition.from_labels(labels.tolist(), k)`` for an integer array
+    of labels in [0, k): numpy relabels it in first-occurrence order, which
+    is canonical by construction, so the result skips the validation of
+    ``Partition.__post_init__`` as :func:`_partitions` does."""
+    first = np.full(k, labels.size)  # labels absent from the array sort last
+    np.minimum.at(first, labels, np.arange(labels.size))
+    relabel = np.empty(k, dtype=int)
+    relabel[np.argsort(first)] = np.arange(k)
+    part = object.__new__(Partition)
+    part.__dict__.update(assignment=tuple(relabel[labels].tolist()), k=k)
+    return part
+
+
 def _check_enumeration(t: int, max_k: int) -> None:
     if t > ENUMERATION_CAP:
         raise CapExceededError(

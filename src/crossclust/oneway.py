@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import Norm, _center, _exact_search, oneway_row_cost
+from .cost import Norm, _center, _exact_search, _lower_median, oneway_row_cost
 from .errors import CapExceededError, CrossclustError, ValidationError, overflow_guard
-from .model import ENUMERATION_CAP, DataMatrix, Partition
+from .model import ENUMERATION_CAP, DataMatrix, Partition, _canonical_partition
 from .rng import MASK64, SplitMix64
 
 LLOYD_MAX_ITERATIONS = 200
@@ -93,13 +93,14 @@ def lloyd_kcluster(
     Each restart seeds centers with distance-weighted sampling (weights
     are distances under the active norm), then alternates nearest-center
     assignment and center recomputation (coordinate-wise lower median for
-    L1, mean for L2) until assignments stabilize or 200 iterations pass.
-    The assignment step keeps one lower bound per (point, center) pair
-    (Elkan, ICML 2003) and computes only the distances those bounds and
-    the centers' spacing cannot rule out, with the rounding margin of
-    :func:`_skip_margin`, so the iterates, iteration counts and errors
-    are those of plain Lloyd.  Deterministic for a fixed seed; restart r
-    uses stream seed + r.
+    L1, found by selection, mean for L2) until assignments stabilize or
+    200 iterations pass.  The assignment step keeps one lower bound per
+    (center, point) pair, center-major (Elkan, ICML 2003), and computes
+    only the distances those bounds and the centers' spacing cannot rule
+    out, with the rounding margin of :func:`_skip_margin`; the center step
+    recomputes only the clusters whose members changed.  So the iterates,
+    iteration counts and errors are those of plain Lloyd.  Deterministic
+    for a fixed seed; restart r uses stream seed + r.
     """
     n = x.n_rows
     if k < 1 or k > n:
@@ -129,12 +130,29 @@ def kcluster_cols(x: DataMatrix, k: int, norm: Norm, mode: SolverMode) -> Oneway
 
 
 def _distances(points: np.ndarray, center: np.ndarray, norm: Norm) -> np.ndarray:
+    """Distances (squared under L2) along the last axis, which ``points``
+    and ``center`` broadcast over."""
     d = points - center  # the one temporary; both norms work on it in place
     if norm is Norm.L1:
         np.abs(d, out=d)
     else:
         d *= d
-    return d.sum(axis=1)
+    return d.sum(axis=-1)
+
+
+def _cluster_center(rows: np.ndarray, norm: Norm) -> np.ndarray:
+    """:func:`~crossclust.cost._center` of a cluster's rows, the L1 lower
+    median by selection: each column is copied into a contiguous lane and
+    partitioned at :func:`~crossclust.cost._lower_median`, which puts the
+    element ``np.sort`` puts there.  Only the sign of a zero median can
+    differ, when -0.0 and 0.0 tie there, and no distance or cost sees it:
+    |x - 0.0| = |x - (-0.0)|."""
+    if norm is Norm.L2:
+        return _center(rows, norm)
+    mid = _lower_median(rows.shape[0])
+    lanes = rows.T.copy()
+    lanes.partition(mid, axis=1)
+    return lanes[:, mid]
 
 
 def _seed_centers(points: np.ndarray, k: int, norm: Norm, rng: SplitMix64) -> np.ndarray:
@@ -219,11 +237,11 @@ def _metric(dist: np.ndarray, norm: Norm) -> np.ndarray:
 
 
 def _unproven(upper, lower, half_gap, margin: float) -> np.ndarray:
-    """Mask of the (point, center) pairs whose distance must be computed:
+    """Mask of the (center, point) pairs whose distance must be computed:
     those where upper + margin is not below max(lower, half_gap).  ``upper``
-    holds one value per point, ``lower`` and ``half_gap`` one per pair.  A
-    tie or a NaN bound counts as not proven."""
-    return ~(upper[:, None] + margin < np.maximum(lower, half_gap))
+    holds one value per point, ``lower`` and ``half_gap`` one row per
+    center.  A tie or a NaN bound counts as not proven."""
+    return ~(upper + margin < np.maximum(lower, half_gap))
 
 
 def _reassign(
@@ -239,28 +257,35 @@ def _reassign(
     bounds cannot rule out, and sets ``lower`` from those it computes.
 
     ``own`` holds each point's distance to its own center, as
-    :func:`_distances` gives it (inf when there is none yet).  A center
-    that is not computed is provably farther than the own one, so the
-    ``argmin`` over the own and the computed distances picks the center
-    plain Lloyd picks, the lowest index on ties."""
-    k = centers.shape[0]
-    gaps = np.stack([_distances(centers, centers[c], norm) for c in range(k)])
+    :func:`_distances` gives it (inf when there is none yet).  ``lower`` is
+    center-major, (k, n): row c bounds every point's distance to center c,
+    so each center's test, and the points it picks, read one contiguous
+    row.  A center that is not computed is provably farther than the own
+    one, so the ``argmin`` over the own and the computed distances picks
+    the center plain Lloyd picks, the lowest index on ties.  The k x k
+    center gaps come from one broadcast, each with the bits of
+    ``_distances(centers, centers[c])``; a center that picks every point
+    reads ``points`` itself rather than a gathered copy."""
+    n, k = points.shape[0], centers.shape[0]
+    gaps = _distances(centers[:, None], centers, norm)
     np.fill_diagonal(gaps, np.inf)  # so the own center is computed only when own is inf
     half_gap = 0.5 * _metric(gaps, norm)
-    todo = _unproven(_metric(own, norm), lower, half_gap[assignment], margin)
-    stale = np.flatnonzero(todo.any(axis=1))
+    todo = _unproven(_metric(own, norm), lower, half_gap.take(assignment, axis=1), margin)
+    stale = np.flatnonzero(np.logical_or.reduce(todo))
     new_assignment = assignment.copy()
     if stale.size:
-        todo = todo[stale]
+        todo = todo[:, stale]
         dist = np.full(todo.shape, np.inf)
-        dist[np.arange(stale.size), assignment[stale]] = own[stale]
+        dist[assignment[stale], np.arange(stale.size)] = own[stale]
         for c in range(k):
-            pick = np.flatnonzero(todo[:, c])
+            pick = np.flatnonzero(todo[c])
             if pick.size:
-                d = _distances(points.take(stale[pick], axis=0), centers[c], norm)
-                dist[pick, c] = d
-                lower[stale[pick], c] = _metric(d, norm)
-        new_assignment[stale] = dist.argmin(axis=1)  # lowest index on ties
+                idx = stale[pick]
+                rows = points if idx.size == n else points.take(idx, axis=0)
+                d = _distances(rows, centers[c], norm)
+                dist[c, pick] = d
+                lower[c, idx] = _metric(d, norm)
+        new_assignment[stale] = dist.argmin(axis=0)  # lowest index on ties
     return new_assignment
 
 
@@ -270,51 +295,58 @@ def _lloyd_once(points: np.ndarray, k: int, norm: Norm, seed: int) -> tuple[Part
     inequality cannot prove that center farther than the point's own, so
     the iterates are those of plain Lloyd.
 
-    Each iteration sorts the points by cluster once (stably, so members
-    keep index order); each cluster's members then give both its new
-    center and their own distances to it, which the objective sums and
-    the next assignment step reuses."""
+    Only the clusters whose members changed are recomputed: a point moved
+    in or out, by the assignment step or by :func:`_repair_empty_clusters`.
+    Each gathers its members once, in index order, which give its new
+    center and their own distances to it; the objective sums those, and
+    the next assignment step reuses them.  A cluster whose members did not
+    change keeps its center, their distances and its objective term, which
+    recomputing would give again bit for bit (the same rows in the same
+    order), and its shift is 0, so its bounds stay."""
     n = points.shape[0]
     rng = SplitMix64(seed)
     centers = _seed_centers(points, k, norm, rng)
     assignment = np.zeros(n, dtype=int)
     margin = _skip_margin(points, norm)
     # own: the distance to the own center, as _distances gives it; lower: a
-    # metric bound on the distance to each center.  inf and -inf force a
-    # computation.
+    # metric bound on the distance to each center, one row per center.  inf
+    # and -inf force a computation.  terms: each cluster's objective term.
     own = np.full(n, np.inf)
-    lower = np.full((n, k), -np.inf)
+    lower = np.full((k, n), -np.inf)
+    terms = np.zeros(k)
+    changed = np.ones(k, dtype=bool)  # the seeds are no cluster's center yet
     prev_objective = float("inf")
     iterations = 0
     for iterations in range(1, LLOYD_MAX_ITERATIONS + 1):
         new_assignment = _reassign(points, centers, assignment, own, lower, margin, norm)
         _repair_empty_clusters(points, new_assignment, centers, k, norm)
-        order = np.argsort(new_assignment, kind="stable")
-        ends = np.cumsum(np.bincount(new_assignment, minlength=k))
-        old, centers = centers, centers.copy()
-        parts, lo = [], 0
-        for c, hi in enumerate(ends):
-            if hi > lo:  # else keep the stale center; repair may repopulate later
-                members = order[lo:hi]
+        moved = np.flatnonzero(new_assignment != assignment)
+        if iterations > 1:
+            changed[:] = False
+            changed[assignment[moved]] = changed[new_assignment[moved]] = True
+        old = centers.copy()
+        for c in np.flatnonzero(changed):
+            members = np.flatnonzero(new_assignment == c)
+            terms[c] = 0.0
+            if members.size:  # else keep the stale center; repair may repopulate later
                 rows = points.take(members, axis=0)
-                centers[c] = _center(rows, norm)
+                centers[c] = _cluster_center(rows, norm)
                 d = _distances(rows, centers[c], norm)
                 own[members] = d
-                parts.append(d.sum())
-            lo = hi
-        lower -= _metric(_distances(centers, old, norm), norm)  # each column by its center's shift
-        objective = float(sum(parts))
+                terms[c] = d.sum()
+        # each row by its center's shift, 0 for a kept cluster
+        lower -= _metric(_distances(centers, old, norm), norm)[:, None]
+        objective = float(sum(terms))
         # Both steps can only lower the objective; a rise means a bug.
         if objective > prev_objective + 1e-9:
             raise CrossclustError(
                 f"internal error: clustering objective rose from {prev_objective} to {objective}"
             )
         prev_objective = objective
-        if np.array_equal(new_assignment, assignment) and iterations > 1:
-            assignment = new_assignment
-            break
         assignment = new_assignment
-    return Partition.from_labels(assignment.tolist(), k=k), iterations
+        if not moved.size and iterations > 1:
+            break
+    return _canonical_partition(assignment, k), iterations
 
 
 def _repair_empty_clusters(

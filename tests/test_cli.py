@@ -92,15 +92,23 @@ class TestRun:
 
     def test_internal_check_exits_5_without_traceback(self, capsys, tmp_path, monkeypatch):
         # Lloyd raises a bare CrossclustError if its objective rises; make
-        # every distance larger than the last so that the check fires
+        # every distance larger than the last, and move every point to the
+        # next cluster at each step, so that the clusters are recomputed
+        # (a cluster whose members stay is kept) and the check fires
         from crossclust import oneway
 
         calls = itertools.count(1)
+        reassign = oneway._reassign
 
         def rising(points, center, norm):
-            return np.full(len(points), float(next(calls)))
+            shape = np.broadcast_shapes(points.shape, center.shape)[:-1]
+            return np.full(shape, float(next(calls)))
+
+        def rotating(points, centers, *rest):
+            return (reassign(points, centers, *rest) + 1) % len(centers)
 
         monkeypatch.setattr(oneway, "_distances", rising)
+        monkeypatch.setattr(oneway, "_reassign", rotating)
         path = write_matrix(tmp_path / "m.csv", np.eye(4))
         code = main(["run", "--input", path, "--mode", "heuristic", "--restarts", "1"])
         err = capsys.readouterr().err

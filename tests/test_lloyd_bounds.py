@@ -4,21 +4,26 @@
 bounds: every iteration computes every point's distance to every center
 and gathers each cluster through a boolean mask.  The bounded loop must
 give the same assignment and iteration count, or raise the same error, on
-every input.
+every input, while it recomputes only the clusters whose members changed
+and finds each L1 center by selection.
 """
+
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crossclust import Norm, planted_real_matrix, random_real_matrix
-from crossclust.cost import _center
+from crossclust.cost import _center, _lower_median
 from crossclust.errors import CrossclustError
 from crossclust.model import Partition
 from crossclust.rng import SplitMix64
 from crossclust import oneway
 from crossclust.oneway import (
     LLOYD_MAX_ITERATIONS,
+    _cluster_center,
+    _distances,
     _lloyd_once,
     _repair_empty_clusters,
     _seed_centers,
@@ -216,6 +221,171 @@ class TestPruning:
             _, iterations = _lloyd_once(matrix.values, k, norm, seed)
             assert iterations > 2
             assert counted["rows"] <= 0.25 * n * k * iterations
+
+
+def recomputed_clusters(monkeypatch, points, k, norm, seed, repair=_repair_empty_clusters):
+    """Run ``_lloyd_once`` with spies, and ``repair`` as its repair step.
+    Returns its outcome, the assignment each iteration's center step used
+    (after the repair), and per iteration the clusters whose center was
+    computed, found by matching the rows ``_cluster_center`` got against
+    each cluster's members."""
+    assignments, centered = [], []
+
+    def repair_spy(pts, assignment, *rest):
+        moved = repair(pts, assignment, *rest)
+        assignments.append(assignment.copy())
+        centered.append([])
+        return moved
+
+    def center_spy(rows, norm):
+        labels = assignments[-1]
+        match = [c for c in range(k) if np.array_equal(rows, points[labels == c])]
+        assert len(match) == 1
+        centered[-1].extend(match)
+        return _cluster_center(rows, norm)
+
+    monkeypatch.setattr(oneway, "_repair_empty_clusters", repair_spy)
+    monkeypatch.setattr(oneway, "_cluster_center", center_spy)
+    result = outcome(_lloyd_once, points, k, norm, seed)
+    return result, assignments, centered
+
+
+def changed_clusters(before, after):
+    """The nonempty clusters of ``after`` that gained or lost a point."""
+    moved = before != after
+    touched = set(before[moved].tolist()) | set(after[moved].tolist())
+    return sorted(c for c in touched if (after == c).any())
+
+
+def far_cluster_points():
+    """Three overlapping groups of 15 rows, and one 1000 away."""
+    rows = [[base + ((7 * i + 3 * j + g) % 13) / 8 for j in range(3)]
+            for g, base in enumerate((0.0, 1.0, 2.0, 1000.0)) for i in range(15)]
+    return np.array(rows)
+
+
+def moving_repair(source, target, before, repair=_repair_empty_clusters):
+    """``repair`` that at its second call also moves the lowest-index point
+    of cluster ``source`` into cluster ``target``, and appends the
+    assignment it was given then to ``before``."""
+    calls = []
+
+    def moving(points, assignment, *rest):
+        moved = repair(points, assignment, *rest)
+        calls.append(None)
+        if len(calls) == 2:
+            before.append(assignment.copy())
+            i = int(np.flatnonzero(assignment == source)[0])
+            assignment[i] = target
+            moved.append(i)
+        return moved
+
+    return moving
+
+
+class TestKeptClusters:
+    @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
+    @BENCH_MATRICES
+    def test_untouched_clusters_are_not_recomputed(self, monkeypatch, matrix, norm):
+        points, k = matrix.values, 5
+        for seed in (1, 2):
+            result, assignments, centered = recomputed_clusters(
+                monkeypatch, points, k, norm, seed
+            )
+            assert result == outcome(plain_lloyd_once, points, k, norm, seed)
+            iterations = result[1]
+            assert len(centered) == iterations > 2
+            assert centered[0] == [c for c in range(k) if (assignments[0] == c).any()]
+            for t in range(1, iterations):
+                assert centered[t] == changed_clusters(assignments[t - 1], assignments[t])
+            assert sum(map(len, centered)) < k * iterations
+            assert centered[-1] == []  # the last step moves nothing
+
+    @pytest.mark.parametrize("norm, seed", [(Norm.L1, 5), (Norm.L2, 10)])
+    def test_one_pair_of_clusters_exchanges_points(self, monkeypatch, norm, seed):
+        # after the first step only two clusters trade rows, and the far
+        # group's cluster settles
+        points = far_cluster_points()
+        result, assignments, centered = recomputed_clusters(monkeypatch, points, 4, norm, seed)
+        assert result == outcome(plain_lloyd_once, points, 4, norm, seed)
+        assert centered[0] == [0, 1, 2, 3]
+        pairs = centered[1:-1]
+        assert pairs and all(len(pair) == 2 for pair in pairs)
+        for t, pair in enumerate(pairs, start=1):
+            assert pair == changed_clusters(assignments[t - 1], assignments[t])
+        far = assignments[0][-1]
+        assert all(far not in pair for pair in pairs)
+        assert centered[-1] == []
+
+    @pytest.mark.parametrize("norm, seed, source, target", [(Norm.L1, 5, 1, 3),
+                                                            (Norm.L2, 10, 0, 3)])
+    def test_a_repair_move_counts_as_a_change(self, monkeypatch, norm, seed, source, target):
+        # at the second step the repair also moves a point between two
+        # clusters the assignment step left alone: both are recomputed, and
+        # the outcome, here the objective's rise with its figures, is plain
+        # Lloyd's under the same repair
+        points, before = far_cluster_points(), []
+        result, assignments, centered = recomputed_clusters(
+            monkeypatch, points, 4, norm, seed, moving_repair(source, target, before)
+        )
+        assert not {source, target} & set(changed_clusters(assignments[0], before[0]))
+        assert {source, target} <= set(centered[1])
+        assert centered[1] == changed_clusters(assignments[0], assignments[1])
+        monkeypatch.setattr(
+            sys.modules[__name__], "_repair_empty_clusters", moving_repair(source, target, [])
+        )
+        assert result == outcome(plain_lloyd_once, points, 4, norm, seed)
+
+
+@st.composite
+def median_columns(draw):
+    """Blocks of 1-40 or 250-700 rows whose columns tie: small integers,
+    zeros of both signs next to +-1 (so a -0.0 and a 0.0 can meet at the
+    median), or floats in [-1, 1], as drawn or 1e7 away.  The entries come
+    from a seeded numpy generator."""
+    n = draw(st.one_of(st.integers(1, 40), st.integers(250, 700)))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["integers", "zeros", "floats"]))
+    if kind == "integers":
+        rows = rng.integers(-3, 4, size=(n, m)).astype(float)
+    elif kind == "zeros":
+        rows = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(n, m), p=[0.35, 0.35, 0.15, 0.15])
+    else:
+        rows = rng.uniform(-1, 1, size=(n, m))
+    return rows + draw(st.sampled_from([0.0, 1e7]))
+
+
+class TestCenters:
+    @settings(max_examples=300, deadline=None)
+    @given(median_columns())
+    @example(np.array([[-0.0], [0.0], [0.0], [-0.0], [1.0]]))
+    @example(np.array([[0.0, -0.0], [-0.0, 0.0]]))
+    @example(np.array([[-0.0]]))
+    def test_selection_gives_the_sorted_lower_median(self, rows):
+        sorted_median = np.sort(rows, axis=0)[_lower_median(rows.shape[0])]
+        selected = _cluster_center(rows, Norm.L1)
+        assert selected.shape == sorted_median.shape
+        assert (selected == sorted_median).all()
+        # the sign of a zero may differ (numpy's sort and selection can pick
+        # different zeros of a tie above 256 entries), and no distance sees it
+        assert np.array_equal(
+            _distances(rows, selected, Norm.L1), _distances(rows, sorted_median, Norm.L1)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 7),
+        st.sampled_from([1, 2, 7, 9, 50, 129, 2000]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1e7]),
+        st.sampled_from([Norm.L1, Norm.L2]),
+    )
+    def test_broadcast_gaps_equal_the_per_center_distances(self, k, m, seed, offset, norm):
+        centers = np.random.default_rng(seed).random((k, m)) + offset
+        gaps = _distances(centers[:, None], centers, norm)
+        per_center = np.stack([_distances(centers, centers[c], norm) for c in range(k)])
+        assert np.array_equal(gaps, per_center)
 
 
 class TestSkipTest:

@@ -14,7 +14,7 @@ from crossclust import (
     enumerate_partitions,
     load_matrix_csv,
 )
-from crossclust.model import canonical_labels
+from crossclust.model import _canonical_partition, canonical_labels
 
 from oracles import (
     partitions_by_block_recursion,
@@ -262,6 +262,16 @@ class TestPartition:
                 assert (labels[i] == labels[j]) == (
                     p.assignment[i] == p.assignment[j]
                 )
+
+    @given(st.integers(1, 7).flatmap(
+        lambda k: st.tuples(st.lists(st.integers(0, k - 1), min_size=1, max_size=30), st.just(k))
+    ))
+    def test_array_labels_canonicalize_as_from_labels(self, case):
+        labels, k = case
+        fast = _canonical_partition(np.array(labels), k)
+        slow = Partition.from_labels(labels, k=k)
+        assert fast.assignment == slow.assignment and fast.k == slow.k == k
+        assert all(type(lab) is int for lab in fast.assignment)
 
 
 class TestEnumeratePartitions:

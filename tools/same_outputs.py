@@ -18,8 +18,11 @@ literal one whose columns are shifted by different powers of ten;
 literal matrix of repeated quarters with a -0.0 entry and one column
 shifted by 1e7; ``run --mode heuristic``, under both norms, on a 300x10
 real matrix shifted by 1e7, on the 8x8 ties matrix at k=6 with three
-restarts, where a cluster stays empty, and on two literal small-integer
-matrices where Lloyd's empty-cluster repair moves a point; ``run`` and
+restarts, where a cluster stays empty, on two literal small-integer
+matrices where Lloyd's empty-cluster repair moves a point, and on a
+literal 60x3 matrix at k=4 with one far cluster that settles while the
+others still trade rows; ``run --mode heuristic`` under L1 on a literal
+600x3 matrix whose columns tie -0.0 and 0.0 at their medians; ``run`` and
 ``ratio`` under L1 on a 0/1 CSV written with
 ``-0``, ``0.0`` and ``1.0`` fields, which must be detected binary; plus
 ``sweep`` and ``verify-bounds`` as CSV, ``verify-bounds`` at odd counts,
@@ -111,6 +114,24 @@ REPAIR_MATRICES = {
 }
 
 
+#: Literal inputs of Lloyd's center step, by file name: 600 rows of mostly
+#: zeros of both signs, so that a cluster's lower median ties -0.0 and 0.0
+#: past the 256 entries where numpy's sort and selection may pick different
+#: zeros; and three overlapping groups of 15 rows next to one 1000 away,
+#: which settles after the first step while the others still trade rows.
+SIGNED_ZEROS = [-0.0, 0.0, -0.0, 1.0, 0.0, -1.0, -0.0, 0.0, 2.0, 0.0, -0.0]
+LLOYD_MATRICES = {
+    "signed_zeros_600x3.csv": [
+        [SIGNED_ZEROS[(i * (2 * j + 3) + j + i // 7) % 11] for j in range(3)] for i in range(600)
+    ],
+    "far_cluster_60x3.csv": [
+        [base + ((7 * i + 3 * j + g) % 13) / 8 for j in range(3)]
+        for g, base in enumerate((0.0, 1.0, 2.0, 1000.0))
+        for i in range(15)
+    ],
+}
+
+
 #: A literal 0/1 input as text, its zeros written ``-0`` and ``0.0`` and its
 #: ones ``1.0``: the loader must read it as binary, so L1 costs print as
 #: integers and the 1 + sqrt(2) certificate applies.
@@ -125,8 +146,8 @@ def _edge_ops() -> list[dict]:
     one-cluster axes included, then the other commands and the overflow
     ops.  ``inputs`` are ``[generator, rows, cols, seed, shift]`` as in
     ``bench/spec``; ``literals`` name files of :data:`OVERFLOW_MATRICES`,
-    :data:`MATRICES_8X8`, :data:`MEDIANS_7X7`, :data:`REPAIR_MATRICES` and
-    :data:`ZERO_ONE_TEXT`."""
+    :data:`MATRICES_8X8`, :data:`MEDIANS_7X7`, :data:`REPAIR_MATRICES`,
+    :data:`LLOYD_MATRICES` and :data:`ZERO_ONE_TEXT`."""
     classes = (("binary", "l1", 0), ("real", "l1", 0), ("real", "l2", 0), ("real", "l2", SHIFT))
     shapes = (
         (5, 6, ((1, 3), (3, 1), (1, 1), (2, 2))),
@@ -203,6 +224,21 @@ def _edge_ops() -> list[dict]:
             "inputs": {},
             "literals": {"x": name},
         })
+        far_seed = {"l1": 5, "l2": 2}[norm]
+        ops.append({
+            "key": f"edge/heuristic/far_cluster_60x3_{norm}_k41_s{far_seed}",
+            "argv": heuristic + ["--kr", "4", "--kc", "1", "--restarts", "1",
+                                 "--seed", str(far_seed)],
+            "inputs": {},
+            "literals": {"x": "far_cluster_60x3.csv"},
+        })
+    ops.append({
+        "key": "edge/heuristic/signed_zeros_600x3_l1_k22",
+        "argv": ["run", "--mode", "heuristic", "--input", "{x}", "--norm", "l1",
+                 "--kr", "2", "--kc", "2"],
+        "inputs": {},
+        "literals": {"x": "signed_zeros_600x3.csv"},
+    })
     for cmd in ("run", "ratio"):
         ops.append({
             "key": f"edge/{cmd}/zero_one_text_l1",
@@ -267,7 +303,8 @@ def _child(src: Path, out: Path, pools: list[str]) -> None:
         raise SystemExit(f"error: imported crossclust from {crossclust.cli.__file__}")
     workdir = Path("inputs")  # relative, so both trees print the same input paths
     workdir.mkdir()
-    literal = {**OVERFLOW_MATRICES, **MATRICES_8X8, **MEDIANS_7X7, **REPAIR_MATRICES}
+    literal = {**OVERFLOW_MATRICES, **MATRICES_8X8, **MEDIANS_7X7, **REPAIR_MATRICES,
+               **LLOYD_MATRICES}
     for name, rows in literal.items():
         # repr round-trips every float exactly, as in bench/common.write_inputs
         text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
