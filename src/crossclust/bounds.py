@@ -43,6 +43,16 @@ PASS_TOL = 1e-9
 #: x = y = 0 corner is a removable 0/0 degeneracy, not an error.
 DENOM_GUARD = 1e-12
 CONSTRAINT_TOL = 1e-9
+#: The lattice's floor snapping: a one-count v goes on the step-1/res
+#: lattice as floor(v * res + LATTICE_SNAP) / res, which rounds v up to the
+#: lattice value above it when v * res is within LATTICE_SNAP below it.
+LATTICE_SNAP = 1e-9
+#: Rounding allowance of the ratio objective's box bounds
+#: (:func:`_alpha_box_bound`), relative to the box's least denominator.
+BOX_ROUNDING = 2.0**-40
+#: The lattice search evaluates a box point by point once both of its
+#: sides are at most this many lattice points.
+LEAF_SIDE = 4
 
 
 # ---------------------------------------------------------------------------
@@ -479,39 +489,82 @@ def grid_search_alpha(resolution: int) -> GridSearchResult:
     denominator involves none of b, c and only d with monotone effect), so
     for every lattice (x, y) the case maximum over the remaining free
     variables sits at an interval endpoint.  Only those endpoints are
-    evaluated; every skipped lattice point is dominated by an evaluated
-    one, so the returned lattice maximum is the exact lattice maximum.
+    evaluated (:func:`_lattice_cases`); every skipped lattice point is
+    dominated by an evaluated one.
 
-    The lattice is evaluated in tiles of whole rows of x, at most
-    ``BATCH_ENTRIES`` points each (one row when a row is longer), so
-    memory stays flat however fine the resolution.  Every point gets the
-    float operations a whole-lattice evaluation gives it
-    (:func:`_lattice_cases`), and each case keeps its first row-major
-    maximum across tiles, so the result does not depend on the tiling.
+    The search is a branch-and-bound over boxes of lattice indices.  The
+    incumbent is the best lattice value at the lattice points nearest the
+    two analytic maximizers, so it never exceeds the lattice maximum.
+    Starting from the whole lattice, each level bounds all live boxes in one
+    vectorized pass (:func:`_alpha_box_bound`: one corner evaluation per box
+    and case, plus a margin for the lattice's floor snapping and float
+    rounding), drops every box whose bound plus margin is strictly below the
+    incumbent, and halves the rest along each side, until a box's sides are
+    at most ``LEAF_SIDE`` points.  A dropped box holds no value within the
+    margin's headroom of the incumbent, so every point that could win or tie
+    any comparison below is evaluated, and the result is the exact lattice
+    maximum.
+
+    The kept leaves are evaluated in chunks of at most ``BATCH_ENTRIES``
+    points.  Each case keeps its largest value and, among the points that
+    attain it, the smallest row-major flat index ``i * (res + 1) + j``;
+    then the first case whose value beats the point picked so far wins, as
+    a whole-lattice evaluation would pick.  Every point gets the float
+    operations a whole-lattice evaluation gives it, since coordinates are
+    formed as ``i / res`` on index arrays, so the result is the same bit
+    for bit whatever the leaf side and chunk size.
+
+    Memory is flat in the resolution: no array spans a lattice side, a
+    chunk holds at most ``BATCH_ENTRIES`` points, and the live boxes are
+    those the bound cannot rule out, which stay few: at resolution 400 the
+    search evaluates 0.9% of the lattice's points, at 1001 0.3%, at 20000
+    0.002%.
     """
     if resolution < 2:
         raise ValidationError("resolution must be >= 2")
     res = resolution
-    g = np.arange(res + 1) / res
-    one_minus_g = 1.0 - g
-    step = max(1, BATCH_ENTRIES // (res + 1))
-    # per case, in the order of _lattice_cases: the best value and its flat index
+    near = np.array([f(t * res) for t in (1.0 - math.sqrt(0.5), math.sqrt(0.5))
+                     for f in (math.floor, math.ceil)])
+    incumbent = max(obj.max() for obj in _lattice_cases(near[:, None], near, res)[0])
+
+    # rows (i0, i1, j0, j1): the inclusive index ranges of x and y
+    boxes = np.array([[0, res, 0, res]])
+    leaves = []
+    while len(boxes):
+        bound, margin = _alpha_box_bound(*(boxes.T / res), LATTICE_SNAP / res)
+        boxes = boxes[bound + margin >= incumbent]
+        leaf = (boxes[:, 1] - boxes[:, 0] < LEAF_SIDE) & (boxes[:, 3] - boxes[:, 2] < LEAF_SIDE)
+        leaves.append(boxes[leaf])
+        boxes = _split_boxes(boxes[~leaf])
+    leaves = np.concatenate(leaves)
+
+    cols = leaves[:, 3] - leaves[:, 2] + 1
+    sizes = (leaves[:, 1] - leaves[:, 0] + 1) * cols
+    starts = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    # per case, in the order of _lattice_cases: the best value and its least flat index
     case_best = [(-np.inf, 0)] * 4
-    for i in range(0, res + 1, step):
-        rows = slice(i, i + step)
-        objs = _lattice_cases(g[rows, None], one_minus_g[rows, None], g, one_minus_g, res)[0]
-        for case, obj in enumerate(objs):
-            j = int(np.argmax(obj))
-            if obj.flat[j] > case_best[case][0]:
-                case_best[case] = (float(obj.flat[j]), i * (res + 1) + j)
+    for start in range(0, total, BATCH_ENTRIES):
+        pos = np.arange(start, min(start + BATCH_ENTRIES, total))
+        box = np.searchsorted(starts, pos, side="right") - 1
+        di, dj = np.divmod(pos - starts[box], cols[box])
+        i = leaves[box, 0] + di
+        j = leaves[box, 2] + dj
+        flat = i * (res + 1) + j
+        for case, obj in enumerate(_lattice_cases(i, j, res)[0]):
+            top = obj.max()
+            val, first = case_best[case]
+            if top < val or top == -np.inf:
+                continue
+            at = int(flat[obj == top].min())
+            case_best[case] = (float(top), at if top > val else min(at, first))
 
     best_lattice: AlphaPoint | None = None
     for case, (val, flat) in enumerate(case_best):
         if not np.isfinite(val):
             continue
         if best_lattice is None or val > best_lattice.objective:
-            i, j = divmod(flat, res + 1)
-            best_lattice = _lattice_point(case, g[i], one_minus_g[i], g[j], one_minus_g[j], res)
+            best_lattice = _lattice_point(case, *divmod(flat, res + 1), res)
 
     assert best_lattice is not None and best_lattice.objective is not None
     best = best_lattice
@@ -522,12 +575,96 @@ def grid_search_alpha(resolution: int) -> GridSearchResult:
     return GridSearchResult(best=best, lattice_best=best_lattice, resolution=res)
 
 
-def _lattice_cases(x, one_minus_x, y, one_minus_y, res: int):
-    """The ratio objective at lattice points (x, y), broadcast against each
-    other, per case, in the order i at d = 0, i at its top lattice d, ii,
-    iii (-inf where the case is infeasible or the denominator vanishes),
-    and the per-point values that :func:`_lattice_point` reads."""
-    eps = 1e-9
+def _alpha_box_bound(x0, x1, y0, y1, snap: float):
+    """Upper bounds of the ratio objective over boxes [x0, x1] x [y0, y1]
+    of [0, 1]^2, as ``(bound, margin)`` arrays: at no point of a box does
+    any case of the objective, with its free one-counts anywhere in their
+    ranges, exceed ``bound + margin``, and neither does any value that
+    :func:`_lattice_cases` computes there.  ``bound`` is inf (keep the box)
+    where a denominator below is under ``BOX_ROUNDING``.  ``snap`` is the
+    most that snapping raises a one-count: ``LATTICE_SNAP / res`` on the
+    step-1/res lattice, 0 on the continuum.
+
+    In u = x + y and p = xy, a box has u >= u_lo = x0 + y0 and
+    p_lo = x0 y0 <= p <= p_hi = x1 y1; s = u - p = x + y - xy increases in
+    both x and y, so s >= s_lo = u_lo - p_lo.
+
+    * Cases i and ii pin a = p, and b + c is at most
+      x(1 - y) + (1 - x)y = u - 2p, with a + b + c <= 1/2.  Case i's d
+      only lowers its objective (A + 2d)/(B + 2d), since A = 2(u - p) >= B
+      = u - 2p.  So both are at most g(u, p) = min(2(u - p), 1)/(u - 2p).
+      Its two branches have partial derivatives -2p/(u - 2p)^2 and
+      -1/(u - 2p)^2 in u, 2u/(u - 2p)^2 and 2/(u - 2p)^2 in p: g
+      decreases in u and increases in p, so g(u_lo, p_hi) bounds the box
+      once u_lo - 2 p_hi > 0.  Case i is feasible only where s <= 1/2 and
+      case ii only where p <= 1/2, so a box with s_lo > 1/2 and
+      p_lo > 1/2 has neither.
+    * Case iii has a <= q = min(p, 1/2) and b = c = d = 0, and 2a/(u - 2a)
+      increases in a and decreases in u, so 2q/(u_lo - 2q) with
+      q = min(p_hi, 1/2) bounds the box.
+
+    The margin, added to the bound and never subtracted:
+
+    * Snapping.  Each ``floor(v * res + LATTICE_SNAP) / res`` rounds v
+      up to a lattice value at most LATTICE_SNAP / res above it.  Case
+      ii's b + c snaps up by at most 2 snap, so its numerator rises by at
+      most 4 snap, and case iii's a by at most snap; case ii stays feasible
+      up to p = 1/2 + snap.  These enter the corner evaluation (the
+      numerator of g gets + 4 snap, q gets + snap), which keeps the
+      monotonicity above.  Case i's d only lowers its value, and case i is
+      feasible up to s = 1/2 + 1e-15.
+    * Rounding.  The coordinates are the floats ``i / res``, so the box
+      corners bound them exactly.  Every other quantity lies in [0, 2] and
+      comes from a few float operations, so every computed numerator N and
+      denominator D, of a lattice value and of the bound alike, is within
+      e <= 2^-48 of its exact value, and N/D is within
+      e (1 + N/D)/(D - e) of the exact quotient.  With D >= den, the
+      least denominator the bound divides by, and den >= BOX_ROUNDING =
+      2^-40, both errors together are below 2^-46 (1 + bound)/den.  The
+      margin ``BOX_ROUNDING * (1 + bound)/den`` is 64 times that, so a
+      dropped box also holds no value within rounding of the incumbent.
+      The feasibility tests have ``BOX_ROUNDING`` of slack, above the
+      1e-15 of case i and the rounding of s and p.
+    """
+    u_lo = x0 + y0
+    p_lo = x0 * y0
+    p_hi = x1 * y1
+    # case i or case ii may be feasible somewhere in the box
+    pair = (u_lo - p_lo <= 0.5 + BOX_ROUNDING) | (p_lo <= 0.5 + snap + BOX_ROUNDING)
+    q = np.minimum(p_hi, 0.5) + snap
+    den_pair = np.where(pair, u_lo - 2.0 * p_hi, np.inf)
+    den_iii = u_lo - 2.0 * q
+    den = np.minimum(den_pair, den_iii)
+    kept = den < BOX_ROUNDING
+    den_pair, den_iii, den = (np.where(kept, 1.0, d) for d in (den_pair, den_iii, den))
+    bound = np.maximum(
+        (np.minimum(2.0 * (u_lo - p_hi), 1.0) + 4.0 * snap) / den_pair, 2.0 * q / den_iii
+    )
+    bound = np.where(kept, np.inf, bound)
+    return bound, BOX_ROUNDING * (1.0 + bound) / den
+
+
+def _split_boxes(boxes):
+    """Halve each (i0, i1, j0, j1) box along both sides; a side of one
+    index gives one half, not two."""
+    i0, i1, j0, j1 = boxes.T
+    mi, mj = (i0 + i1 + 1) // 2, (j0 + j1 + 1) // 2
+    children = np.stack([
+        np.concatenate([i0, i0, mi, mi]), np.concatenate([mi - 1, mi - 1, i1, i1]),
+        np.concatenate([j0, mj, j0, mj]), np.concatenate([mj - 1, j1, mj - 1, j1]),
+    ], axis=1)
+    return children[(children[:, 0] <= children[:, 1]) & (children[:, 2] <= children[:, 3])]
+
+
+def _lattice_cases(i, j, res: int):
+    """The ratio objective at lattice points (x, y) = (i / res, j / res),
+    index arrays broadcast against each other, per case, in the order i at
+    d = 0, i at its top lattice d, ii, iii (-inf where the case is
+    infeasible or the denominator vanishes), and the per-point values that
+    :func:`_lattice_point` reads."""
+    eps = LATTICE_SNAP
+    x, y = i / res, j / res
+    one_minus_x, one_minus_y = 1.0 - x, 1.0 - y
     a_full = x * y
     b_full = x * one_minus_y
     c_full = one_minus_x * y
@@ -564,13 +701,11 @@ def _lattice_cases(x, one_minus_x, y, one_minus_y, res: int):
     return objs, (a_full, b_full, c_full, d_top, nb, s_units, a_top)
 
 
-def _lattice_point(case: int, x, one_minus_x, y, one_minus_y, res: int) -> AlphaPoint:
+def _lattice_point(case: int, i: int, j: int, res: int) -> AlphaPoint:
     """The point that case ``case`` of :func:`_lattice_cases` evaluates at
-    the lattice point (x, y), from the same operations."""
-    a_full, b_full, c_full, d_top, nb, s_units, a_top = map(
-        float, _lattice_cases(x, one_minus_x, y, one_minus_y, res)[1]
-    )
-    x, y = float(x), float(y)
+    the lattice point (i / res, j / res), from the same operations."""
+    a_full, b_full, c_full, d_top, nb, s_units, a_top = map(float, _lattice_cases(i, j, res)[1])
+    x, y = i / res, j / res
     if case < 2:
         return make_alpha_point(x, y, a_full, b_full, c_full, d_top if case else 0.0, "i")
     if case == 2:

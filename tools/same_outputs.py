@@ -26,7 +26,7 @@ others still trade rows; ``run --mode heuristic`` under L1 on a literal
 ``ratio`` under L1 on a 0/1 CSV written with
 ``-0``, ``0.0`` and ``1.0`` fields, which must be detected binary; plus
 ``sweep`` and ``verify-bounds`` as CSV, ``verify-bounds`` at odd counts,
-at the extreme seeds and at lattice resolutions from 2 to 1001, ``sweep``
+at the extreme seeds and at lattice resolutions from 2 to 2999, ``sweep``
 under each generator and at 1x1, and
 ``--help`` and usage errors.  Its overflow ops run ``run`` (both
 modes), ``exact`` and ``ratio`` under both norms on inputs whose costs
@@ -252,9 +252,10 @@ def _edge_ops() -> list[dict]:
         ops.append({"key": "edge/csv/" + "_".join(extra), "argv": extra + csv, "inputs": {}})
     other = [["verify-bounds", "--count", c] for c in ("1", "7", "333")]
     other += [["verify-bounds", "--seed", s] for s in ("-1", "18446744073709551615")]
-    # lattices of one row tile (2, 81) and of many (401, 1001)
+    # lattices from coarse to fine (2 ... 2999), and around the box search's
+    # leaf side of 4 points: one leaf (3), split once (4, 5) or twice (9)
     other += [["verify-bounds", "--count", "20", "--resolution", r]
-              for r in ("2", "81", "401", "1001")]
+              for r in ("2", "81", "401", "1001", "3", "4", "5", "9", "2999")]
     other += [["sweep", "--count", "5"] + g for g in (["--norm", "l1"], ["--norm", "l2"],
                                                       ["--norm", "l2", "--planted"])]
     other += [["sweep", "--rows", "1", "--cols", "1", "--norm", "l2"] + k
