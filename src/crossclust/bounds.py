@@ -26,6 +26,8 @@ from .cost import (
     BATCH_ENTRIES,
     Norm,
     _binary_l1,
+    _Blocks,
+    _padded,
     _values_of,
     columnwise_cost,
     pooled_cost,
@@ -79,8 +81,10 @@ def per_bicluster_bound(y, norm: Norm, alpha: float) -> MarginReport:
     For the constant to be a certificate under L1 the block must be 0/1
     valued; under L2 with alpha = 2 the inequality holds for any reals.
     The slack may fall ``PASS_TOL`` times the pooled cost below 0.  On a
-    (B, n, m) stack of blocks every field but alpha is a per-block array.
+    stack of blocks, a (B, n, m) array or a list of 2-D blocks of any
+    shapes, every field but alpha is a per-block array, in order.
     """
+    y = _values_of(y, stack=True)
     v = pooled_cost(y, norm)
     vr = columnwise_cost(y, norm)
     vc = rowwise_cost(y, norm)
@@ -140,25 +144,43 @@ class L2Decomposition:
 
 @overflow_guard
 def l2_decomposition(y) -> L2Decomposition:
-    """Decompose a block, or each block of a (B, n, m) stack into per-block
-    arrays.  The additive model is fitted to the block minus its grand
-    mean, so the residual does not depend on an offset of the data, and a
-    block of equal entries has a residual of exactly 0."""
+    """Decompose a block, or each block of a stack (a (B, n, m) array or a
+    list of 2-D blocks of any shapes) into per-block arrays, in order.
+    The additive model is fitted to the block minus its grand mean, so the
+    residual does not depend on an offset of the data, and a block of
+    equal entries has a residual of exactly 0."""
     arr = _values_of(y, stack=True)
-    block = (-2, -1)
-    centered = arr - arr.mean(axis=block, keepdims=True)
-    fitted = centered.mean(axis=-1, keepdims=True) + centered.mean(axis=-2, keepdims=True)
-    fitted -= centered.mean(axis=block, keepdims=True)
-    residual = ((centered - fitted) ** 2).sum(axis=block)
-    residual = np.where(arr.min(axis=block) == arr.max(axis=block), 0.0, residual)
-    if arr.ndim == 2:
-        residual = float(residual)
+    if isinstance(arr, _Blocks):
+        residual = _stack_residual(arr)
+    else:
+        block = (-2, -1)
+        centered = arr - arr.mean(axis=block, keepdims=True)
+        fitted = centered.mean(axis=-1, keepdims=True) + centered.mean(axis=-2, keepdims=True)
+        fitted -= centered.mean(axis=block, keepdims=True)
+        residual = ((centered - fitted) ** 2).sum(axis=block)
+        residual = float(np.where(arr.min(axis=block) == arr.max(axis=block), 0.0, residual))
     return L2Decomposition(
         pooled=pooled_cost(arr, Norm.L2),
         columnwise=columnwise_cost(arr, Norm.L2),
         rowwise=rowwise_cost(arr, Norm.L2),
         residual=residual,
     )
+
+
+def _stack_residual(blocks: _Blocks) -> np.ndarray:
+    """:func:`l2_decomposition`'s residual of each block of a padded
+    stack: its means are sums over the block's own cells divided by its
+    own counts, and its padding is left out of every sum."""
+    values, valid = blocks.values, blocks.valid
+    n, m = blocks.rows[:, :, None], blocks.cols[:, :, None]
+    block = (1, 2)
+    centered = np.where(valid, values - values.sum(axis=block, keepdims=True) / (n * m), 0.0)
+    fitted = centered.sum(axis=2, keepdims=True) / m + centered.sum(axis=1, keepdims=True) / n
+    fitted -= centered.sum(axis=block, keepdims=True) / (n * m)
+    residual = (np.where(valid, centered - fitted, 0.0) ** 2).sum(axis=block)
+    lo = np.where(valid, values, np.inf).min(axis=block)
+    hi = np.where(valid, values, -np.inf).max(axis=block)
+    return np.where(lo == hi, 0.0, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +192,14 @@ def _require_binary(arr: np.ndarray) -> None:
         raise ValidationError("operation requires a 0/1 valued block")
 
 
-def _quadrants(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Majority rows and columns of a 0/1 block (strictly more ones than
-    zeros; exact ties go to the non-majority side), and the (n, m) boolean
-    masks of its quadrants: A majority rows x majority columns, B majority
-    rows x the rest, C the rest x majority columns, D the rest x the rest.
-    A stack of blocks gives one mask per block on the leading axis."""
-    n, m = arr.shape[-2:]
+def _quadrants(arr: np.ndarray, n, m) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Majority rows and columns of a 0/1 block of n rows and m columns
+    (strictly more ones than zeros; exact ties go to the non-majority
+    side), and the (n, m) boolean masks of its quadrants: A majority rows x
+    majority columns, B majority rows x the rest, C the rest x majority
+    columns, D the rest x the rest.  A padded stack (:class:`_Blocks`'
+    values, with its (B, 1) counts as n and m) gives one mask per block on
+    the leading axis; padding is never majority, so it lies in B, C or D."""
     row_mask = arr.sum(axis=-1) * 2 > m
     col_mask = arr.sum(axis=-2) * 2 > n
     rows, cols = row_mask[..., :, None], col_mask[..., None, :]
@@ -216,7 +239,7 @@ def block_decomposition(y) -> BlockDecomposition:
     total_ones = int(round(arr.sum()))
     complemented = total_ones > n * m - total_ones
     work = 1.0 - arr if complemented else arr
-    row_mask, col_mask, quadrants = _quadrants(work)
+    row_mask, col_mask, quadrants = _quadrants(work, n, m)
     ones = {name: int(round(work[mask].sum())) for name, mask in quadrants.items()}
     size = n * m
     return BlockDecomposition(
@@ -254,31 +277,42 @@ class SwapStep:
 _SWAP_ORDER = (("D", "A"), ("D", "B"), ("D", "C"), ("B", "A"), ("C", "A"))
 
 
-def _find_swaps(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First applicable swap of each block of a (B, n, m) stack: the index
+def _find_swaps(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First applicable swap of each block of a padded stack: the index
     into ``_SWAP_ORDER`` of the first quadrant pair with a one in the
     source and a zero in the destination (-1 when none applies), and the
-    row-major flat positions of the first such one and zero."""
-    flat = blocks.reshape(len(blocks), -1)
-    ones, zeros = flat == 1.0, flat == 0.0
-    quadrants = {q: mask.reshape(flat.shape) for q, mask in _quadrants(blocks)[2].items()}
+    row-major flat positions, in the padded width, of the first such one
+    and zero.  Padding is neither a one nor a zero, and a padded row keeps
+    its real cells' order, so the swap found is the unpadded block's."""
+    values = blocks.values
+    flat = values.reshape(len(values), -1)
+    ones = flat == 1.0
+    zeros = (flat == 0.0) & blocks.valid.reshape(flat.shape)
+    quadrants = _quadrants(values, blocks.rows, blocks.cols)[2]
+    quadrants = {q: mask.reshape(flat.shape) for q, mask in quadrants.items()}
     src = np.stack([quadrants[a] & ones for a, _ in _SWAP_ORDER])
     dst = np.stack([quadrants[b] & zeros for _, b in _SWAP_ORDER])
     applies = src.any(axis=2) & dst.any(axis=2)
     kind = np.where(applies.any(axis=0), applies.argmax(axis=0), -1)
-    each = np.arange(len(blocks))
+    each = np.arange(len(values))
     return kind, src[kind, each].argmax(axis=1), dst[kind, each].argmax(axis=1)
 
 
-def _spread(arr: np.ndarray):
+def _spread(y):
     """Combined L1 spread, ``columnwise_cost + rowwise_cost``, of a 0/1
-    block, or of each block of a (B, n, m) stack.
+    block, or of each block of a stack (a (B, n, m) array, a list of 2-D
+    blocks of any shapes, or :class:`_Blocks`).
 
     Counted, not sorted: each column's cost is min(ones, n - ones) and each
-    row's min(ones, m - ones) (:func:`~crossclust.cost._binary_l1`).  The
+    row's min(ones, m - ones) (:func:`~crossclust.cost._binary_l1`), with
+    each block's own n and m; a padded line has no ones and costs 0.  The
     one-counts are sums of 0s and 1s, exact in floating point, and so is
     every sum of these integers, so the result equals the direct costs."""
-    n, m = arr.shape[-2:]
+    arr = _values_of(y, stack=True)
+    if isinstance(arr, _Blocks):
+        arr, n, m = arr.values, arr.rows, arr.cols
+    else:
+        n, m = arr.shape
     return (_binary_l1(arr.sum(axis=-2), n).sum(axis=-1)
             + _binary_l1(arr.sum(axis=-1), m).sum(axis=-1))
 
@@ -294,49 +328,61 @@ def swap_normalize(y) -> tuple[np.ndarray, tuple[SwapStep, ...]]:
     The terminal block always matches one of the three extremal structures
     (see :func:`terminal_structure`).
 
-    A (B, n, m) stack of blocks is normalized in lockstep, one swap per
+    A stack of blocks, a (B, n, m) array or a list of 2-D blocks of any
+    shapes, is normalized in lockstep on one padded stack, one swap per
     unfinished block and step, under the same checks.  It returns the
-    stack of terminal blocks and each block's number of swaps, not a trace.
+    terminal blocks, in the input's form, and each block's number of
+    swaps, not a trace.
     """
-    arr = np.array(_values_of(y, stack=True), dtype=float)
-    blocks = arr.reshape(-1, *arr.shape[-2:])  # a view: swaps land in arr
-    m = blocks.shape[2]
-    _require_binary(blocks)
-    if np.any(2 * np.rint(blocks.sum(axis=(1, 2))) > blocks[0].size):
+    arr = _values_of(y, stack=True)
+    single = not isinstance(arr, _Blocks)
+    padded = _padded(arr[None] if single else arr)
+    blocks = padded._replace(values=padded.values.copy())
+    values = blocks.values  # swaps land here
+    m = values.shape[2]
+    _require_binary(values)
+    if np.any(2 * np.rint(values.sum(axis=(1, 2))) > (blocks.rows * blocks.cols)[:, 0]):
         raise ValidationError("swap normalization requires ones <= zeros")
     spread = _spread(blocks)
-    steps = np.zeros(len(blocks), dtype=int)
+    steps = np.zeros(len(values), dtype=int)
     trace: list[SwapStep] = []
-    live = np.arange(len(blocks))
+    live = np.arange(len(values))
+    unfinished = blocks
     while True:
-        kind, one, zero = _find_swaps(blocks[live])
+        kind, one, zero = _find_swaps(unfinished)
         found = kind >= 0
         if not found.any():
             break
         live, kind, one, zero = live[found], kind[found], one[found], zero[found]
-        blocks[live, one // m, one % m] = 0.0
-        blocks[live, zero // m, zero % m] = 1.0
-        new_spread = _spread(blocks[live])
+        values[live, one // m, one % m] = 0.0
+        values[live, zero // m, zero % m] = 1.0
+        unfinished = blocks.take(live)
+        new_spread = _spread(unfinished)
         bad = new_spread > spread[live] - 1.0 + PASS_TOL
-        i = int(bad.argmax())  # the first violating block, else the first (a 2-D block's)
-        step = SwapStep(
-            "->".join(_SWAP_ORDER[kind[i]]), divmod(int(one[i]), m),
-            divmod(int(zero[i]), m), float(spread[live[i]]), float(new_spread[i]),
-        )
-        if bad[i]:
-            raise DescentViolationError(
-                f"swap {step.kind} at {step.one_pos}/{step.zero_pos} changed spread "
-                f"{step.spread_before} -> {step.spread_after}; expected a drop of at least 1"
+        if single or bad.any():
+            i = int(bad.argmax())  # the first violating block, else the only one
+            step = SwapStep(
+                "->".join(_SWAP_ORDER[kind[i]]), divmod(int(one[i]), m),
+                divmod(int(zero[i]), m), float(spread[live[i]]), float(new_spread[i]),
             )
-        trace.append(step)
+            if bad[i]:
+                raise DescentViolationError(
+                    f"swap {step.kind} at {step.one_pos}/{step.zero_pos} changed spread "
+                    f"{step.spread_before} -> {step.spread_after}; expected a drop of at least 1"
+                )
+            trace.append(step)
         spread[live] = new_spread
         steps[live] += 1
     if np.any(np.equal(terminal_structure(blocks), None)):
         raise BoundViolationError(
             "swap-normalized block matches none of the expected structures"
         )
-    arr.setflags(write=False)
-    return arr, (tuple(trace) if arr.ndim == 2 else steps)
+    values.setflags(write=False)
+    if single:
+        return values[0], tuple(trace)
+    if isinstance(y, _Blocks):
+        return blocks, steps
+    return (values if isinstance(y, np.ndarray) else blocks.blocks()), steps
 
 
 #: :func:`terminal_structure`'s answers, by case index.
@@ -349,18 +395,23 @@ def terminal_structure(y) -> str | None:
     Returns "i" when quadrants A, B, C are all ones, "ii" when A is all
     ones and D all zeros, "iii" when B, C, D are all zeros (empty
     quadrants count as satisfying either), or None when none applies.
-    A (B, n, m) stack of blocks gives an object array of these answers.
+    A stack of blocks, a (B, n, m) array or a list of 2-D blocks of any
+    shapes, gives an object array of these answers, in order; padding
+    satisfies every test.
     """
     arr = _values_of(y, stack=True)
-    _require_binary(arr)
-    quadrants = _quadrants(arr)[2]
+    blocks = arr if isinstance(arr, _Blocks) else _padded(arr[None])
+    values = blocks.values
+    _require_binary(values)
+    quadrants = _quadrants(values, blocks.rows, blocks.cols)[2]
     a, d = quadrants["A"], quadrants["D"]
-    ones = arr == 1.0
+    ones = values == 1.0
     block = (-2, -1)
-    i = (ones | d).all(axis=block)  # all ones outside D
+    i = (ones | d | ~blocks.valid).all(axis=block)  # all ones outside D
     ii = (ones | ~a).all(axis=block) & ~(ones & d).any(axis=block)
     iii = ~(ones & ~a).any(axis=block)  # no ones outside A
-    return _TERMINALS[np.where(i, 0, np.where(ii, 1, np.where(iii, 2, 3)))]
+    answers = _TERMINALS[np.where(i, 0, np.where(ii, 1, np.where(iii, 2, 3)))]
+    return answers if isinstance(arr, _Blocks) else answers[0]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -90,16 +90,78 @@ class CostBreakdown:
                 raise ValidationError(f"{name} must be finite and >= 0, got {val}")
 
 
-def _values_of(y, stack: bool = False) -> np.ndarray:
+def _values_of(y, stack: bool = False):
     """Accept a DataMatrix or array-like and return a 2-D array; with
-    ``stack``, a 3-D array of equal-shape blocks on the leading axis is
-    accepted too."""
+    ``stack``, a stack of blocks is accepted too, a (B, n, m) array or a
+    list of 2-D blocks of any shapes, and comes back :func:`_padded`."""
     if isinstance(y, DataMatrix):
         return y.values
+    if stack and (isinstance(y, _Blocks) or _is_block_list(y)):
+        return _padded(y)
     arr = np.asarray(y, dtype=float)
     if arr.ndim not in ((2, 3) if stack else (2,)) or arr.size == 0:
         raise ValidationError("expected a nonempty 2-D block of values")
-    return arr
+    return _padded(arr) if arr.ndim == 3 else arr
+
+
+def _is_block_list(y) -> bool:
+    """A list or tuple of blocks, as opposed to the rows of one block."""
+    return (isinstance(y, (list, tuple)) and len(y) > 0
+            and (isinstance(y[0], DataMatrix) or np.ndim(y[0]) == 2))
+
+
+class _Blocks(NamedTuple):
+    """A stack of blocks zero-padded into one (B, N, M) array: block i is
+    ``values[i, :rows[i], :cols[i]]`` and ``valid[i]`` marks its cells.
+    ``rows`` and ``cols`` have shape (B, 1), so that they broadcast against
+    per-line sums.  The stack kernels read the counts for majority
+    thresholds, medians and means, and mask the padding with ``valid``."""
+
+    values: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    valid: np.ndarray
+
+    def take(self, idx) -> "_Blocks":
+        """The blocks ``idx``, a copy."""
+        return _Blocks(*(field[idx] for field in self))
+
+    def transposed(self) -> "_Blocks":
+        """Every block transposed: rows become columns, as a view."""
+        return _Blocks(self.values.transpose(0, 2, 1), self.cols, self.rows,
+                       self.valid.transpose(0, 2, 1))
+
+    def pooled(self) -> "_Blocks":
+        """Every block's entries as one column of up to N * M cells, as a
+        view; its valid cells are no longer a top-left corner, but
+        ``rows`` still counts them."""
+        b = len(self.values)
+        return _Blocks(self.values.reshape(b, -1, 1), self.rows * self.cols,
+                       np.ones_like(self.cols), self.valid.reshape(b, -1, 1))
+
+    def blocks(self) -> list[np.ndarray]:
+        """The blocks, unpadded, as views."""
+        return [v[:n, :m] for v, n, m in zip(self.values, self.rows[:, 0], self.cols[:, 0])]
+
+
+def _padded(y) -> _Blocks:
+    """A list of 2-D blocks, or a (B, n, m) stack of equal-shape blocks,
+    as :class:`_Blocks`; an equal-shape stack needs no padding, and its
+    counts are all equal.  :class:`_Blocks` passes through, so that a
+    public call pads once however many public costs it calls."""
+    if isinstance(y, _Blocks):
+        return y
+    if isinstance(y, np.ndarray) and y.ndim == 3:
+        b, n, m = y.shape
+        return _Blocks(y, np.full((b, 1), n), np.full((b, 1), m), np.ones(y.shape, dtype=bool))
+    blocks = [_values_of(block) for block in y]
+    shapes = np.array([block.shape for block in blocks])
+    rows, cols = shapes[:, :1], shapes[:, 1:]
+    valid = (np.arange(rows.max()) < rows)[:, :, None] & (np.arange(cols.max()) < cols)[:, None, :]
+    values = np.zeros(valid.shape)
+    # a block's cells are a top-left corner, so row-major they come in its own order
+    values[valid] = np.concatenate([block.ravel() for block in blocks])
+    return _Blocks(values, rows, cols, valid)
 
 
 def _lower_median(s: int) -> int:
@@ -115,11 +177,27 @@ def _center(arr: np.ndarray, norm: Norm):
     return arr.mean(axis=0)
 
 
-def _columns_spread(arr: np.ndarray, norm: Norm):
+def _columns_spread(arr, norm: Norm):
     """Sum over columns of the within-column dissimilarity, the deviations
-    of each column from its :func:`_center`.  A 1-D array is one column; an
-    array of more dimensions (entries, columns, blocks...) is a stack of
-    blocks, whose spreads come back as an array."""
+    of each column from its :func:`_center`.  A 1-D array is one column;
+    :class:`_Blocks` is a stack of blocks, whose spreads come back as an
+    array.  A stack's centers are those of each block's own cells: the
+    lower median of a column of s cells (padding sorts last), and the sum
+    of its cells over s.  Padding costs nothing, and a constant column
+    costs exactly 0."""
+    if isinstance(arr, _Blocks):
+        values, valid = arr.values, arr.valid
+        if norm is Norm.L1:
+            lanes = np.where(valid, values, np.inf)
+            lanes.sort(axis=1)
+            center = np.take_along_axis(lanes, _lower_median(arr.rows)[:, :, None], axis=1)
+            dev = np.where(valid, np.abs(values - center), 0.0)
+        else:
+            center = values.sum(axis=1, keepdims=True) / arr.rows[:, :, None]
+            lo = np.where(valid, values, np.inf).min(axis=1, keepdims=True)
+            hi = np.where(valid, values, -np.inf).max(axis=1, keepdims=True)
+            dev = np.where(valid & (lo != hi), values - center, 0.0) ** 2
+        return dev.sum(axis=(1, 2))
     if norm is Norm.L1:
         dev = np.abs(arr - _center(arr, norm))
     else:
@@ -131,7 +209,7 @@ def _columns_spread(arr: np.ndarray, norm: Norm):
         dev = (arr - _center(arr, norm)) ** 2
         if constant.any():
             dev[:, constant] = 0.0
-    return dev.sum(axis=(0, 1)) if arr.ndim > 2 else float(dev.sum())
+    return float(dev.sum())
 
 
 @overflow_guard
@@ -150,11 +228,12 @@ def dissimilarity(values, norm: Norm) -> float:
 def pooled_cost(y, norm: Norm) -> float:
     """Dissimilarity of all entries of a block pooled into one multiset.
 
-    This and the next two costs also take a (B, n, m) stack of blocks and
-    then return the array of the B blocks' costs."""
+    This and the next two costs also take a stack of blocks, a (B, n, m)
+    array or a list of 2-D blocks of any shapes, and then return the
+    array of the B blocks' costs, in order."""
     arr = _values_of(y, stack=True)
-    if arr.ndim == 3:
-        return _columns_spread(arr.reshape(len(arr), 1, -1).T, norm)
+    if isinstance(arr, _Blocks):
+        return _columns_spread(arr.pooled(), norm)
     return dissimilarity(arr.ravel(), norm)
 
 
@@ -165,14 +244,14 @@ def columnwise_cost(y, norm: Norm) -> float:
     This is the contribution the block's rows would make to the
     row-clustering objective if they formed a single cluster.
     """
-    arr = _values_of(y, stack=True)
-    return _columns_spread(arr.transpose(1, 2, 0) if arr.ndim == 3 else arr, norm)
+    return _columns_spread(_values_of(y, stack=True), norm)
 
 
 @overflow_guard
 def rowwise_cost(y, norm: Norm) -> float:
     """Sum of per-row dissimilarities of a block (transposed analogue)."""
-    return _columns_spread(_values_of(y, stack=True).T, norm)
+    arr = _values_of(y, stack=True)
+    return _columns_spread(arr.transposed() if isinstance(arr, _Blocks) else arr.T, norm)
 
 
 def _clusters_spread(vals: np.ndarray, part: Partition, norm: Norm) -> float:

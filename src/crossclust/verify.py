@@ -16,7 +16,7 @@ from .bounds import (
     swap_normalize,
     terminal_structure,
 )
-from .cost import BINARY_L1_RATIO_BOUND, REAL_L2_RATIO_BOUND, Norm
+from .cost import BINARY_L1_RATIO_BOUND, REAL_L2_RATIO_BOUND, Norm, _Blocks, _padded
 from .errors import BoundViolationError, ValidationError
 from .rng import SplitMix64, uniforms
 from .worstcase import random_binary_matrix, random_real_matrix
@@ -47,29 +47,28 @@ def verify_bounds(seed: int, count: int, resolution: int) -> list[dict]:
     return batteries
 
 
-def _stacks(shapes: list[tuple[int, int]], seeds):
-    """Block i of shape ``shapes[i]`` holds the first n * m floats of the
-    stream ``seeds[i]``, row-major, as ``random_real_matrix`` draws them;
-    all blocks come from one bulk draw.  Yields (indices, (B, n, m) stack)
-    once per distinct shape."""
-    sizes = [n * m for n, m in shapes]
-    flat = uniforms(seeds, sizes)
-    starts = np.cumsum(sizes) - sizes
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, shape in enumerate(shapes):
-        groups.setdefault(shape, []).append(i)
-    for (n, m), members in groups.items():
-        idx = np.array(members)
-        yield idx, flat[starts[idx, None] + np.arange(n * m)].reshape(-1, n, m)
+def _draw(shapes: list[tuple[int, int]], seeds) -> tuple[np.ndarray, np.ndarray]:
+    """One bulk draw for blocks of the given shapes: block i holds the
+    first n * m floats of the stream ``seeds[i]``, row-major, as
+    ``random_real_matrix`` draws them.  Returns every block's entries, end
+    to end, and the blocks' sizes."""
+    sizes = np.array([n * m for n, m in shapes])
+    return uniforms(seeds, sizes.tolist()), sizes
 
 
-def _drawn_stacks(rng: SplitMix64, count: int, side: int):
-    """:func:`_stacks` of ``count`` blocks whose rows, columns (1..side)
-    and seed are drawn from ``rng`` in that order."""
+def _split(flat: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
+    """The blocks of :func:`_draw`'s entries ``flat``, in order, as views."""
+    ends = np.cumsum([n * m for n, m in shapes]).tolist()
+    return [flat[end - n * m : end].reshape(n, m) for end, (n, m) in zip(ends, shapes)]
+
+
+def _drawn_shapes(rng: SplitMix64, count: int, side: int):
+    """Rows and columns (1..side) and a seed of ``count`` blocks, drawn
+    from ``rng`` in that order: the shapes, and the seeds."""
     draws = [(rng.randint_below(side) + 1, rng.randint_below(side) + 1, rng.next_uint64())
              for _ in range(count)]
     n, m, seeds = zip(*draws)
-    return _stacks(list(zip(n, m)), seeds)
+    return list(zip(n, m)), seeds
 
 
 def _battery_per_block(rng: SplitMix64, count: int):
@@ -77,12 +76,14 @@ def _battery_per_block(rng: SplitMix64, count: int):
               (0.2, 0.5, 0.8)[rng.randint_below(3)], rng.next_uint64(), rng.next_uint64())
              for _ in range(count)]
     n, m, ones_p, binary_seeds, real_seeds = zip(*draws)
-    # blocks 0..count-1 are the binary ones, count..2*count-1 the real ones
-    for idx, u in _stacks(list(zip(n, m)) * 2, binary_seeds + real_seeds):
-        binary = idx < count
-        xb = (u[binary] < np.take(ones_p, idx[binary])[:, None, None]).astype(float)
-        yield from per_bicluster_bound(xb, Norm.L1, BINARY_L1_RATIO_BOUND).passed.tolist()
-        yield from per_bicluster_bound(u[~binary], Norm.L2, REAL_L2_RATIO_BOUND).passed.tolist()
+    shapes = list(zip(n, m))
+    # the first count blocks are made binary, the last count stay real
+    u, sizes = _draw(shapes * 2, binary_seeds + real_seeds)
+    half = int(sizes[:count].sum())
+    binary = (u[:half] < np.repeat(ones_p, sizes[:count])).astype(float)
+    l1 = per_bicluster_bound(_split(binary, shapes), Norm.L1, BINARY_L1_RATIO_BOUND)
+    l2 = per_bicluster_bound(_split(u[half:], shapes), Norm.L2, REAL_L2_RATIO_BOUND)
+    return l1.passed.tolist() + l2.passed.tolist()
 
 
 def _battery_lower_bound(rng: SplitMix64, count: int):
@@ -100,34 +101,40 @@ def _battery_lower_bound(rng: SplitMix64, count: int):
         yield lower_bound_check(x, k_r, k_c, norm).passed
 
 
-def _swap_checks(x) -> list[bool]:
-    """Swap descent on a stack of 0/1 blocks with ones <= zeros, one bool
-    per block.  A stack that raises is re-checked block by block, so that
-    only the blocks that raise fail."""
+def _swap_checks(x: _Blocks) -> list[bool]:
+    """Swap descent on a padded stack of 0/1 blocks with ones <= zeros,
+    one bool per block.  A stack that raises is re-checked block by block,
+    so that only the blocks that raise fail."""
     try:
         terminal, steps = swap_normalize(x)
     except BoundViolationError:
-        return [ok for block in x for ok in _swap_checks(block[None])] if len(x) > 1 else [False]
-    ones = x.sum(axis=(1, 2))  # also the pooled L1 cost
-    ok = np.not_equal(terminal_structure(terminal), None) & (terminal.sum(axis=(1, 2)) == ones)
+        if len(x.values) == 1:
+            return [False]
+        return [ok for i in range(len(x.values)) for ok in _swap_checks(x.take([i]))]
+    ones = x.values.sum(axis=(1, 2))  # also the pooled L1 cost
+    kept = terminal.values.sum(axis=(1, 2)) == ones
+    ok = np.not_equal(terminal_structure(terminal), None) & kept
     # every swap lowers the spread by at least 1
     return (ok & (_spread(terminal) <= _spread(x) - steps + PASS_TOL * ones)).tolist()
 
 
 def _battery_swaps(rng: SplitMix64, count: int):
-    for _, u in _drawn_stacks(rng, count, 6):
-        x = (u < 0.4).astype(float)
-        flip = 2 * x.sum(axis=(1, 2)) > x[0].size
-        x[flip] = 1.0 - x[flip]
-        yield from _swap_checks(x)
+    shapes, seeds = _drawn_shapes(rng, count, 6)
+    u, sizes = _draw(shapes, seeds)
+    x = (u < 0.4).astype(float)
+    # complement every block with more ones than zeros
+    flip = 2 * np.add.reduceat(x, np.cumsum(sizes) - sizes) > sizes
+    x = np.where(np.repeat(flip, sizes), 1.0 - x, x)
+    # one padded stack for every check, not one per check
+    return _swap_checks(_padded(_split(x, shapes)))
 
 
 def _battery_l2_identity(rng: SplitMix64, count: int):
-    for _, x in _drawn_stacks(rng, count, 8):
-        dec = l2_decomposition(x)
-        tol = PASS_TOL * dec.pooled
-        ok = abs(dec.pooled - (dec.columnwise + dec.rowwise - dec.residual)) <= tol
-        yield from (ok & (dec.residual >= -tol)).tolist()
+    shapes, seeds = _drawn_shapes(rng, count, 8)
+    dec = l2_decomposition(_split(_draw(shapes, seeds)[0], shapes))
+    tol = PASS_TOL * dec.pooled
+    ok = abs(dec.pooled - (dec.columnwise + dec.rowwise - dec.residual)) <= tol
+    return (ok & (dec.residual >= -tol)).tolist()
 
 
 def _tally(name: str, results) -> dict:

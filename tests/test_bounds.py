@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crossclust import (
     BINARY_L1_RATIO_BOUND,
@@ -26,6 +27,7 @@ from crossclust import (
     lower_bound_check,
     make_alpha_point,
     per_bicluster_bound,
+    pooled_cost,
     random_binary_matrix,
     random_real_matrix,
     rowwise_cost,
@@ -419,6 +421,133 @@ class TestStacks:
             terminal_structure(stack)
         with pytest.raises(ValidationError):
             l2_decomposition(np.zeros((2, 2, 2, 2)))
+
+
+def ragged_blocks(entries):
+    """Lists of 1-40 blocks of 1-8 x 1-8 entries, of mixed shapes.  A
+    block is drawn whole, or with equal rows, equal columns or all entries
+    equal, so that constant lines and blocks are common."""
+    def block(shape):
+        n, m = shape
+        return st.one_of(
+            arrays(float, shape, elements=entries),
+            arrays(float, (1, m), elements=entries).map(lambda row: np.repeat(row, n, axis=0)),
+            arrays(float, (n, 1), elements=entries).map(lambda col: np.repeat(col, m, axis=1)),
+            entries.map(lambda value: np.full(shape, value)),
+        )
+
+    blocks = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(block)
+    # a length drawn first, so that long lists are as common as short ones
+    return st.integers(1, 40).flatmap(lambda k: st.lists(blocks, min_size=k, max_size=k))
+
+
+def fewer_ones_blocks(blocks):
+    """Every block with more ones than zeros complemented."""
+    return [1.0 - b if 2 * b.sum() > b.size else b for b in blocks]
+
+
+ONE_BY_ONE_M_N_BY_ONE = [np.array([[1.0]]), np.array([[0.0, 1.0, 1.0, 0.0]]),
+                         np.array([[1.0], [0.0], [0.0]])]
+
+
+class TestRaggedStacks:
+    """A list of blocks of mixed shapes gives, block for block, what the
+    2-D call on each block gives."""
+
+    @given(ragged_blocks(st.sampled_from([0.0, 1.0])))
+    @example(ONE_BY_ONE_M_N_BY_ONE)
+    @example([np.array([[0.0, 1.0], [1.0, 1.0]])])  # a list of one block
+    @settings(max_examples=60, deadline=None)
+    def test_binary_costs_swaps_and_structures_are_equal(self, blocks):
+        self.check_costs(blocks, Norm.L1, BINARY_L1_RATIO_BOUND, tol=0.0)
+        self.check_costs(blocks, Norm.L2, REAL_L2_RATIO_BOUND, tol=1e-12)
+        assert list(terminal_structure(blocks)) == [terminal_structure(b) for b in blocks]
+        assert list(_spread(blocks)) == [_spread(b) for b in blocks]
+        x = fewer_ones_blocks(blocks)
+        terminals, steps = swap_normalize(x)
+        assert len(terminals) == len(steps) == len(x)
+        for block, terminal, n_steps in zip(x, terminals, steps):
+            single, trace = swap_normalize(block)
+            assert terminal.shape == block.shape and not terminal.flags.writeable
+            assert np.array_equal(terminal, single)
+            assert n_steps == len(trace)
+
+    @given(ragged_blocks(finite), st.sampled_from([0.0, 1e7]))
+    @example(ONE_BY_ONE_M_N_BY_ONE, 1e7)
+    @example([np.full((3, 2), 0.1)], 0.0)  # three 0.1s average to no float of their own
+    # a spread of 66 ulps of the offset: the 2-D pooled cost is 0.1% off the stack's
+    @example([np.repeat([[0.0], [0.0], [1.22706546e-07]], 2, axis=1)], 1e7)
+    @settings(max_examples=60, deadline=None)
+    def test_real_costs_are_close_and_constants_cost_zero(self, blocks, offset):
+        blocks = [b + offset for b in blocks]
+        self.check_costs(blocks, Norm.L2, REAL_L2_RATIO_BOUND, tol=1e-12)
+        self.check_costs(blocks, Norm.L1, BINARY_L1_RATIO_BOUND, tol=1e-12)
+        dec = l2_decomposition(blocks)
+        for i, block in enumerate(blocks):
+            one = l2_decomposition(block)
+            err = 1e-12 * one.pooled + block.size * (4 * np.spacing(np.abs(block).max())) ** 2
+            for field in ("pooled", "columnwise", "rowwise", "residual"):
+                assert abs(getattr(dec, field)[i] - getattr(one, field)) <= err
+            if (block == block[:1]).all():  # every column constant
+                assert dec.columnwise[i] == 0.0
+            if (block == block[:, :1]).all():  # every row constant
+                assert dec.rowwise[i] == 0.0
+            if (block == block[0, 0]).all():
+                assert dec.pooled[i] == dec.residual[i] == 0.0
+
+    @staticmethod
+    def check_costs(blocks, norm, alpha, tol):
+        """Each cost within ``tol`` times the pooled cost of the 2-D call's,
+        plus, under L2, what rounding the means can do: each mean is within
+        a few ulps of the largest entry, and a mean off by e moves a sum of
+        s squared deviations by s * e**2.  That term matters only where the
+        spread is a few ulps of the offset, where the 2-D costs are no
+        closer to the exact ones."""
+        rep = per_bicluster_bound(blocks, norm, alpha)
+        costs = (pooled_cost(blocks, norm), columnwise_cost(blocks, norm),
+                 rowwise_cost(blocks, norm))
+        for i, block in enumerate(blocks):
+            one = per_bicluster_bound(block, norm, alpha)
+            err = tol * one.pooled
+            if norm is Norm.L2:
+                err += block.size * (4 * np.spacing(np.abs(block).max())) ** 2
+            # passed thresholds the slack, which may move by the costs' errors
+            if err == 0.0 or abs(one.slack + PASS_TOL * one.pooled) > 4 * err:
+                assert rep.passed[i] == one.passed
+            singles = (one.pooled, one.columnwise, one.rowwise)
+            for field, cost, single in zip(("pooled", "columnwise", "rowwise"), costs, singles):
+                assert getattr(rep, field)[i] == cost[i]
+                assert abs(cost[i] - single) <= err
+
+    @given(block_stack(st.sampled_from([0.0, 1.0])), st.sampled_from([0.0, 1e7]))
+    @settings(max_examples=40, deadline=None)
+    def test_an_equal_shape_stack_equals_its_list(self, stack, offset):
+        blocks = list(stack)
+        assert list(terminal_structure(stack)) == list(terminal_structure(blocks))
+        assert np.array_equal(_spread(stack), _spread(blocks))
+        terminals, steps = swap_normalize(fewer_ones(stack.copy()))
+        listed, listed_steps = swap_normalize(fewer_ones_blocks(blocks))
+        assert np.array_equal(terminals, np.stack(listed)) and np.array_equal(steps, listed_steps)
+        stack = stack + offset
+        blocks = list(stack)
+        for norm in Norm:
+            for cost in (pooled_cost, columnwise_cost, rowwise_cost):
+                assert np.array_equal(cost(stack, norm), cost(blocks, norm))
+        for a, b in zip(l2_decomposition(stack).__dict__.values(),
+                        l2_decomposition(blocks).__dict__.values()):
+            assert np.array_equal(a, b)
+
+    def test_list_rejections_match_single_blocks(self):
+        blocks = [np.zeros((2, 3)), np.ones((1, 1)), np.zeros((3, 1))]
+        with pytest.raises(ValidationError, match="ones <= zeros"):
+            swap_normalize(blocks)
+        blocks[1] = np.full((1, 1), 0.5)
+        for fn in (swap_normalize, terminal_structure):
+            with pytest.raises(ValidationError, match="0/1"):
+                fn(blocks)
+        for bad in ([np.zeros((2, 2)), np.zeros(3)], [np.zeros((2, 2)), np.zeros((0, 2))]):
+            with pytest.raises(ValidationError):
+                pooled_cost(bad, Norm.L2)
 
 
 class TestAlphaObjective:

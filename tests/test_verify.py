@@ -13,39 +13,41 @@ from crossclust import (
     verify_bounds,
 )
 from crossclust import verify
+from crossclust.cost import _padded
 from crossclust.cli import main
 
 
 def test_blocks_match_the_generator():
     shapes = [(2, 3), (1, 1), (2, 3), (4, 2), (1, 1)]
     seeds = [5, -1, 2**64 + 1, 7, 5]
-    blocks = {}
-    for idx, stack in verify._stacks(shapes, seeds):
-        assert len({b.shape for b in stack}) == 1
-        blocks.update(zip(idx.tolist(), stack))
-    assert sorted(blocks) == list(range(len(shapes)))
-    for i, (shape, seed) in enumerate(zip(shapes, seeds)):
-        assert np.array_equal(blocks[i], random_real_matrix(*shape, seed).values)
+    blocks = verify._split(verify._draw(shapes, seeds)[0], shapes)
+    stack = _padded(blocks)
+    # one ragged stack holds every block, in order, each in its own shape
+    assert len({b.shape for b in stack.blocks()}) == len(set(shapes))
+    assert [b.shape for b in stack.blocks()] == [b.shape for b in blocks] == shapes
+    for block, padded, shape, seed in zip(blocks, stack.blocks(), shapes, seeds):
+        assert np.array_equal(block, random_real_matrix(*shape, seed).values)
+        assert np.array_equal(padded, block)
 
 
 def test_a_failing_block_fails_alone(monkeypatch):
     """A block whose swap descent fails is counted once, not with the
-    rest of its shape group."""
+    rest of its ragged stack."""
     real = verify.swap_normalize
     stacks = []
 
     def spy(x):
-        stacks.append(np.array(x))
+        stacks.append(x.blocks())
         return real(x)
 
     monkeypatch.setattr(verify, "swap_normalize", spy)
     assert verify._tally("swap descent", verify._battery_swaps(SplitMix64(3), 80))["failures"] == 0
-    everything = [block for stack in stacks for block in stack]
-    group = max((stack for stack in stacks if len(stack) >= 2), key=lambda g: g[0].size)
-    poison = next(b for b in group if sum(np.array_equal(b, o) for o in everything) == 1)
+    (stack,) = stacks  # one call on one ragged stack of every block
+    assert len(stack) == 80 and len({b.shape for b in stack}) >= 2
+    poison = max((b for b in stack if sum(np.array_equal(b, o) for o in stack) == 1), key=np.size)
 
     def failing(x):
-        if any(np.array_equal(block, poison) for block in x):
+        if any(np.array_equal(block, poison) for block in x.blocks()):
             raise DescentViolationError("injected")
         return real(x)
 

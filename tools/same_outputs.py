@@ -26,7 +26,8 @@ others still trade rows; ``run --mode heuristic`` under L1 on a literal
 ``ratio`` under L1 on a 0/1 CSV written with
 ``-0``, ``0.0`` and ``1.0`` fields, which must be detected binary; plus
 ``sweep`` and ``verify-bounds`` as CSV, ``verify-bounds`` at odd counts,
-at the extreme seeds and at lattice resolutions from 2 to 2999, ``sweep``
+at the extreme seeds, at lattice resolutions from 2 to 2999, at its
+defaults at two seeds and at 2000 blocks per battery, ``sweep``
 under each generator and at 1x1, and
 ``--help`` and usage errors.  Its overflow ops run ``run`` (both
 modes), ``exact`` and ``ratio`` under both norms on inputs whose costs
@@ -256,6 +257,11 @@ def _edge_ops() -> list[dict]:
     # leaf side of 4 points: one leaf (3), split once (4, 5) or twice (9)
     other += [["verify-bounds", "--count", "20", "--resolution", r]
               for r in ("2", "81", "401", "1001", "3", "4", "5", "9", "2999")]
+    # ragged stacks: the default count at two seeds, and 2000 blocks per
+    # battery, where every shape recurs and the swap lockstep is wide
+    other += [["verify-bounds", "--seed", s] for s in ("60000", "60023")]
+    other += [["verify-bounds", "--count", "2000", "--resolution", "20", "--seed", s]
+              for s in ("1", "2")]
     other += [["sweep", "--count", "5"] + g for g in (["--norm", "l1"], ["--norm", "l2"],
                                                       ["--norm", "l2", "--planted"])]
     other += [["sweep", "--rows", "1", "--cols", "1", "--norm", "l2"] + k
