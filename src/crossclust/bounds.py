@@ -36,7 +36,7 @@ from .cost import (
 from .errors import BoundViolationError, DescentViolationError, ValidationError, overflow_guard
 from .model import DataMatrix
 from .oneway import SolverMode, exact_kcluster, kcluster_cols
-from .search import DEFAULT_ORACLE_CAP, exact_biclustering
+from .search import exact_biclustering
 
 #: Tolerance of the bound checks, relative to the pooled cost of the block
 #: or matrix checked, so that no check depends on the data's scale.
@@ -103,24 +103,17 @@ class LowerBoundReport:
 
 
 @overflow_guard
-def lower_bound_check(
-    x: DataMatrix,
-    k_r: int,
-    k_c: int,
-    norm: Norm,
-    row_cap: int = DEFAULT_ORACLE_CAP,
-    col_cap: int = DEFAULT_ORACLE_CAP,
-) -> LowerBoundReport:
-    """Verify l_star >= max(l_r, l_c) >= (l_r + l_c)/2 with l_r and l_c the
-    exact one-way optima at the same cluster budgets, within ``PASS_TOL``
-    times the one-block cost, so that the check is free of the data's
-    scale."""
-    l_star = exact_biclustering(x, k_r, k_c, norm, row_cap=row_cap, col_cap=col_cap).cost
+def lower_bound_check(x: DataMatrix, k_r: int, k_c: int, norm: Norm) -> LowerBoundReport:
+    """Verify max(l_r, l_c) <= l_star <= the one-block cost, with l_r and
+    l_c the exact one-way optima at the same cluster budgets: the oracle's
+    minimum covers the one-block pair.  Both within ``PASS_TOL`` times the
+    one-block cost, so that the check is free of the data's scale."""
+    l_star = exact_biclustering(x, k_r, k_c, norm).cost
     l_r = exact_kcluster(x, k_r, norm).cost
     l_c = kcluster_cols(x, k_c, norm, SolverMode.exact()).cost
-    top = max(l_r, l_c)
-    tol = PASS_TOL * pooled_cost(x, norm)
-    passed = l_star >= top - tol and top >= 0.5 * (l_r + l_c) - tol
+    pooled = pooled_cost(x, norm)
+    tol = PASS_TOL * pooled
+    passed = max(l_r, l_c) - tol <= l_star <= pooled + tol
     return LowerBoundReport(l_star, l_r, l_c, passed)
 
 
@@ -148,17 +141,13 @@ def l2_decomposition(y) -> L2Decomposition:
     list of 2-D blocks of any shapes) into per-block arrays, in order.
     The additive model is fitted to the block minus its grand mean, so the
     residual does not depend on an offset of the data, and a block of
-    equal entries has a residual of exactly 0."""
+    equal entries has a residual of exactly 0.  A 2-D block's residual is
+    that of a one-block stack, which has no padding."""
     arr = _values_of(y, stack=True)
     if isinstance(arr, _Blocks):
         residual = _stack_residual(arr)
     else:
-        block = (-2, -1)
-        centered = arr - arr.mean(axis=block, keepdims=True)
-        fitted = centered.mean(axis=-1, keepdims=True) + centered.mean(axis=-2, keepdims=True)
-        fitted -= centered.mean(axis=block, keepdims=True)
-        residual = ((centered - fitted) ** 2).sum(axis=block)
-        residual = float(np.where(arr.min(axis=block) == arr.max(axis=block), 0.0, residual))
+        residual = float(_stack_residual(_padded(arr[None]))[0])
     return L2Decomposition(
         pooled=pooled_cost(arr, Norm.L2),
         columnwise=columnwise_cost(arr, Norm.L2),
@@ -177,10 +166,7 @@ def _stack_residual(blocks: _Blocks) -> np.ndarray:
     centered = np.where(valid, values - values.sum(axis=block, keepdims=True) / (n * m), 0.0)
     fitted = centered.sum(axis=2, keepdims=True) / m + centered.sum(axis=1, keepdims=True) / n
     fitted -= centered.sum(axis=block, keepdims=True) / (n * m)
-    residual = (np.where(valid, centered - fitted, 0.0) ** 2).sum(axis=block)
-    lo = np.where(valid, values, np.inf).min(axis=block)
-    hi = np.where(valid, values, -np.inf).max(axis=block)
-    return np.where(lo == hi, 0.0, residual)
+    return (np.where(valid & blocks.varies(block), centered - fitted, 0.0) ** 2).sum(axis=block)
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +284,18 @@ def _find_swaps(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return kind, src[kind, each].argmax(axis=1), dst[kind, each].argmax(axis=1)
 
 
-def _spread(y):
-    """Combined L1 spread, ``columnwise_cost + rowwise_cost``, of a 0/1
-    block, or of each block of a stack (a (B, n, m) array, a list of 2-D
-    blocks of any shapes, or :class:`_Blocks`).
+def _spread(blocks: _Blocks) -> np.ndarray:
+    """Combined L1 spread, ``columnwise_cost + rowwise_cost``, of each 0/1
+    block of a padded stack.
 
     Counted, not sorted: each column's cost is min(ones, n - ones) and each
     row's min(ones, m - ones) (:func:`~crossclust.cost._binary_l1`), with
     each block's own n and m; a padded line has no ones and costs 0.  The
     one-counts are sums of 0s and 1s, exact in floating point, and so is
     every sum of these integers, so the result equals the direct costs."""
-    arr = _values_of(y, stack=True)
-    if isinstance(arr, _Blocks):
-        arr, n, m = arr.values, arr.rows, arr.cols
-    else:
-        n, m = arr.shape
-    return (_binary_l1(arr.sum(axis=-2), n).sum(axis=-1)
-            + _binary_l1(arr.sum(axis=-1), m).sum(axis=-1))
+    values = blocks.values
+    return (_binary_l1(values.sum(axis=1), blocks.rows).sum(axis=1)
+            + _binary_l1(values.sum(axis=2), blocks.cols).sum(axis=1))
 
 
 def swap_normalize(y) -> tuple[np.ndarray, tuple[SwapStep, ...]]:

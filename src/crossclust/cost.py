@@ -111,10 +111,10 @@ def _is_block_list(y) -> bool:
 
 
 class _Blocks(NamedTuple):
-    """A stack of blocks zero-padded into one (B, N, M) array: block i is
-    ``values[i, :rows[i], :cols[i]]`` and ``valid[i]`` marks its cells.
-    ``rows`` and ``cols`` have shape (B, 1), so that they broadcast against
-    per-line sums.  The stack kernels read the counts for majority
+    """A stack of blocks zero-padded into one (B, N, M) array by
+    :func:`_stacked`: block i is ``values[i, :rows[i], :cols[i]]`` and
+    ``valid[i]`` marks its cells.  ``rows`` and ``cols`` have shape (B, 1),
+    so that they broadcast against per-line sums.  The stack kernels read the counts for majority
     thresholds, medians and means, and mask the padding with ``valid``."""
 
     values: np.ndarray
@@ -143,25 +143,39 @@ class _Blocks(NamedTuple):
         """The blocks, unpadded, as views."""
         return [v[:n, :m] for v, n, m in zip(self.values, self.rows[:, 0], self.cols[:, 0])]
 
+    def varies(self, axis) -> np.ndarray:
+        """Whether the cells of each line (``axis`` 1 or 2) or block
+        (``axis`` (1, 2)) are not all equal, padding aside, with the
+        reduced axes kept: a constant line or block must cost exactly 0,
+        and its computed mean can round off the value itself."""
+        lo = np.where(self.valid, self.values, np.inf).min(axis=axis, keepdims=True)
+        hi = np.where(self.valid, self.values, -np.inf).max(axis=axis, keepdims=True)
+        return lo != hi
 
-def _padded(y) -> _Blocks:
-    """A list of 2-D blocks, or a (B, n, m) stack of equal-shape blocks,
-    as :class:`_Blocks`; an equal-shape stack needs no padding, and its
-    counts are all equal.  :class:`_Blocks` passes through, so that a
-    public call pads once however many public costs it calls."""
-    if isinstance(y, _Blocks):
-        return y
-    if isinstance(y, np.ndarray) and y.ndim == 3:
-        b, n, m = y.shape
-        return _Blocks(y, np.full((b, 1), n), np.full((b, 1), m), np.ones(y.shape, dtype=bool))
-    blocks = [_values_of(block) for block in y]
-    shapes = np.array([block.shape for block in blocks])
+
+def _stacked(entries: np.ndarray, shapes) -> _Blocks:
+    """Blocks given row-major end to end in ``entries``, with their (n, m)
+    ``shapes``, zero-padded into one :class:`_Blocks`: the one constructor
+    of a padded stack.  A block's cells are a top-left corner of its padded
+    block, so row-major they come in the block's own order."""
+    shapes = np.asarray(shapes)
     rows, cols = shapes[:, :1], shapes[:, 1:]
     valid = (np.arange(rows.max()) < rows)[:, :, None] & (np.arange(cols.max()) < cols)[:, None, :]
     values = np.zeros(valid.shape)
-    # a block's cells are a top-left corner, so row-major they come in its own order
-    values[valid] = np.concatenate([block.ravel() for block in blocks])
+    values[valid] = entries
     return _Blocks(values, rows, cols, valid)
+
+
+def _padded(y) -> _Blocks:
+    """A list of 2-D blocks, or a (B, n, m) array as the list of its
+    blocks, as :func:`_stacked` pads them.  :class:`_Blocks` passes
+    through, so that a public call pads once however many public costs it
+    calls."""
+    if isinstance(y, _Blocks):
+        return y
+    blocks = [_values_of(block) for block in y]
+    return _stacked(np.concatenate([block.ravel() for block in blocks]),
+                    [block.shape for block in blocks])
 
 
 def _lower_median(s: int) -> int:
@@ -194,9 +208,7 @@ def _columns_spread(arr, norm: Norm):
             dev = np.where(valid, np.abs(values - center), 0.0)
         else:
             center = values.sum(axis=1, keepdims=True) / arr.rows[:, :, None]
-            lo = np.where(valid, values, np.inf).min(axis=1, keepdims=True)
-            hi = np.where(valid, values, -np.inf).max(axis=1, keepdims=True)
-            dev = np.where(valid & (lo != hi), values - center, 0.0) ** 2
+            dev = np.where(valid & arr.varies(1), values - center, 0.0) ** 2
         return dev.sum(axis=(1, 2))
     if norm is Norm.L1:
         dev = np.abs(arr - _center(arr, norm))

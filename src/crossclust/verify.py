@@ -16,7 +16,7 @@ from .bounds import (
     swap_normalize,
     terminal_structure,
 )
-from .cost import BINARY_L1_RATIO_BOUND, REAL_L2_RATIO_BOUND, Norm, _Blocks, _padded
+from .cost import BINARY_L1_RATIO_BOUND, REAL_L2_RATIO_BOUND, Norm, _Blocks, _stacked
 from .errors import BoundViolationError, ValidationError
 from .rng import SplitMix64, uniforms
 from .worstcase import random_binary_matrix, random_real_matrix
@@ -51,15 +51,10 @@ def _draw(shapes: list[tuple[int, int]], seeds) -> tuple[np.ndarray, np.ndarray]
     """One bulk draw for blocks of the given shapes: block i holds the
     first n * m floats of the stream ``seeds[i]``, row-major, as
     ``random_real_matrix`` draws them.  Returns every block's entries, end
-    to end, and the blocks' sizes."""
+    to end, as :func:`~crossclust.cost._stacked` pads them, and the blocks'
+    sizes."""
     sizes = np.array([n * m for n, m in shapes])
     return uniforms(seeds, sizes.tolist()), sizes
-
-
-def _split(flat: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
-    """The blocks of :func:`_draw`'s entries ``flat``, in order, as views."""
-    ends = np.cumsum([n * m for n, m in shapes]).tolist()
-    return [flat[end - n * m : end].reshape(n, m) for end, (n, m) in zip(ends, shapes)]
 
 
 def _drawn_shapes(rng: SplitMix64, count: int, side: int):
@@ -81,8 +76,8 @@ def _battery_per_block(rng: SplitMix64, count: int):
     u, sizes = _draw(shapes * 2, binary_seeds + real_seeds)
     half = int(sizes[:count].sum())
     binary = (u[:half] < np.repeat(ones_p, sizes[:count])).astype(float)
-    l1 = per_bicluster_bound(_split(binary, shapes), Norm.L1, BINARY_L1_RATIO_BOUND)
-    l2 = per_bicluster_bound(_split(u[half:], shapes), Norm.L2, REAL_L2_RATIO_BOUND)
+    l1 = per_bicluster_bound(_stacked(binary, shapes), Norm.L1, BINARY_L1_RATIO_BOUND)
+    l2 = per_bicluster_bound(_stacked(u[half:], shapes), Norm.L2, REAL_L2_RATIO_BOUND)
     return l1.passed.tolist() + l2.passed.tolist()
 
 
@@ -126,12 +121,12 @@ def _battery_swaps(rng: SplitMix64, count: int):
     flip = 2 * np.add.reduceat(x, np.cumsum(sizes) - sizes) > sizes
     x = np.where(np.repeat(flip, sizes), 1.0 - x, x)
     # one padded stack for every check, not one per check
-    return _swap_checks(_padded(_split(x, shapes)))
+    return _swap_checks(_stacked(x, shapes))
 
 
 def _battery_l2_identity(rng: SplitMix64, count: int):
     shapes, seeds = _drawn_shapes(rng, count, 8)
-    dec = l2_decomposition(_split(_draw(shapes, seeds)[0], shapes))
+    dec = l2_decomposition(_stacked(_draw(shapes, seeds)[0], shapes))
     tol = PASS_TOL * dec.pooled
     ok = abs(dec.pooled - (dec.columnwise + dec.rowwise - dec.residual)) <= tol
     return (ok & (dec.residual >= -tol)).tolist()

@@ -3,6 +3,7 @@ bound, squared-norm identity, majority blocks, swaps, and the ratio
 constant search."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,9 @@ from crossclust import (
     terminal_structure,
     worst_case_matrix,
 )
+from crossclust import bounds
 from crossclust.bounds import PASS_TOL, _spread
+from crossclust.cost import _padded, _stacked
 
 SQRT2 = math.sqrt(2.0)
 
@@ -144,6 +147,21 @@ class TestLowerBound:
     def test_random_real_l2(self, seed):
         x = random_real_matrix(4, 5, seed)
         assert lower_bound_check(x, 2, 2, Norm.L2).passed
+
+    @pytest.mark.parametrize("norm", list(Norm))
+    def test_an_oracle_above_the_one_block_cost_fails(self, monkeypatch, norm):
+        """The oracle's minimum covers the one-block pair, so an l_star
+        above the pooled cost is caught."""
+        x = random_real_matrix(4, 5, 1)
+        real = bounds.exact_biclustering
+
+        def inflated(*args, **kwargs):
+            return replace(real(*args, **kwargs), cost=2 * pooled_cost(x, norm))
+
+        monkeypatch.setattr(bounds, "exact_biclustering", inflated)
+        rep = lower_bound_check(x, 2, 2, norm)
+        assert rep.l_star == 2 * pooled_cost(x, norm) > 0.0
+        assert not rep.passed
 
 
 class TestL2Decomposition:
@@ -405,9 +423,10 @@ class TestStacks:
     @settings(max_examples=100, deadline=None)
     def test_spread_by_counting_equals_the_direct_costs(self, stack):
         direct = columnwise_cost(stack, Norm.L1) + rowwise_cost(stack, Norm.L1)
-        assert np.array_equal(_spread(stack), direct)
+        assert np.array_equal(_spread(_padded(stack)), direct)
         for block, expected in zip(stack, direct):
-            assert _spread(block) == expected
+            assert _spread(_padded([block]))[0] == expected
+            assert columnwise_cost(block, Norm.L1) + rowwise_cost(block, Norm.L1) == expected
 
     def test_stack_rejections_match_single_blocks(self):
         stack = np.zeros((3, 2, 2))
@@ -462,7 +481,8 @@ class TestRaggedStacks:
         self.check_costs(blocks, Norm.L1, BINARY_L1_RATIO_BOUND, tol=0.0)
         self.check_costs(blocks, Norm.L2, REAL_L2_RATIO_BOUND, tol=1e-12)
         assert list(terminal_structure(blocks)) == [terminal_structure(b) for b in blocks]
-        assert list(_spread(blocks)) == [_spread(b) for b in blocks]
+        assert list(_spread(_padded(blocks))) == [_spread(_padded([b]))[0] for b in blocks] == [
+            columnwise_cost(b, Norm.L1) + rowwise_cost(b, Norm.L1) for b in blocks]
         x = fewer_ones_blocks(blocks)
         terminals, steps = swap_normalize(x)
         assert len(terminals) == len(steps) == len(x)
@@ -523,8 +543,11 @@ class TestRaggedStacks:
     @settings(max_examples=40, deadline=None)
     def test_an_equal_shape_stack_equals_its_list(self, stack, offset):
         blocks = list(stack)
+        # a (B, n, m) array is padded as the list of its blocks
+        for a, b in zip(_padded(stack), _padded(blocks)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
         assert list(terminal_structure(stack)) == list(terminal_structure(blocks))
-        assert np.array_equal(_spread(stack), _spread(blocks))
+        assert np.array_equal(_spread(_padded(stack)), _spread(_padded(blocks)))
         terminals, steps = swap_normalize(fewer_ones(stack.copy()))
         listed, listed_steps = swap_normalize(fewer_ones_blocks(blocks))
         assert np.array_equal(terminals, np.stack(listed)) and np.array_equal(steps, listed_steps)
@@ -536,6 +559,28 @@ class TestRaggedStacks:
         for a, b in zip(l2_decomposition(stack).__dict__.values(),
                         l2_decomposition(blocks).__dict__.values()):
             assert np.array_equal(a, b)
+
+    @given(ragged_blocks(finite))
+    @example(ONE_BY_ONE_M_N_BY_ONE)
+    @example([np.array([[0.5, -1.0], [2.0, 0.0]])])  # a list of one block
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_given_end_to_end_pad_as_their_list(self, blocks):
+        shapes = [b.shape for b in blocks]
+        stacked = _stacked(np.concatenate([b.ravel() for b in blocks]), shapes)
+        for a, b in zip(stacked, _padded(blocks)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        n_max = max(n for n, _ in shapes)
+        m_max = max(m for _, m in shapes)
+        assert stacked.values.shape == stacked.valid.shape == (len(blocks), n_max, m_max)
+        assert stacked.rows.tolist() == [[n] for n, _ in shapes]
+        assert stacked.cols.tolist() == [[m] for _, m in shapes]
+        for values, valid, block in zip(stacked.values, stacked.valid, blocks):
+            n, m = block.shape
+            assert np.array_equal(values[:n, :m], block) and valid[:n, :m].all()
+            # padding is zero, and not valid
+            assert valid.sum() == block.size and not values[~valid].any()
+        for block, unpadded in zip(blocks, stacked.blocks()):
+            assert np.array_equal(block, unpadded)
 
     def test_list_rejections_match_single_blocks(self):
         blocks = [np.zeros((2, 3)), np.ones((1, 1)), np.zeros((3, 1))]

@@ -13,21 +13,23 @@ from crossclust import (
     verify_bounds,
 )
 from crossclust import verify
-from crossclust.cost import _padded
+from crossclust.cost import _padded, _stacked
 from crossclust.cli import main
 
 
 def test_blocks_match_the_generator():
     shapes = [(2, 3), (1, 1), (2, 3), (4, 2), (1, 1)]
     seeds = [5, -1, 2**64 + 1, 7, 5]
-    blocks = verify._split(verify._draw(shapes, seeds)[0], shapes)
-    stack = _padded(blocks)
+    stack = _stacked(verify._draw(shapes, seeds)[0], shapes)
+    blocks = [random_real_matrix(*shape, seed).values for shape, seed in zip(shapes, seeds)]
     # one ragged stack holds every block, in order, each in its own shape
     assert len({b.shape for b in stack.blocks()}) == len(set(shapes))
     assert [b.shape for b in stack.blocks()] == [b.shape for b in blocks] == shapes
-    for block, padded, shape, seed in zip(blocks, stack.blocks(), shapes, seeds):
-        assert np.array_equal(block, random_real_matrix(*shape, seed).values)
+    for block, padded in zip(blocks, stack.blocks()):
         assert np.array_equal(padded, block)
+    # and equals the generator's blocks padded as a list
+    for a, b in zip(stack, _padded(blocks)):
+        assert np.array_equal(a, b)
 
 
 def test_a_failing_block_fails_alone(monkeypatch):

@@ -254,9 +254,11 @@ def _edge_ops() -> list[dict]:
     other = [["verify-bounds", "--count", c] for c in ("1", "7", "333")]
     other += [["verify-bounds", "--seed", s] for s in ("-1", "18446744073709551615")]
     # lattices from coarse to fine (2 ... 2999), and around the box search's
-    # leaf side of 4 points: one leaf (3), split once (4, 5) or twice (9)
+    # leaf side of 4 points: one leaf (3), split once (4, 5) or twice (9);
+    # at 80 and 338 the printed lattice_alpha, recomputed at the argmax, is
+    # one ulp off the leaf maximum the search finds
     other += [["verify-bounds", "--count", "20", "--resolution", r]
-              for r in ("2", "81", "401", "1001", "3", "4", "5", "9", "2999")]
+              for r in ("2", "80", "81", "338", "401", "1001", "3", "4", "5", "9", "2999")]
     # ragged stacks: the default count at two seeds, and 2000 blocks per
     # battery, where every shape recurs and the swap lockstep is wide
     other += [["verify-bounds", "--seed", s] for s in ("60000", "60023")]
