@@ -27,7 +27,7 @@ from .cost import (
     Norm,
     _binary_l1,
     _Blocks,
-    _padded,
+    _stacked,
     _values_of,
     columnwise_cost,
     pooled_cost,
@@ -81,8 +81,8 @@ def per_bicluster_bound(y, norm: Norm, alpha: float) -> MarginReport:
     For the constant to be a certificate under L1 the block must be 0/1
     valued; under L2 with alpha = 2 the inequality holds for any reals.
     The slack may fall ``PASS_TOL`` times the pooled cost below 0.  On a
-    stack of blocks, a (B, n, m) array or a list of 2-D blocks of any
-    shapes, every field but alpha is a per-block array, in order.
+    padded stack of blocks (:class:`~crossclust.cost._Blocks`), every
+    field but alpha is a per-block array, in order.
     """
     y = _values_of(y, stack=True)
     v = pooled_cost(y, norm)
@@ -137,8 +137,8 @@ class L2Decomposition:
 
 @overflow_guard
 def l2_decomposition(y) -> L2Decomposition:
-    """Decompose a block, or each block of a stack (a (B, n, m) array or a
-    list of 2-D blocks of any shapes) into per-block arrays, in order.
+    """Decompose a block, or each block of a padded stack
+    (:class:`~crossclust.cost._Blocks`) into per-block arrays, in order.
     The additive model is fitted to the block minus its grand mean, so the
     residual does not depend on an offset of the data, and a block of
     equal entries has a residual of exactly 0.  A 2-D block's residual is
@@ -147,7 +147,7 @@ def l2_decomposition(y) -> L2Decomposition:
     if isinstance(arr, _Blocks):
         residual = _stack_residual(arr)
     else:
-        residual = float(_stack_residual(_padded(arr[None]))[0])
+        residual = float(_stack_residual(_stacked(arr.ravel(), [arr.shape]))[0])
     return L2Decomposition(
         pooled=pooled_cost(arr, Norm.L2),
         columnwise=columnwise_cost(arr, Norm.L2),
@@ -298,7 +298,7 @@ def _spread(blocks: _Blocks) -> np.ndarray:
             + _binary_l1(values.sum(axis=2), blocks.cols).sum(axis=1))
 
 
-def swap_normalize(y) -> tuple[np.ndarray, tuple[SwapStep, ...]]:
+def swap_normalize(y) -> tuple[np.ndarray, tuple[SwapStep, ...]] | tuple[_Blocks, np.ndarray]:
     """Apply spread-reducing swaps until none applies.
 
     Requires a 0/1 block with at most as many ones as zeros.  Majority
@@ -309,15 +309,14 @@ def swap_normalize(y) -> tuple[np.ndarray, tuple[SwapStep, ...]]:
     The terminal block always matches one of the three extremal structures
     (see :func:`terminal_structure`).
 
-    A stack of blocks, a (B, n, m) array or a list of 2-D blocks of any
-    shapes, is normalized in lockstep on one padded stack, one swap per
-    unfinished block and step, under the same checks.  It returns the
-    terminal blocks, in the input's form, and each block's number of
-    swaps, not a trace.
+    A padded stack of blocks (:class:`~crossclust.cost._Blocks`) is
+    normalized in lockstep, one swap per unfinished block and step, under
+    the same checks.  It returns the terminal stack and each block's
+    number of swaps, not a trace.
     """
     arr = _values_of(y, stack=True)
     single = not isinstance(arr, _Blocks)
-    padded = _padded(arr[None] if single else arr)
+    padded = _stacked(arr.ravel(), [arr.shape]) if single else arr
     blocks = padded._replace(values=padded.values.copy())
     values = blocks.values  # swaps land here
     m = values.shape[2]
@@ -361,9 +360,7 @@ def swap_normalize(y) -> tuple[np.ndarray, tuple[SwapStep, ...]]:
     values.setflags(write=False)
     if single:
         return values[0], tuple(trace)
-    if isinstance(y, _Blocks):
-        return blocks, steps
-    return (values if isinstance(y, np.ndarray) else blocks.blocks()), steps
+    return blocks, steps
 
 
 #: :func:`terminal_structure`'s answers, by case index.
@@ -376,12 +373,11 @@ def terminal_structure(y) -> str | None:
     Returns "i" when quadrants A, B, C are all ones, "ii" when A is all
     ones and D all zeros, "iii" when B, C, D are all zeros (empty
     quadrants count as satisfying either), or None when none applies.
-    A stack of blocks, a (B, n, m) array or a list of 2-D blocks of any
-    shapes, gives an object array of these answers, in order; padding
-    satisfies every test.
+    A padded stack of blocks (:class:`~crossclust.cost._Blocks`) gives an
+    object array of these answers, in order; padding satisfies every test.
     """
     arr = _values_of(y, stack=True)
-    blocks = arr if isinstance(arr, _Blocks) else _padded(arr[None])
+    blocks = arr if isinstance(arr, _Blocks) else _stacked(arr.ravel(), [arr.shape])
     values = blocks.values
     _require_binary(values)
     quadrants = _quadrants(values, blocks.rows, blocks.cols)[2]

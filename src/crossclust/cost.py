@@ -38,7 +38,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import ValidationError, overflow_guard
-from .model import DataMatrix, Partition, label_table, partition_blocks, partition_count
+from .model import DataMatrix, Partition, _as_floats, label_table, partition_blocks, partition_count
 
 #: Certified worst-case ratio of the independent-clustering scheme cost to
 #: the optimal biclustering cost, per input class.
@@ -91,31 +91,27 @@ class CostBreakdown:
 
 
 def _values_of(y, stack: bool = False):
-    """Accept a DataMatrix or array-like and return a 2-D array; with
-    ``stack``, a stack of blocks is accepted too, a (B, n, m) array or a
-    list of 2-D blocks of any shapes, and comes back :func:`_padded`."""
+    """A DataMatrix's values, or array-like values as one nonempty 2-D
+    block of floats; with ``stack``, the battery's padded stack
+    (:class:`_Blocks`) passes through as it is."""
     if isinstance(y, DataMatrix):
         return y.values
-    if stack and (isinstance(y, _Blocks) or _is_block_list(y)):
-        return _padded(y)
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim not in ((2, 3) if stack else (2,)) or arr.size == 0:
+    if stack and isinstance(y, _Blocks):
+        return y
+    arr = _as_floats(y)
+    if arr.ndim != 2 or arr.size == 0:
         raise ValidationError("expected a nonempty 2-D block of values")
-    return _padded(arr) if arr.ndim == 3 else arr
-
-
-def _is_block_list(y) -> bool:
-    """A list or tuple of blocks, as opposed to the rows of one block."""
-    return (isinstance(y, (list, tuple)) and len(y) > 0
-            and (isinstance(y[0], DataMatrix) or np.ndim(y[0]) == 2))
+    return arr
 
 
 class _Blocks(NamedTuple):
     """A stack of blocks zero-padded into one (B, N, M) array by
-    :func:`_stacked`: block i is ``values[i, :rows[i], :cols[i]]`` and
+    :func:`_stacked`: the one form, besides a single 2-D block, that the
+    block checks take.  Block i is ``values[i, :rows[i], :cols[i]]`` and
     ``valid[i]`` marks its cells.  ``rows`` and ``cols`` have shape (B, 1),
-    so that they broadcast against per-line sums.  The stack kernels read the counts for majority
-    thresholds, medians and means, and mask the padding with ``valid``."""
+    so that they broadcast against per-line sums.  The stack kernels read
+    the counts for majority thresholds, medians and means, and mask the
+    padding with ``valid``."""
 
     values: np.ndarray
     rows: np.ndarray
@@ -164,18 +160,6 @@ def _stacked(entries: np.ndarray, shapes) -> _Blocks:
     values = np.zeros(valid.shape)
     values[valid] = entries
     return _Blocks(values, rows, cols, valid)
-
-
-def _padded(y) -> _Blocks:
-    """A list of 2-D blocks, or a (B, n, m) array as the list of its
-    blocks, as :func:`_stacked` pads them.  :class:`_Blocks` passes
-    through, so that a public call pads once however many public costs it
-    calls."""
-    if isinstance(y, _Blocks):
-        return y
-    blocks = [_values_of(block) for block in y]
-    return _stacked(np.concatenate([block.ravel() for block in blocks]),
-                    [block.shape for block in blocks])
 
 
 def _lower_median(s: int) -> int:
@@ -230,7 +214,7 @@ def dissimilarity(values, norm: Norm) -> float:
 
     Zero iff all values are equal; raises on an empty multiset.
     """
-    v = np.asarray(values, dtype=float).ravel()
+    v = _as_floats(values).ravel()
     if v.size == 0:
         raise ValidationError("dissimilarity of an empty multiset is undefined")
     return _columns_spread(v, norm)
@@ -240,9 +224,9 @@ def dissimilarity(values, norm: Norm) -> float:
 def pooled_cost(y, norm: Norm) -> float:
     """Dissimilarity of all entries of a block pooled into one multiset.
 
-    This and the next two costs also take a stack of blocks, a (B, n, m)
-    array or a list of 2-D blocks of any shapes, and then return the
-    array of the B blocks' costs, in order."""
+    This and the next two costs also take a padded stack of blocks
+    (:class:`_Blocks`), and then return the array of the B blocks' costs,
+    in order."""
     arr = _values_of(y, stack=True)
     if isinstance(arr, _Blocks):
         return _columns_spread(arr.pooled(), norm)

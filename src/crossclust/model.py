@@ -24,6 +24,16 @@ from .errors import CapExceededError, ValidationError
 ENUMERATION_CAP = 14
 
 
+def _as_floats(values, copy: bool = False) -> np.ndarray:
+    """``values`` as a float array, a C-ordered copy with ``copy``.  What
+    numpy cannot read as numbers of one rectangular shape, such as ragged
+    rows or text, raises :class:`ValidationError`, not numpy's error."""
+    try:
+        return np.array(values, dtype=float, order="C") if copy else np.asarray(values, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise ValidationError("values must be numbers of one rectangular shape") from exc
+
+
 class DataMatrix:
     """Immutable dense matrix of finite reals.
 
@@ -34,7 +44,7 @@ class DataMatrix:
     __slots__ = ("_values", "is_binary")
 
     def __init__(self, values):
-        arr = np.array(values, dtype=float, order="C")
+        arr = _as_floats(values, copy=True)
         if arr.ndim != 2 or arr.size == 0:
             raise ValidationError("matrix values must form a nonempty 2-D grid")
         if not np.all(np.isfinite(arr)):

@@ -38,7 +38,7 @@ from crossclust import (
 )
 from crossclust import bounds
 from crossclust.bounds import PASS_TOL, _spread
-from crossclust.cost import _padded, _stacked
+from crossclust.cost import _stacked
 
 SQRT2 = math.sqrt(2.0)
 
@@ -351,101 +351,16 @@ class TestTerminalStructure:
         assert terminal_structure(block) is None
 
 
-def block_stack(entries):
-    """A (B, n, m) stack of 1-6 blocks of 1-8 x 1-8 entries."""
-    shapes = st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(1, 8))
-    return shapes.flatmap(
-        lambda shape: st.lists(
-            entries, min_size=math.prod(shape), max_size=math.prod(shape)
-        ).map(lambda values: np.array(values).reshape(shape))
-    )
+def stack_of(blocks):
+    """The padded stack of 2-D ``blocks``, by the one constructor."""
+    return _stacked(np.concatenate([b.ravel() for b in blocks]), [b.shape for b in blocks])
 
 
-def fewer_ones(stack):
-    """The stack with every block that has more ones than zeros complemented."""
-    flip = 2 * stack.sum(axis=(1, 2)) > stack[0].size
-    stack[flip] = 1.0 - stack[flip]
-    return stack
-
-
-class TestStacks:
-    """Each check on a stack of blocks equals the check on every block."""
-
-    @staticmethod
-    def assert_close(stacked, single, pooled):
-        assert abs(stacked - single) <= PASS_TOL * pooled
-
-    @given(block_stack(st.sampled_from([0.0, 1.0])))
-    @settings(max_examples=60, deadline=None)
-    def test_per_block_inequality_binary(self, stack):
-        self.check_margins(stack, Norm.L1, BINARY_L1_RATIO_BOUND)
-
-    @given(block_stack(finite))
-    @settings(max_examples=60, deadline=None)
-    def test_per_block_inequality_real(self, stack):
-        self.check_margins(stack, Norm.L2, REAL_L2_RATIO_BOUND)
-        self.check_margins(stack, Norm.L1, BINARY_L1_RATIO_BOUND)
-
-    def check_margins(self, stack, norm, alpha):
-        rep = per_bicluster_bound(stack, norm, alpha)
-        assert rep.passed.shape == (len(stack),)
-        for i, block in enumerate(stack):
-            one = per_bicluster_bound(block, norm, alpha)
-            assert rep.passed[i] == one.passed
-            for field in ("pooled", "columnwise", "rowwise", "slack"):
-                self.assert_close(getattr(rep, field)[i], getattr(one, field), one.pooled)
-
-    @given(block_stack(finite))
-    @settings(max_examples=60, deadline=None)
-    def test_l2_decomposition(self, stack):
-        dec = l2_decomposition(stack)
-        for i, block in enumerate(stack):
-            one = l2_decomposition(block)
-            for field in ("pooled", "columnwise", "rowwise", "residual"):
-                self.assert_close(getattr(dec, field)[i], getattr(one, field), one.pooled)
-
-    @given(block_stack(st.sampled_from([0.0, 1.0])))
-    @settings(max_examples=60, deadline=None)
-    def test_swap_normalize_in_lockstep(self, stack):
-        stack = fewer_ones(stack)
-        terminals, steps = swap_normalize(stack)
-        labels = terminal_structure(terminals)
-        assert not terminals.flags.writeable
-        for i, block in enumerate(stack):
-            terminal, trace = swap_normalize(block)
-            assert np.array_equal(terminals[i], terminal)
-            assert steps[i] == len(trace)
-            assert labels[i] == terminal_structure(terminal) == terminal_structure(terminals[i])
-
-    @given(block_stack(st.sampled_from([0.0, 1.0])))
-    @example(np.array([[[1.0, 0.0, 1.0, 1.0]], [[0.0, 0.0, 0.0, 1.0]]]))  # 1 x m
-    @example(np.array([[[1.0], [1.0], [0.0]]]))  # n x 1
-    @settings(max_examples=100, deadline=None)
-    def test_spread_by_counting_equals_the_direct_costs(self, stack):
-        direct = columnwise_cost(stack, Norm.L1) + rowwise_cost(stack, Norm.L1)
-        assert np.array_equal(_spread(_padded(stack)), direct)
-        for block, expected in zip(stack, direct):
-            assert _spread(_padded([block]))[0] == expected
-            assert columnwise_cost(block, Norm.L1) + rowwise_cost(block, Norm.L1) == expected
-
-    def test_stack_rejections_match_single_blocks(self):
-        stack = np.zeros((3, 2, 2))
-        stack[1] = 1.0
-        with pytest.raises(ValidationError, match="ones <= zeros"):
-            swap_normalize(stack)
-        stack[1, 0, 0] = 0.5
-        with pytest.raises(ValidationError, match="0/1"):
-            swap_normalize(stack)
-        with pytest.raises(ValidationError, match="0/1"):
-            terminal_structure(stack)
-        with pytest.raises(ValidationError):
-            l2_decomposition(np.zeros((2, 2, 2, 2)))
-
-
-def ragged_blocks(entries):
-    """Lists of 1-40 blocks of 1-8 x 1-8 entries, of mixed shapes.  A
-    block is drawn whole, or with equal rows, equal columns or all entries
-    equal, so that constant lines and blocks are common."""
+def block_lists(entries):
+    """Lists of 1-40 blocks of 1-8 x 1-8 entries, of mixed shapes or all
+    of one shape.  A block is drawn whole, or with equal rows, equal
+    columns or all entries equal, so that constant lines and blocks are
+    common."""
     def block(shape):
         n, m = shape
         return st.one_of(
@@ -455,9 +370,12 @@ def ragged_blocks(entries):
             entries.map(lambda value: np.full(shape, value)),
         )
 
-    blocks = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(block)
+    shapes = st.tuples(st.integers(1, 8), st.integers(1, 8))
+    # a block strategy: one of mixed shapes, or one of a single shape
+    kinds = st.one_of(st.just(shapes.flatmap(block)), shapes.map(block))
     # a length drawn first, so that long lists are as common as short ones
-    return st.integers(1, 40).flatmap(lambda k: st.lists(blocks, min_size=k, max_size=k))
+    return st.integers(1, 40).flatmap(
+        lambda k: kinds.flatmap(lambda blocks: st.lists(blocks, min_size=k, max_size=k)))
 
 
 def fewer_ones_blocks(blocks):
@@ -469,30 +387,40 @@ ONE_BY_ONE_M_N_BY_ONE = [np.array([[1.0]]), np.array([[0.0, 1.0, 1.0, 0.0]]),
                          np.array([[1.0], [0.0], [0.0]])]
 
 
-class TestRaggedStacks:
-    """A list of blocks of mixed shapes gives, block for block, what the
-    2-D call on each block gives."""
+class TestStacks:
+    """A padded stack of blocks, of mixed shapes or of one shape, gives,
+    block for block, what the 2-D call on each block gives."""
 
-    @given(ragged_blocks(st.sampled_from([0.0, 1.0])))
+    @given(block_lists(st.sampled_from([0.0, 1.0])))
     @example(ONE_BY_ONE_M_N_BY_ONE)
-    @example([np.array([[0.0, 1.0], [1.0, 1.0]])])  # a list of one block
+    @example([np.array([[0.0, 1.0], [1.0, 1.0]])])  # a stack of one block
+    @example([np.array([[1.0, 0.0, 1.0, 1.0]]), np.array([[0.0, 0.0, 0.0, 1.0]])])  # 1 x m
+    @example([np.array([[1.0], [1.0], [0.0]])])  # n x 1
     @settings(max_examples=60, deadline=None)
     def test_binary_costs_swaps_and_structures_are_equal(self, blocks):
+        stack = stack_of(blocks)
         self.check_costs(blocks, Norm.L1, BINARY_L1_RATIO_BOUND, tol=0.0)
         self.check_costs(blocks, Norm.L2, REAL_L2_RATIO_BOUND, tol=1e-12)
-        assert list(terminal_structure(blocks)) == [terminal_structure(b) for b in blocks]
-        assert list(_spread(_padded(blocks))) == [_spread(_padded([b]))[0] for b in blocks] == [
-            columnwise_cost(b, Norm.L1) + rowwise_cost(b, Norm.L1) for b in blocks]
+        assert list(terminal_structure(stack)) == [terminal_structure(b) for b in blocks]
+        # the spread, by counting, equals the direct costs, on the stack and on each block
+        direct = columnwise_cost(stack, Norm.L1) + rowwise_cost(stack, Norm.L1)
+        assert np.array_equal(_spread(stack), direct)
+        for block, expected in zip(blocks, direct):
+            assert _spread(stack_of([block]))[0] == expected
+            assert columnwise_cost(block, Norm.L1) + rowwise_cost(block, Norm.L1) == expected
         x = fewer_ones_blocks(blocks)
-        terminals, steps = swap_normalize(x)
-        assert len(terminals) == len(steps) == len(x)
-        for block, terminal, n_steps in zip(x, terminals, steps):
+        terminals, steps = swap_normalize(stack_of(x))
+        labels = terminal_structure(terminals)
+        assert not terminals.values.flags.writeable
+        assert len(terminals.values) == len(steps) == len(x)
+        for block, terminal, n_steps, label in zip(x, terminals.blocks(), steps, labels):
             single, trace = swap_normalize(block)
             assert terminal.shape == block.shape and not terminal.flags.writeable
             assert np.array_equal(terminal, single)
             assert n_steps == len(trace)
+            assert label == terminal_structure(single) == terminal_structure(terminal)
 
-    @given(ragged_blocks(finite), st.sampled_from([0.0, 1e7]))
+    @given(block_lists(finite), st.sampled_from([0.0, 1e7]))
     @example(ONE_BY_ONE_M_N_BY_ONE, 1e7)
     @example([np.full((3, 2), 0.1)], 0.0)  # three 0.1s average to no float of their own
     # a spread of 66 ulps of the offset: the 2-D pooled cost is 0.1% off the stack's
@@ -502,7 +430,7 @@ class TestRaggedStacks:
         blocks = [b + offset for b in blocks]
         self.check_costs(blocks, Norm.L2, REAL_L2_RATIO_BOUND, tol=1e-12)
         self.check_costs(blocks, Norm.L1, BINARY_L1_RATIO_BOUND, tol=1e-12)
-        dec = l2_decomposition(blocks)
+        dec = l2_decomposition(stack_of(blocks))
         for i, block in enumerate(blocks):
             one = l2_decomposition(block)
             err = 1e-12 * one.pooled + block.size * (4 * np.spacing(np.abs(block).max())) ** 2
@@ -522,10 +450,13 @@ class TestRaggedStacks:
         a few ulps of the largest entry, and a mean off by e moves a sum of
         s squared deviations by s * e**2.  That term matters only where the
         spread is a few ulps of the offset, where the 2-D costs are no
-        closer to the exact ones."""
-        rep = per_bicluster_bound(blocks, norm, alpha)
-        costs = (pooled_cost(blocks, norm), columnwise_cost(blocks, norm),
-                 rowwise_cost(blocks, norm))
+        closer to the exact ones.  The slack, alpha/2 times two costs less
+        a third, moves by at most (alpha + 1) times that."""
+        stack = stack_of(blocks)
+        rep = per_bicluster_bound(stack, norm, alpha)
+        assert rep.passed.shape == (len(blocks),)
+        costs = (pooled_cost(stack, norm), columnwise_cost(stack, norm),
+                 rowwise_cost(stack, norm))
         for i, block in enumerate(blocks):
             one = per_bicluster_bound(block, norm, alpha)
             err = tol * one.pooled
@@ -534,44 +465,23 @@ class TestRaggedStacks:
             # passed thresholds the slack, which may move by the costs' errors
             if err == 0.0 or abs(one.slack + PASS_TOL * one.pooled) > 4 * err:
                 assert rep.passed[i] == one.passed
+            assert abs(rep.slack[i] - one.slack) <= (alpha + 1) * err
             singles = (one.pooled, one.columnwise, one.rowwise)
             for field, cost, single in zip(("pooled", "columnwise", "rowwise"), costs, singles):
                 assert getattr(rep, field)[i] == cost[i]
                 assert abs(cost[i] - single) <= err
 
-    @given(block_stack(st.sampled_from([0.0, 1.0])), st.sampled_from([0.0, 1e7]))
-    @settings(max_examples=40, deadline=None)
-    def test_an_equal_shape_stack_equals_its_list(self, stack, offset):
-        blocks = list(stack)
-        # a (B, n, m) array is padded as the list of its blocks
-        for a, b in zip(_padded(stack), _padded(blocks)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert list(terminal_structure(stack)) == list(terminal_structure(blocks))
-        assert np.array_equal(_spread(_padded(stack)), _spread(_padded(blocks)))
-        terminals, steps = swap_normalize(fewer_ones(stack.copy()))
-        listed, listed_steps = swap_normalize(fewer_ones_blocks(blocks))
-        assert np.array_equal(terminals, np.stack(listed)) and np.array_equal(steps, listed_steps)
-        stack = stack + offset
-        blocks = list(stack)
-        for norm in Norm:
-            for cost in (pooled_cost, columnwise_cost, rowwise_cost):
-                assert np.array_equal(cost(stack, norm), cost(blocks, norm))
-        for a, b in zip(l2_decomposition(stack).__dict__.values(),
-                        l2_decomposition(blocks).__dict__.values()):
-            assert np.array_equal(a, b)
-
-    @given(ragged_blocks(finite))
+    @given(block_lists(finite))
     @example(ONE_BY_ONE_M_N_BY_ONE)
-    @example([np.array([[0.5, -1.0], [2.0, 0.0]])])  # a list of one block
+    @example([np.array([[0.5, -1.0], [2.0, 0.0]])])  # a stack of one block
     @settings(max_examples=60, deadline=None)
     def test_blocks_given_end_to_end_pad_as_their_list(self, blocks):
         shapes = [b.shape for b in blocks]
-        stacked = _stacked(np.concatenate([b.ravel() for b in blocks]), shapes)
-        for a, b in zip(stacked, _padded(blocks)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        stacked = stack_of(blocks)
         n_max = max(n for n, _ in shapes)
         m_max = max(m for _, m in shapes)
         assert stacked.values.shape == stacked.valid.shape == (len(blocks), n_max, m_max)
+        assert stacked.values.dtype == float
         assert stacked.rows.tolist() == [[n] for n, _ in shapes]
         assert stacked.cols.tolist() == [[m] for _, m in shapes]
         for values, valid, block in zip(stacked.values, stacked.valid, blocks):
@@ -581,18 +491,40 @@ class TestRaggedStacks:
             assert valid.sum() == block.size and not values[~valid].any()
         for block, unpadded in zip(blocks, stacked.blocks()):
             assert np.array_equal(block, unpadded)
+        if len(set(shapes)) == 1:  # blocks of one shape stack with no padding
+            assert stacked.valid.all() and np.array_equal(stacked.values, np.stack(blocks))
 
-    def test_list_rejections_match_single_blocks(self):
-        blocks = [np.zeros((2, 3)), np.ones((1, 1)), np.zeros((3, 1))]
+    @pytest.mark.parametrize("shapes", [[(2, 2)] * 3, [(2, 3), (1, 1), (3, 1)]])
+    def test_stack_rejections_match_single_blocks(self, shapes):
+        blocks = [np.zeros(shape) for shape in shapes]
+        blocks[1][:] = 1.0
         with pytest.raises(ValidationError, match="ones <= zeros"):
-            swap_normalize(blocks)
-        blocks[1] = np.full((1, 1), 0.5)
+            swap_normalize(stack_of(blocks))
+        blocks[1][0, 0] = 0.5
         for fn in (swap_normalize, terminal_structure):
             with pytest.raises(ValidationError, match="0/1"):
-                fn(blocks)
-        for bad in ([np.zeros((2, 2)), np.zeros(3)], [np.zeros((2, 2)), np.zeros((0, 2))]):
-            with pytest.raises(ValidationError):
-                pooled_cost(bad, Norm.L2)
+                fn(stack_of(blocks))
+        with pytest.raises(ValidationError):
+            l2_decomposition(np.zeros((2, 2, 2, 2)))
+
+    def test_lists_and_3d_arrays_are_rejected(self):
+        """The block checks take one 2-D block or a padded stack: a list of
+        blocks, of one shape or mixed, or a (B, n, m) array is neither."""
+        checks = (
+            lambda y: pooled_cost(y, Norm.L2), lambda y: columnwise_cost(y, Norm.L1),
+            lambda y: rowwise_cost(y, Norm.L2),
+            lambda y: per_bicluster_bound(y, Norm.L1, BINARY_L1_RATIO_BOUND),
+            l2_decomposition, swap_normalize, terminal_structure,
+        )
+        inputs = (
+            [np.zeros((2, 3)), np.zeros((2, 3))], [np.zeros((2, 3)), np.zeros((1, 1))],
+            np.zeros((2, 2, 3)), [np.zeros((2, 2)), np.zeros(3)],
+            [np.zeros((2, 2)), np.zeros((0, 2))],
+        )
+        for check in checks:
+            for y in inputs:
+                with pytest.raises(ValidationError):
+                    check(y)
 
 
 class TestAlphaObjective:

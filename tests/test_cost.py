@@ -57,6 +57,12 @@ class TestDissimilarity:
         with pytest.raises(ValidationError):
             dissimilarity([], Norm.L1)
 
+    @pytest.mark.parametrize("values", [[[1.0], [2.0, 3.0]], ["a"]])
+    def test_malformed_raises(self, values):
+        with pytest.raises(ValidationError) as exc:
+            dissimilarity(values, Norm.L1)
+        assert isinstance(exc.value.__cause__, ValueError)
+
     def test_binary_multisets_equal_min_count(self):
         # every (zeros, ones) split with z + o <= 12, against two oracles
         for z in range(13):
@@ -108,6 +114,13 @@ class TestBlockCosts:
         assert pooled_cost(np.zeros((2, 2)), Norm.L1) == 0.0
         assert pooled_cost([[1.0, 0.0], [0.0, 0.0]], Norm.L1) == 1.0
         assert pooled_cost([[0.0, 1.0], [1.0, 0.0]], Norm.L2) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("cost", [pooled_cost, columnwise_cost, rowwise_cost])
+    @pytest.mark.parametrize("block", [[[1.0, 2.0], [3.0]], [["a"]]])
+    def test_malformed_block_raises(self, cost, block):
+        with pytest.raises(ValidationError) as exc:
+            cost(block, Norm.L1)
+        assert isinstance(exc.value.__cause__, ValueError)
 
     def test_columnwise(self):
         assert columnwise_cost([[0.0, 1.0], [1.0, 0.0]], Norm.L1) == 2.0

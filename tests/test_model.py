@@ -63,6 +63,12 @@ class TestDataMatrix:
         with pytest.raises(ValidationError):
             DataMatrix([1.0, 2.0])
 
+    @pytest.mark.parametrize("values", [[[1, 2], [3]], [["a"]]])
+    def test_rejects_ragged_and_non_numeric(self, values):
+        with pytest.raises(ValidationError) as exc:
+            DataMatrix(values)
+        assert isinstance(exc.value.__cause__, ValueError)
+
     def test_values_are_readonly(self):
         x = DataMatrix([[1.0, 2.0]])
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from crossclust import (
     verify_bounds,
 )
 from crossclust import verify
-from crossclust.cost import _padded, _stacked
+from crossclust.cost import _stacked
 from crossclust.cli import main
 
 
@@ -27,9 +27,13 @@ def test_blocks_match_the_generator():
     assert [b.shape for b in stack.blocks()] == [b.shape for b in blocks] == shapes
     for block, padded in zip(blocks, stack.blocks()):
         assert np.array_equal(padded, block)
-    # and equals the generator's blocks padded as a list
-    for a, b in zip(stack, _padded(blocks)):
-        assert np.array_equal(a, b)
+    # each padded to the largest shape with zeros that are not valid
+    assert stack.values.shape == stack.valid.shape == (len(shapes), 4, 3)
+    assert stack.rows.tolist() == [[n] for n, _ in shapes]
+    assert stack.cols.tolist() == [[m] for _, m in shapes]
+    for values, valid, block in zip(stack.values, stack.valid, blocks):
+        assert valid[:block.shape[0], :block.shape[1]].all()
+        assert valid.sum() == block.size and not values[~valid].any()
 
 
 def test_a_failing_block_fails_alone(monkeypatch):
