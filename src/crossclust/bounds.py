@@ -25,8 +25,8 @@ import numpy as np
 from .cost import (
     BATCH_ENTRIES,
     Norm,
-    _binary_l1,
     _Blocks,
+    _require_binary,
     _stacked,
     _values_of,
     columnwise_cost,
@@ -173,11 +173,6 @@ def _stack_residual(blocks: _Blocks) -> np.ndarray:
 # Majority blocks and spread-reducing swaps (0/1 blocks only).
 
 
-def _require_binary(arr: np.ndarray) -> None:
-    if not np.all((arr == 0.0) | (arr == 1.0)):
-        raise ValidationError("operation requires a 0/1 valued block")
-
-
 def _quadrants(arr: np.ndarray, n, m) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Majority rows and columns of a 0/1 block of n rows and m columns
     (strictly more ones than zeros; exact ties go to the non-majority
@@ -284,20 +279,6 @@ def _find_swaps(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return kind, src[kind, each].argmax(axis=1), dst[kind, each].argmax(axis=1)
 
 
-def _spread(blocks: _Blocks) -> np.ndarray:
-    """Combined L1 spread, ``columnwise_cost + rowwise_cost``, of each 0/1
-    block of a padded stack.
-
-    Counted, not sorted: each column's cost is min(ones, n - ones) and each
-    row's min(ones, m - ones) (:func:`~crossclust.cost._binary_l1`), with
-    each block's own n and m; a padded line has no ones and costs 0.  The
-    one-counts are sums of 0s and 1s, exact in floating point, and so is
-    every sum of these integers, so the result equals the direct costs."""
-    values = blocks.values
-    return (_binary_l1(values.sum(axis=1), blocks.rows).sum(axis=1)
-            + _binary_l1(values.sum(axis=2), blocks.cols).sum(axis=1))
-
-
 def swap_normalize(y) -> tuple[np.ndarray, tuple[SwapStep, ...]] | tuple[_Blocks, np.ndarray]:
     """Apply spread-reducing swaps until none applies.
 
@@ -323,7 +304,7 @@ def swap_normalize(y) -> tuple[np.ndarray, tuple[SwapStep, ...]] | tuple[_Blocks
     _require_binary(values)
     if np.any(2 * np.rint(values.sum(axis=(1, 2))) > (blocks.rows * blocks.cols)[:, 0]):
         raise ValidationError("swap normalization requires ones <= zeros")
-    spread = _spread(blocks)
+    spread = columnwise_cost(blocks, Norm.L1) + rowwise_cost(blocks, Norm.L1)
     steps = np.zeros(len(values), dtype=int)
     trace: list[SwapStep] = []
     live = np.arange(len(values))
@@ -337,7 +318,7 @@ def swap_normalize(y) -> tuple[np.ndarray, tuple[SwapStep, ...]] | tuple[_Blocks
         values[live, one // m, one % m] = 0.0
         values[live, zero // m, zero % m] = 1.0
         unfinished = blocks.take(live)
-        new_spread = _spread(unfinished)
+        new_spread = columnwise_cost(unfinished, Norm.L1) + rowwise_cost(unfinished, Norm.L1)
         bad = new_spread > spread[live] - 1.0 + PASS_TOL
         if single or bad.any():
             i = int(bad.argmax())  # the first violating block, else the only one

@@ -6,9 +6,9 @@ under ``Norm.L2`` it is the sum of squared deviations from its mean, and
 a constant multiset costs exactly 0.  For an even-sized multiset every
 point of the closed median interval gives the same absolute-deviation
 sum; fixing the lower median just makes outputs deterministic.  The
-center is defined once, in ``_center`` (the lower median's position in
+center is defined once, in ``_center`` (the lower median, selected at
 ``_lower_median``), and every direct cost goes through
-``_columns_spread``; Lloyd's centers follow the same rule.  Both
+``_columns_spread``; Lloyd's centers are the same ``_center``.  Both
 exact solvers run one search, ``_exact_search``: it scores label blocks
 of partitions from one table of block costs (``BatchCosts``), built from
 sums over the groups under L2 and under L1 on 0/1 data, and under L1 on
@@ -101,7 +101,18 @@ def _values_of(y, stack: bool = False):
     arr = _as_floats(y)
     if arr.ndim != 2 or arr.size == 0:
         raise ValidationError("expected a nonempty 2-D block of values")
+    return _require_finite(arr)
+
+
+def _require_finite(arr: np.ndarray) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise ValidationError("block entries must all be finite")
     return arr
+
+
+def _require_binary(arr: np.ndarray) -> None:
+    if not np.all((arr == 0.0) | (arr == 1.0)):
+        raise ValidationError("operation requires a 0/1 valued block")
 
 
 class _Blocks(NamedTuple):
@@ -110,8 +121,8 @@ class _Blocks(NamedTuple):
     block checks take.  Block i is ``values[i, :rows[i], :cols[i]]`` and
     ``valid[i]`` marks its cells.  ``rows`` and ``cols`` have shape (B, 1),
     so that they broadcast against per-line sums.  The stack kernels read
-    the counts for majority thresholds, medians and means, and mask the
-    padding with ``valid``."""
+    the counts for majority thresholds, L1 costs (counts of ones, so 0/1
+    cells only) and means, and mask the padding with ``valid``."""
 
     values: np.ndarray
     rows: np.ndarray
@@ -134,10 +145,6 @@ class _Blocks(NamedTuple):
         b = len(self.values)
         return _Blocks(self.values.reshape(b, -1, 1), self.rows * self.cols,
                        np.ones_like(self.cols), self.valid.reshape(b, -1, 1))
-
-    def blocks(self) -> list[np.ndarray]:
-        """The blocks, unpadded, as views."""
-        return [v[:n, :m] for v, n, m in zip(self.values, self.rows[:, 0], self.cols[:, 0])]
 
     def varies(self, axis) -> np.ndarray:
         """Whether the cells of each line (``axis`` 1 or 2) or block
@@ -168,40 +175,42 @@ def _lower_median(s: int) -> int:
 
 
 def _center(arr: np.ndarray, norm: Norm):
-    """Per-column center of ``arr``: the lower median under L1, the mean
-    under L2.  A 1-D array is one column."""
-    if norm is Norm.L1:
-        return np.sort(arr, axis=0)[_lower_median(arr.shape[0])]
-    return arr.mean(axis=0)
+    """Per-column center of a 2-D ``arr``: the mean under L2 (the sum over
+    the count, as ``np.mean`` computes it), and under L1 the lower median,
+    by selection: each column is copied into a contiguous lane and
+    partitioned at :func:`_lower_median`, which puts there the element a
+    sort puts there.  Only the sign of a zero median can differ, when -0.0
+    and 0.0 tie there, and no deviation sees it: |x - 0.0| = |x - (-0.0)|."""
+    if norm is Norm.L2:
+        return arr.sum(axis=0) / arr.shape[0]
+    mid = _lower_median(arr.shape[0])
+    lanes = arr.T.copy()
+    lanes.partition(mid, axis=1)
+    return lanes[:, mid]
 
 
 def _columns_spread(arr, norm: Norm):
-    """Sum over columns of the within-column dissimilarity, the deviations
-    of each column from its :func:`_center`.  A 1-D array is one column;
-    :class:`_Blocks` is a stack of blocks, whose spreads come back as an
-    array.  A stack's centers are those of each block's own cells: the
-    lower median of a column of s cells (padding sorts last), and the sum
-    of its cells over s.  Padding costs nothing, and a constant column
-    costs exactly 0."""
+    """Sum over the columns of a 2-D array of the within-column
+    dissimilarity, the deviations of each column from its :func:`_center`;
+    a multiset is one column.  :class:`_Blocks` is a stack of blocks, whose
+    spreads come back as an array.  Under L1 a stack must be 0/1, and a
+    column of s cells with o ones costs min(o, s - o) (:func:`_binary_l1`),
+    counted exactly; under L2 its center is the sum of its s cells over s.
+    Padding costs nothing, and a constant column costs exactly 0."""
     if isinstance(arr, _Blocks):
-        values, valid = arr.values, arr.valid
+        values = arr.values
         if norm is Norm.L1:
-            lanes = np.where(valid, values, np.inf)
-            lanes.sort(axis=1)
-            center = np.take_along_axis(lanes, _lower_median(arr.rows)[:, :, None], axis=1)
-            dev = np.where(valid, np.abs(values - center), 0.0)
-        else:
-            center = values.sum(axis=1, keepdims=True) / arr.rows[:, :, None]
-            dev = np.where(valid & arr.varies(1), values - center, 0.0) ** 2
+            _require_binary(values)
+            return _binary_l1(values.sum(axis=1), arr.rows).sum(axis=1)
+        center = values.sum(axis=1, keepdims=True) / arr.rows[:, :, None]
+        dev = np.where(arr.valid & arr.varies(1), values - center, 0.0) ** 2
         return dev.sum(axis=(1, 2))
     if norm is Norm.L1:
         dev = np.abs(arr - _center(arr, norm))
     else:
         # a constant column must cost exactly 0; the computed mean of n equal
         # values can round off the value itself (e.g. three 0.1s)
-        constant = arr.min(axis=0) == arr.max(axis=0)
-        if arr.ndim == 1:
-            return 0.0 if constant else float(((arr - arr.mean()) ** 2).sum())
+        constant = (arr == arr[0]).all(axis=0)
         dev = (arr - _center(arr, norm)) ** 2
         if constant.any():
             dev[:, constant] = 0.0
@@ -212,21 +221,23 @@ def _columns_spread(arr, norm: Norm):
 def dissimilarity(values, norm: Norm) -> float:
     """Dissimilarity of a multiset of reals under the given norm.
 
-    Zero iff all values are equal; raises on an empty multiset.
+    Zero iff all values are equal; raises on an empty multiset and on a
+    non-finite value.
     """
-    v = _as_floats(values).ravel()
+    v = _as_floats(values).reshape(-1, 1)
     if v.size == 0:
         raise ValidationError("dissimilarity of an empty multiset is undefined")
-    return _columns_spread(v, norm)
+    return _columns_spread(_require_finite(v), norm)
 
 
 @overflow_guard
 def pooled_cost(y, norm: Norm) -> float:
     """Dissimilarity of all entries of a block pooled into one multiset.
 
-    This and the next two costs also take a padded stack of blocks
-    (:class:`_Blocks`), and then return the array of the B blocks' costs,
-    in order."""
+    This and the next two costs raise on a non-finite entry.  They also
+    take a padded stack of blocks (:class:`_Blocks`), and then return the
+    array of the B blocks' costs, in order; under L1 the stack must be 0/1
+    valued."""
     arr = _values_of(y, stack=True)
     if isinstance(arr, _Blocks):
         return _columns_spread(arr.pooled(), norm)
@@ -288,7 +299,7 @@ def block_costs(x: DataMatrix, rows: Partition, cols: Partition, norm: Norm) -> 
     for r, members in enumerate(rows.clusters):
         sub = vals[np.asarray(members), :]
         for c, cidx in enumerate(col_groups):
-            grid[r, c] = _columns_spread(sub[:, cidx].ravel(), norm)
+            grid[r, c] = _columns_spread(sub[:, cidx].reshape(-1, 1), norm)
     return grid
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import Norm, _center, _exact_search, _lower_median, oneway_row_cost
+from .cost import Norm, _center, _exact_search, oneway_row_cost
 from .errors import CapExceededError, CrossclustError, ValidationError, overflow_guard
 from .model import ENUMERATION_CAP, DataMatrix, Partition, _canonical_partition
 from .rng import MASK64, SplitMix64
@@ -138,21 +138,6 @@ def _distances(points: np.ndarray, center: np.ndarray, norm: Norm) -> np.ndarray
     else:
         d *= d
     return d.sum(axis=-1)
-
-
-def _cluster_center(rows: np.ndarray, norm: Norm) -> np.ndarray:
-    """:func:`~crossclust.cost._center` of a cluster's rows, the L1 lower
-    median by selection: each column is copied into a contiguous lane and
-    partitioned at :func:`~crossclust.cost._lower_median`, which puts the
-    element ``np.sort`` puts there.  Only the sign of a zero median can
-    differ, when -0.0 and 0.0 tie there, and no distance or cost sees it:
-    |x - 0.0| = |x - (-0.0)|."""
-    if norm is Norm.L2:
-        return _center(rows, norm)
-    mid = _lower_median(rows.shape[0])
-    lanes = rows.T.copy()
-    lanes.partition(mid, axis=1)
-    return lanes[:, mid]
 
 
 def _seed_centers(points: np.ndarray, k: int, norm: Norm, rng: SplitMix64) -> np.ndarray:
@@ -330,7 +315,7 @@ def _lloyd_once(points: np.ndarray, k: int, norm: Norm, seed: int) -> tuple[Part
             terms[c] = 0.0
             if members.size:  # else keep the stale center; repair may repopulate later
                 rows = points.take(members, axis=0)
-                centers[c] = _cluster_center(rows, norm)
+                centers[c] = _center(rows, norm)
                 d = _distances(rows, centers[c], norm)
                 own[members] = d
                 terms[c] = d.sum()

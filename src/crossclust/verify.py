@@ -7,7 +7,6 @@ import numpy as np
 
 from .bounds import (
     PASS_TOL,
-    _spread,
     analytic_optima,
     grid_search_alpha,
     l2_decomposition,
@@ -16,7 +15,15 @@ from .bounds import (
     swap_normalize,
     terminal_structure,
 )
-from .cost import BINARY_L1_RATIO_BOUND, REAL_L2_RATIO_BOUND, Norm, _Blocks, _stacked
+from .cost import (
+    BINARY_L1_RATIO_BOUND,
+    REAL_L2_RATIO_BOUND,
+    Norm,
+    _Blocks,
+    _stacked,
+    columnwise_cost,
+    rowwise_cost,
+)
 from .errors import BoundViolationError, ValidationError
 from .rng import SplitMix64, uniforms
 from .worstcase import random_binary_matrix, random_real_matrix
@@ -109,8 +116,10 @@ def _swap_checks(x: _Blocks) -> list[bool]:
     ones = x.values.sum(axis=(1, 2))  # also the pooled L1 cost
     kept = terminal.values.sum(axis=(1, 2)) == ones
     ok = np.not_equal(terminal_structure(terminal), None) & kept
-    # every swap lowers the spread by at least 1
-    return (ok & (_spread(terminal) <= _spread(x) - steps + PASS_TOL * ones)).tolist()
+    # every swap lowers the combined spread by at least 1
+    before = columnwise_cost(x, Norm.L1) + rowwise_cost(x, Norm.L1)
+    after = columnwise_cost(terminal, Norm.L1) + rowwise_cost(terminal, Norm.L1)
+    return (ok & (after <= before - steps + PASS_TOL * ones)).tolist()
 
 
 def _battery_swaps(rng: SplitMix64, count: int):

@@ -93,6 +93,19 @@ def l1_cost_best_center(values):
     return min(sum(abs(v - c) for v in values) for c in values)
 
 
+def l1_cost_lower_median(values):
+    """Absolute-deviation sum about the lower median, found by a sort:
+    the rule the library's L1 costs follow."""
+    med = sorted(values)[(len(values) - 1) // 2]
+    return sum(abs(v - med) for v in values)
+
+
+def unpadded(stack):
+    """The blocks of a padded stack, as its layout defines them: block i
+    is ``values[i, :rows[i], :cols[i]]``."""
+    return [v[:n, :m] for v, n, m in zip(stack.values, stack.rows[:, 0], stack.cols[:, 0])]
+
+
 def l2_cost(values):
     mean = sum(values) / len(values)
     return sum((v - mean) ** 2 for v in values)

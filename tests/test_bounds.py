@@ -37,8 +37,10 @@ from crossclust import (
     worst_case_matrix,
 )
 from crossclust import bounds
-from crossclust.bounds import PASS_TOL, _spread
+from crossclust.bounds import PASS_TOL
 from crossclust.cost import _stacked
+
+from oracles import unpadded
 
 SQRT2 = math.sqrt(2.0)
 
@@ -74,6 +76,13 @@ class TestPerBiclusterBound:
             rep = per_bicluster_bound(block, norm, alpha)
             assert rep.slack == 0.0
             assert rep.passed
+
+    @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad, norm):
+        # not a failed inequality: the input is not a block of reals
+        with pytest.raises(ValidationError, match="finite"):
+            per_bicluster_bound([[bad, 1.0], [0.0, 1.0]], norm, 2.0)
 
     def test_single_one_block(self):
         rep = per_bicluster_bound([[1.0, 0.0], [0.0, 0.0]], Norm.L1, BINARY_L1_RATIO_BOUND)
@@ -168,6 +177,11 @@ class TestL2Decomposition:
     def test_constant(self):
         dec = l2_decomposition(np.full((2, 3), 1.5))
         assert (dec.pooled, dec.columnwise, dec.rowwise, dec.residual) == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            l2_decomposition([[bad, 1.0], [0.0, 1.0]])
 
     def test_checkerboard(self):
         dec = l2_decomposition([[0.0, 1.0], [1.0, 0.0]])
@@ -402,18 +416,15 @@ class TestStacks:
         self.check_costs(blocks, Norm.L1, BINARY_L1_RATIO_BOUND, tol=0.0)
         self.check_costs(blocks, Norm.L2, REAL_L2_RATIO_BOUND, tol=1e-12)
         assert list(terminal_structure(stack)) == [terminal_structure(b) for b in blocks]
-        # the spread, by counting, equals the direct costs, on the stack and on each block
-        direct = columnwise_cost(stack, Norm.L1) + rowwise_cost(stack, Norm.L1)
-        assert np.array_equal(_spread(stack), direct)
-        for block, expected in zip(blocks, direct):
-            assert _spread(stack_of([block]))[0] == expected
-            assert columnwise_cost(block, Norm.L1) + rowwise_cost(block, Norm.L1) == expected
+        # the stack's counted L1 costs are the 2-D kernel's, exactly
+        for cost in (pooled_cost, columnwise_cost, rowwise_cost):
+            assert cost(stack, Norm.L1).tolist() == [cost(b, Norm.L1) for b in blocks]
         x = fewer_ones_blocks(blocks)
         terminals, steps = swap_normalize(stack_of(x))
         labels = terminal_structure(terminals)
         assert not terminals.values.flags.writeable
         assert len(terminals.values) == len(steps) == len(x)
-        for block, terminal, n_steps, label in zip(x, terminals.blocks(), steps, labels):
+        for block, terminal, n_steps, label in zip(x, unpadded(terminals), steps, labels):
             single, trace = swap_normalize(block)
             assert terminal.shape == block.shape and not terminal.flags.writeable
             assert np.array_equal(terminal, single)
@@ -429,8 +440,14 @@ class TestStacks:
     def test_real_costs_are_close_and_constants_cost_zero(self, blocks, offset):
         blocks = [b + offset for b in blocks]
         self.check_costs(blocks, Norm.L2, REAL_L2_RATIO_BOUND, tol=1e-12)
-        self.check_costs(blocks, Norm.L1, BINARY_L1_RATIO_BOUND, tol=1e-12)
-        dec = l2_decomposition(stack_of(blocks))
+        stack = stack_of(blocks)
+        if not all(((b == 0.0) | (b == 1.0)).all() for b in blocks):
+            # a stack's L1 costs count ones, so a cell other than 0 or 1 raises
+            for cost in (pooled_cost, columnwise_cost, rowwise_cost,
+                         lambda y, norm: per_bicluster_bound(y, norm, BINARY_L1_RATIO_BOUND)):
+                with pytest.raises(ValidationError, match="0/1"):
+                    cost(stack, Norm.L1)
+        dec = l2_decomposition(stack)
         for i, block in enumerate(blocks):
             one = l2_decomposition(block)
             err = 1e-12 * one.pooled + block.size * (4 * np.spacing(np.abs(block).max())) ** 2
@@ -489,8 +506,8 @@ class TestStacks:
             assert np.array_equal(values[:n, :m], block) and valid[:n, :m].all()
             # padding is zero, and not valid
             assert valid.sum() == block.size and not values[~valid].any()
-        for block, unpadded in zip(blocks, stacked.blocks()):
-            assert np.array_equal(block, unpadded)
+        for block, read in zip(blocks, unpadded(stacked)):
+            assert np.array_equal(block, read)
         if len(set(shapes)) == 1:  # blocks of one shape stack with no padding
             assert stacked.valid.all() and np.array_equal(stacked.values, np.stack(blocks))
 

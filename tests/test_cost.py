@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from crossclust import (
     DataMatrix,
@@ -20,10 +20,13 @@ from crossclust import (
     worst_case_matrix,
 )
 
+from crossclust.cost import block_costs
+
 from oracles import (
     biclustering_cost_naive,
     l1_cost,
     l1_cost_best_center,
+    l1_cost_lower_median,
     l2_cost,
     oneway_row_cost_naive,
 )
@@ -31,12 +34,13 @@ from oracles import (
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
 
-def small_matrix(max_n=5, max_m=5, binary=False):
-    entry = st.sampled_from([0.0, 1.0]) if binary else finite
+def small_matrix(max_n=5, max_m=5, binary=False, entries=None):
+    if entries is None:
+        entries = st.sampled_from([0.0, 1.0]) if binary else finite
     return st.integers(1, max_n).flatmap(
         lambda n: st.integers(1, max_m).flatmap(
             lambda m: st.lists(
-                st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n
+                st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n
             )
         )
     )
@@ -56,6 +60,12 @@ class TestDissimilarity:
     def test_empty_raises(self):
         with pytest.raises(ValidationError):
             dissimilarity([], Norm.L1)
+
+    @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises(self, bad, norm):
+        with pytest.raises(ValidationError, match="finite"):
+            dissimilarity([bad, 1.0], norm)
 
     @pytest.mark.parametrize("values", [[[1.0], [2.0, 3.0]], ["a"]])
     def test_malformed_raises(self, values):
@@ -115,6 +125,13 @@ class TestBlockCosts:
         assert pooled_cost([[1.0, 0.0], [0.0, 0.0]], Norm.L1) == 1.0
         assert pooled_cost([[0.0, 1.0], [1.0, 0.0]], Norm.L2) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cost", [pooled_cost, columnwise_cost, rowwise_cost])
+    def test_non_finite_entry_raises(self, cost, bad, norm):
+        with pytest.raises(ValidationError, match="finite"):
+            cost([[bad, 1.0], [0.0, 1.0]], norm)
+
     @pytest.mark.parametrize("cost", [pooled_cost, columnwise_cost, rowwise_cost])
     @pytest.mark.parametrize("block", [[[1.0, 2.0], [3.0]], [["a"]]])
     def test_malformed_block_raises(self, cost, block):
@@ -139,6 +156,60 @@ class TestBlockCosts:
         for norm in (Norm.L1, Norm.L2):
             expected = sum(dissimilarity(arr[:, j], norm) for j in range(arr.shape[1]))
             assert columnwise_cost(arr, norm) == pytest.approx(expected, abs=1e-9)
+
+
+def bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestOneKernel:
+    """Every direct cost runs one kernel per norm: the L1 lower median found
+    by selection, and a multiset priced as one column."""
+
+    @given(small_matrix(6, 6, entries=st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 3.0])),
+           st.integers(0, 2**32 - 1))
+    @example([[-0.0], [0.0], [0.0], [-0.0], [1.0]], 0)
+    @example([[0.0, -0.0], [-0.0, 0.0]], 0)
+    @example([[-0.0, 1.0, 0.0], [0.0, -0.0, 2.0], [1.0, -0.0, -0.0]], 1)
+    @settings(max_examples=200)
+    def test_l1_costs_are_the_sorted_lower_medians_bit_for_bit(self, rows, seed):
+        # entries are multiples of 1/2, so every deviation and every sum is
+        # exact, and a bit-level difference is a different center, or a
+        # zero of another sign
+        arr = np.array(rows)
+        x = DataMatrix(arr)
+        entries = arr.ravel().tolist()
+        assert bits(pooled_cost(arr, Norm.L1)) == bits(l1_cost_lower_median(entries))
+        assert bits(dissimilarity(entries, Norm.L1)) == bits(l1_cost_lower_median(entries))
+        for cost, lines in ((columnwise_cost, arr.T), (rowwise_cost, arr)):
+            expected = sum(l1_cost_lower_median(line.tolist()) for line in lines)
+            assert bits(cost(arr, Norm.L1)) == bits(expected)
+        rng = np.random.default_rng(seed)
+        rows_part = Partition.from_labels(rng.integers(0, 3, size=x.n_rows).tolist())
+        cols_part = Partition.from_labels(rng.integers(0, 3, size=x.n_cols).tolist())
+        expected = sum(l1_cost_lower_median(arr[list(members), j].tolist())
+                       for members in rows_part.clusters for j in range(x.n_cols))
+        assert bits(oneway_row_cost(x, rows_part, Norm.L1)) == bits(expected)
+        grid = block_costs(x, rows_part, cols_part, Norm.L1)
+        for r, members in enumerate(rows_part.clusters):
+            for c, cols in enumerate(cols_part.clusters):
+                block = arr[np.ix_(list(members), list(cols))].ravel().tolist()
+                assert bits(grid[r, c]) == bits(l1_cost_lower_median(block))
+
+    @given(st.one_of(st.integers(2, 64), st.integers(65, 10**5)),
+           st.sampled_from([0.0, 1e7, 1e12]), st.integers(0, 2**32 - 1))
+    @example(3, 1e7, 0)
+    @example(10**5, 1e12, 1)
+    @settings(max_examples=120, deadline=None)
+    def test_one_column_l2_cost_is_the_1d_formula_bit_for_bit(self, n, offset, seed):
+        v = offset + np.random.default_rng(seed).standard_normal(n)
+        assume(v.min() < v.max())
+        expected = bits(float(((v - v.mean()) ** 2).sum()))
+        assert bits(dissimilarity(v, Norm.L2)) == expected
+        assert bits(pooled_cost(v[None, :], Norm.L2)) == expected
+        x = DataMatrix(v[:, None])
+        one = Partition((0,), 1)
+        assert bits(block_costs(x, Partition((0,) * n, 1), one, Norm.L2)[0, 0]) == expected
 
 
 class TestOnewayCosts:

@@ -22,7 +22,6 @@ from crossclust.rng import SplitMix64
 from crossclust import oneway
 from crossclust.oneway import (
     LLOYD_MAX_ITERATIONS,
-    _cluster_center,
     _distances,
     _lloyd_once,
     _repair_empty_clusters,
@@ -227,7 +226,7 @@ def recomputed_clusters(monkeypatch, points, k, norm, seed, repair=_repair_empty
     """Run ``_lloyd_once`` with spies, and ``repair`` as its repair step.
     Returns its outcome, the assignment each iteration's center step used
     (after the repair), and per iteration the clusters whose center was
-    computed, found by matching the rows ``_cluster_center`` got against
+    computed, found by matching the rows ``_center`` got against
     each cluster's members."""
     assignments, centered = [], []
 
@@ -242,10 +241,10 @@ def recomputed_clusters(monkeypatch, points, k, norm, seed, repair=_repair_empty
         match = [c for c in range(k) if np.array_equal(rows, points[labels == c])]
         assert len(match) == 1
         centered[-1].extend(match)
-        return _cluster_center(rows, norm)
+        return _center(rows, norm)
 
     monkeypatch.setattr(oneway, "_repair_empty_clusters", repair_spy)
-    monkeypatch.setattr(oneway, "_cluster_center", center_spy)
+    monkeypatch.setattr(oneway, "_center", center_spy)
     result = outcome(_lloyd_once, points, k, norm, seed)
     return result, assignments, centered
 
@@ -364,7 +363,7 @@ class TestCenters:
     @example(np.array([[-0.0]]))
     def test_selection_gives_the_sorted_lower_median(self, rows):
         sorted_median = np.sort(rows, axis=0)[_lower_median(rows.shape[0])]
-        selected = _cluster_center(rows, Norm.L1)
+        selected = _center(rows, Norm.L1)
         assert selected.shape == sorted_median.shape
         assert (selected == sorted_median).all()
         # the sign of a zero may differ (numpy's sort and selection can pick

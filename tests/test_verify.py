@@ -16,6 +16,8 @@ from crossclust import verify
 from crossclust.cost import _stacked
 from crossclust.cli import main
 
+from oracles import unpadded
+
 
 def test_blocks_match_the_generator():
     shapes = [(2, 3), (1, 1), (2, 3), (4, 2), (1, 1)]
@@ -23,9 +25,9 @@ def test_blocks_match_the_generator():
     stack = _stacked(verify._draw(shapes, seeds)[0], shapes)
     blocks = [random_real_matrix(*shape, seed).values for shape, seed in zip(shapes, seeds)]
     # one ragged stack holds every block, in order, each in its own shape
-    assert len({b.shape for b in stack.blocks()}) == len(set(shapes))
-    assert [b.shape for b in stack.blocks()] == [b.shape for b in blocks] == shapes
-    for block, padded in zip(blocks, stack.blocks()):
+    assert len({b.shape for b in unpadded(stack)}) == len(set(shapes))
+    assert [b.shape for b in unpadded(stack)] == [b.shape for b in blocks] == shapes
+    for block, padded in zip(blocks, unpadded(stack)):
         assert np.array_equal(padded, block)
     # each padded to the largest shape with zeros that are not valid
     assert stack.values.shape == stack.valid.shape == (len(shapes), 4, 3)
@@ -43,7 +45,7 @@ def test_a_failing_block_fails_alone(monkeypatch):
     stacks = []
 
     def spy(x):
-        stacks.append(x.blocks())
+        stacks.append(unpadded(x))
         return real(x)
 
     monkeypatch.setattr(verify, "swap_normalize", spy)
@@ -53,7 +55,7 @@ def test_a_failing_block_fails_alone(monkeypatch):
     poison = max((b for b in stack if sum(np.array_equal(b, o) for o in stack) == 1), key=np.size)
 
     def failing(x):
-        if any(np.array_equal(block, poison) for block in x.blocks()):
+        if any(np.array_equal(block, poison) for block in unpadded(x)):
             raise DescentViolationError("injected")
         return real(x)
 
