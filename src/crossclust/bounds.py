@@ -26,6 +26,7 @@ from .cost import (
     BATCH_ENTRIES,
     Norm,
     _Blocks,
+    _counted_l1,
     _require_binary,
     _stacked,
     _values_of,
@@ -304,7 +305,7 @@ def swap_normalize(y) -> tuple[np.ndarray, tuple[SwapStep, ...]] | tuple[_Blocks
     _require_binary(values)
     if np.any(2 * np.rint(values.sum(axis=(1, 2))) > (blocks.rows * blocks.cols)[:, 0]):
         raise ValidationError("swap normalization requires ones <= zeros")
-    spread = columnwise_cost(blocks, Norm.L1) + rowwise_cost(blocks, Norm.L1)
+    spread = _counted_l1(blocks) + _counted_l1(blocks.transposed())  # swaps keep cells 0/1
     steps = np.zeros(len(values), dtype=int)
     trace: list[SwapStep] = []
     live = np.arange(len(values))
@@ -318,7 +319,7 @@ def swap_normalize(y) -> tuple[np.ndarray, tuple[SwapStep, ...]] | tuple[_Blocks
         values[live, one // m, one % m] = 0.0
         values[live, zero // m, zero % m] = 1.0
         unfinished = blocks.take(live)
-        new_spread = columnwise_cost(unfinished, Norm.L1) + rowwise_cost(unfinished, Norm.L1)
+        new_spread = _counted_l1(unfinished) + _counted_l1(unfinished.transposed())
         bad = new_spread > spread[live] - 1.0 + PASS_TOL
         if single or bad.any():
             i = int(bad.argmax())  # the first violating block, else the only one

@@ -201,7 +201,7 @@ def _columns_spread(arr, norm: Norm):
         values = arr.values
         if norm is Norm.L1:
             _require_binary(values)
-            return _binary_l1(values.sum(axis=1), arr.rows).sum(axis=1)
+            return _counted_l1(arr)
         center = values.sum(axis=1, keepdims=True) / arr.rows[:, :, None]
         dev = np.where(arr.valid & arr.varies(1), values - center, 0.0) ** 2
         return dev.sum(axis=(1, 2))
@@ -215,6 +215,11 @@ def _columns_spread(arr, norm: Norm):
         if constant.any():
             dev[:, constant] = 0.0
     return float(dev.sum())
+
+
+def _counted_l1(blocks: _Blocks) -> np.ndarray:
+    """Per block, the summed L1 column spreads of a stack known to be 0/1."""
+    return _binary_l1(blocks.values.sum(axis=1), blocks.rows).sum(axis=1)
 
 
 @overflow_guard
@@ -533,18 +538,20 @@ def _sum_table(
     S2 = sum of squares and size entries costs S2 - S1^2/size under L2 and
     min(S1, size - S1) under L1; an empty group's entries are 0.  Pooled,
     each block is one multiset; otherwise each column of a block costs
-    that, and the costs are summed."""
+    that, and the costs are summed.  A (B, n, m) stack ``v`` gives B tables,
+    as the products broadcast over it; row groups are taken in chunks that
+    keep each temporary, stack included, within ``BATCH_ENTRIES`` entries."""
     cols = col_groups.T.astype(float)  # (m, column groups)
-    table = np.empty((len(row_groups), cols.shape[1]))
+    table = np.empty((*v.shape[:-2], len(row_groups), cols.shape[1]))
     sq = v * v
-    step = max(1, BATCH_ENTRIES // max(cols.shape))
+    step = max(1, BATCH_ENTRIES // (max(cols.shape) * math.prod(v.shape[:-2])))
     for i in range(0, len(row_groups), step):
         rows = row_groups[i : i + step].astype(float)
         s1, s2, size = rows @ v, rows @ sq, rows.sum(axis=1, keepdims=True)
         if pooled:
             s1, s2, size = s1 @ cols, s2 @ cols, size * cols.sum(axis=0)
         spread = s2 - s1 * s1 / np.maximum(size, 1.0) if l2 else _binary_l1(s1, size)
-        table[i : i + step] = spread if pooled else spread @ cols
+        table[..., i : i + step, :] = spread if pooled else spread @ cols
     return table
 
 

@@ -5,8 +5,8 @@ well-known 64-bit shift/multiply generator.  The algorithm is fixed and
 tiny so that a given seed reproduces the same stream on any platform or
 in any reimplementation, which keeps generated test instances portable.
 Its state advances by a fixed increment, so the j-th output depends only
-on seed + j * gamma; :func:`uniforms` uses that to draw the floats of many
-streams in one numpy pass.
+on seed + j * gamma; :func:`uniforms` and :meth:`SplitMix64.next_uint64s`
+use that to draw many outputs in one numpy pass.
 """
 
 from __future__ import annotations
@@ -48,13 +48,18 @@ class SplitMix64:
             raise ValidationError("randint_below requires n >= 1")
         return self.next_uint64() % n
 
+    def next_uint64s(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs of :meth:`next_uint64`, as uint64s."""
+        out = _outputs([self._state], [count])
+        self._state = (self._state + count * _GAMMA) & MASK64
+        return out
 
-def uniforms(seeds, counts) -> np.ndarray:
-    """The first ``counts[i]`` :meth:`SplitMix64.random` floats of the
-    stream seeded with ``seeds[i]``, for every i in turn, concatenated.
-    The j-th state (from 1) of a stream is seed + j * gamma mod 2^64, so
-    every output is mixed from its own counter in uint64 arithmetic,
-    which wraps as the scalar class masks."""
+
+def _outputs(seeds, counts) -> np.ndarray:
+    """The first ``counts[i]`` uint64 outputs of the stream seeded with
+    ``seeds[i]``, for every i in turn, concatenated: the j-th state (from 1)
+    of a stream is seed + j * gamma mod 2^64, so each output is mixed from its
+    own counter, in uint64 arithmetic that wraps as the scalar class masks."""
     counts = np.asarray(counts, dtype=np.int64)
     z = np.arange(1, counts.sum() + 1, dtype=np.uint64)
     z -= np.repeat(np.cumsum(counts) - counts, counts).astype(np.uint64)
@@ -65,8 +70,13 @@ def uniforms(seeds, counts) -> np.ndarray:
     z ^= z >> np.uint64(27)
     z *= np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
-    z >>= np.uint64(11)
-    return z * 2.0**-53
+    return z
+
+
+def uniforms(seeds, counts) -> np.ndarray:
+    """The first ``counts[i]`` :meth:`SplitMix64.random` floats of the
+    stream seeded with ``seeds[i]``, for every i in turn, concatenated."""
+    return (_outputs(seeds, counts) >> np.uint64(11)) * 2.0**-53
 
 
 def derive_seed(seed: int, index: int) -> int:

@@ -16,11 +16,15 @@ from .bounds import (
     terminal_structure,
 )
 from .cost import (
+    BATCH_ENTRIES,
     BINARY_L1_RATIO_BOUND,
     REAL_L2_RATIO_BOUND,
     Norm,
     _Blocks,
+    _label_keys,
+    _members,
     _stacked,
+    _sum_table,
     columnwise_cost,
     rowwise_cost,
 )
@@ -54,53 +58,72 @@ def verify_bounds(seed: int, count: int, resolution: int) -> list[dict]:
     return batteries
 
 
-def _draw(shapes: list[tuple[int, int]], seeds) -> tuple[np.ndarray, np.ndarray]:
-    """One bulk draw for blocks of the given shapes: block i holds the
-    first n * m floats of the stream ``seeds[i]``, row-major, as
-    ``random_real_matrix`` draws them.  Returns every block's entries, end
-    to end, as :func:`~crossclust.cost._stacked` pads them, and the blocks'
-    sizes."""
-    sizes = np.array([n * m for n, m in shapes])
-    return uniforms(seeds, sizes.tolist()), sizes
-
-
-def _drawn_shapes(rng: SplitMix64, count: int, side: int):
-    """Rows and columns (1..side) and a seed of ``count`` blocks, drawn
-    from ``rng`` in that order: the shapes, and the seeds."""
-    draws = [(rng.randint_below(side) + 1, rng.randint_below(side) + 1, rng.next_uint64())
-             for _ in range(count)]
-    n, m, seeds = zip(*draws)
-    return list(zip(n, m)), seeds
+def _drawn_blocks(rng: SplitMix64, count: int, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entries and shapes, as :func:`~crossclust.cost._stacked` takes them,
+    of ``count`` blocks of 1..``side`` rows and columns, each one's shape
+    and seed drawn from ``rng`` and its entries as ``random_real_matrix``."""
+    draws = rng.next_uint64s(3 * count).reshape(count, 3)
+    shapes = (draws[:, :2] % side + 1).astype(int)
+    return uniforms(draws[:, 2].tolist(), shapes.prod(axis=1)), shapes
 
 
 def _battery_per_block(rng: SplitMix64, count: int):
-    draws = [(rng.randint_below(6) + 1, rng.randint_below(6) + 1,
-              (0.2, 0.5, 0.8)[rng.randint_below(3)], rng.next_uint64(), rng.next_uint64())
-             for _ in range(count)]
-    n, m, ones_p, binary_seeds, real_seeds = zip(*draws)
-    shapes = list(zip(n, m))
+    draws = rng.next_uint64s(5 * count).reshape(count, 5)
+    shapes = (draws[:, :2] % 6 + 1).astype(int)
+    sizes = shapes.prod(axis=1)
+    ones_p = np.array([0.2, 0.5, 0.8])[draws[:, 2] % 3]
     # the first count blocks are made binary, the last count stay real
-    u, sizes = _draw(shapes * 2, binary_seeds + real_seeds)
-    half = int(sizes[:count].sum())
-    binary = (u[:half] < np.repeat(ones_p, sizes[:count])).astype(float)
+    u = uniforms(draws[:, 3:].T.ravel().tolist(), np.tile(sizes, 2))
+    half = int(sizes.sum())
+    binary = (u[:half] < np.repeat(ones_p, sizes)).astype(float)
     l1 = per_bicluster_bound(_stacked(binary, shapes), Norm.L1, BINARY_L1_RATIO_BOUND)
     l2 = per_bicluster_bound(_stacked(u[half:], shapes), Norm.L2, REAL_L2_RATIO_BOUND)
     return l1.passed.tolist() + l2.passed.tolist()
 
 
 def _battery_lower_bound(rng: SplitMix64, count: int):
-    for i in range(count):
-        n = rng.randint_below(4) + 2
-        m = rng.randint_below(4) + 2
-        k_r = rng.randint_below(min(3, n)) + 1
-        k_c = rng.randint_below(min(3, m)) + 1
-        if i % 2 == 0:
-            x = random_binary_matrix(n, m, 0.5, rng.next_uint64())
-            norm = Norm.L1
-        else:
-            x = random_real_matrix(n, m, rng.next_uint64())
-            norm = Norm.L2
-        yield lower_bound_check(x, k_r, k_c, norm).passed
+    """L* >= max(L_R*, L_C*) on 2-5 x 2-5 matrices at budgets up to 3, 0/1
+    under L1 and uniform under L2 in turn, on :func:`_lower_bound_costs`.  The
+    first of each norm also goes through ``lower_bound_check``, which must
+    pass and agree with them."""
+    cases = rng.next_uint64s(5 * count).reshape(count, 5)  # n, m, k_r, k_c, seed
+    cases[:, :2] = cases[:, :2] % 4 + 2
+    cases[:, 2:4] = cases[:, 2:4] % np.minimum(cases[:, :2], 3) + 1
+    for norm, half in ((Norm.L1, cases[::2].tolist()), (Norm.L2, cases[1::2].tolist())):
+        xs = [random_binary_matrix(n, m, 0.5, s) if norm is Norm.L1 else random_real_matrix(n, m, s)
+              for n, m, _, _, s in half]
+        l_star, l_r, l_c, pooled = costs = _lower_bound_costs(xs, [c[2:4] for c in half], norm).T
+        tol = PASS_TOL * pooled
+        ok = (np.maximum(l_r, l_c) - tol <= l_star) & (l_star <= pooled + tol)
+        r = lower_bound_check(xs[0], *half[0][2:4], norm)
+        ok[0] &= r.passed and (abs(costs[:3, 0] - (r.l_star, r.l_r, r.l_c)) <= tol[0]).all()
+        yield from ok.tolist()
+
+
+def _lower_bound_costs(xs: list, budgets, norm: Norm) -> np.ndarray:
+    """(l*, l_r, l_c, one-block cost) of each matrix in ``xs`` (at most 5 x 5,
+    0/1 under L1) at its (k_r, k_c) in ``budgets``.  Zero-padded to 5 x 5,
+    centered on their grand means under L2, and stacked, each chunk gets one
+    :func:`~crossclust.cost._sum_table`: T[g, h] costs the block of row and
+    column bitmasks g and h (a key below 2^n holds no padding), and each cost
+    is a least sum of T over groups' keys, as in ``cost._oneway_bounds``:
+    exact for 0/1 L1, within ``BatchCosts.err`` of the direct costs for L2."""
+    v = np.zeros((len(xs), 5, 5))
+    for block, x in zip(v, xs):
+        block[: x.n_rows, : x.n_cols] = x.values - x.values.mean() if norm is Norm.L2 else x.values
+    groups, step, costs = _members(5, False), BATCH_ENTRIES // 4**5, []
+    for i in range(0, len(xs), step):
+        tables = _sum_table(v[i : i + step], groups, groups, True, norm is Norm.L2)
+        for table, x, (k_r, k_c) in zip(tables, xs[i : i + step], budgets[i : i + step]):
+            n, m = x.shape
+            # bitmask keys of the groups of label_table(t, k); the full mask for k = 1
+            rows, cols = (_label_keys(t, k) if k > 1 else np.array([[(1 << t) - 1]])
+                          for t, k in ((n, k_r), (m, k_c)))
+            l_star = table[:, cols].sum(axis=1)[rows].sum(axis=0).min()
+            l_r = table[:, 1 << np.arange(m)].sum(axis=1)[rows].sum(axis=0).min()
+            l_c = table[1 << np.arange(n)].sum(axis=0)[cols].sum(axis=0).min()
+            costs.append((l_star, l_r, l_c, table[(1 << n) - 1, (1 << m) - 1]))
+    return np.array(costs)
 
 
 def _swap_checks(x: _Blocks) -> list[bool]:
@@ -123,8 +146,8 @@ def _swap_checks(x: _Blocks) -> list[bool]:
 
 
 def _battery_swaps(rng: SplitMix64, count: int):
-    shapes, seeds = _drawn_shapes(rng, count, 6)
-    u, sizes = _draw(shapes, seeds)
+    u, shapes = _drawn_blocks(rng, count, 6)
+    sizes = shapes.prod(axis=1)
     x = (u < 0.4).astype(float)
     # complement every block with more ones than zeros
     flip = 2 * np.add.reduceat(x, np.cumsum(sizes) - sizes) > sizes
@@ -134,8 +157,7 @@ def _battery_swaps(rng: SplitMix64, count: int):
 
 
 def _battery_l2_identity(rng: SplitMix64, count: int):
-    shapes, seeds = _drawn_shapes(rng, count, 8)
-    dec = l2_decomposition(_stacked(_draw(shapes, seeds)[0], shapes))
+    dec = l2_decomposition(_stacked(*_drawn_blocks(rng, count, 8)))
     tol = PASS_TOL * dec.pooled
     ok = abs(dec.pooled - (dec.columnwise + dec.rowwise - dec.residual)) <= tol
     return (ok & (dec.residual >= -tol)).tolist()

@@ -20,7 +20,8 @@ from crossclust import (
     worst_case_matrix,
 )
 
-from crossclust.cost import block_costs
+from crossclust import cost
+from crossclust.cost import BatchCosts, block_costs
 
 from oracles import (
     biclustering_cost_naive,
@@ -369,3 +370,36 @@ class TestCertificateBound:
         assert Norm.parse(" l2 ") is Norm.L2
         with pytest.raises(ValidationError):
             Norm.parse("l3")
+
+
+class TestStackedSumTable:
+    """``_sum_table`` on a (B, n, m) stack against one 2-D call per matrix."""
+
+    @pytest.mark.parametrize("single", [False, True])
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("b, n, m", [(1, 2, 3), (3, 4, 2), (40, 5, 5), (7, 1, 4)])
+    def test_binary_l1_is_exact(self, b, n, m, pooled, single):
+        rng = np.random.default_rng(b * 100 + n * 10 + m)
+        v = (rng.random((b, n, m)) < 0.5).astype(float)
+        rows, cols = cost._members(n, single), cost._members(m, False)
+        if not pooled:
+            cols = np.ones((1, m), dtype=bool)
+        stacked = cost._sum_table(v, rows, cols, pooled, l2=False)
+        assert stacked.shape == (b, len(rows), len(cols))
+        for table, x in zip(stacked, v):
+            assert np.array_equal(table, cost._sum_table(x, rows, cols, pooled, l2=False))
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("b, n, m", [(1, 2, 3), (3, 4, 2), (40, 5, 5)])
+    def test_l2_is_within_the_batched_error_bound(self, b, n, m, pooled):
+        rng = np.random.default_rng(b * 100 + n * 10 + m)
+        xs = rng.random((b, n, m)) * 10.0 ** rng.integers(-3, 4, size=(b, 1, m))
+        # centered as BatchCosts centers: whole for pooled, per column otherwise
+        v = xs - (xs.mean(axis=(1, 2), keepdims=True) if pooled else xs.mean(axis=1, keepdims=True))
+        rows = cost._members(n, False)
+        cols = cost._members(m, False) if pooled else np.ones((1, m), dtype=bool)
+        stacked = cost._sum_table(v, rows, cols, pooled, l2=True)
+        for table, block, x in zip(stacked, v, xs):
+            err = BatchCosts(DataMatrix(x), Norm.L2, 2, 2 if pooled else None).err
+            flat = cost._sum_table(block, rows, cols, pooled, l2=True)
+            assert np.abs(table - flat).max() <= err

@@ -62,3 +62,18 @@ def test_generators_follow_the_scalar_stream(seed, n, m):
     ]
     got = planted_real_matrix(n, m, seed).values
     assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("counts", [(0,), (1,), (5, 0, 3), (1000, 2)])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bulk_draws_are_the_scalar_stream(seed, counts):
+    """``next_uint64s`` gives the next outputs of ``next_uint64`` bit for
+    bit, and leaves the state where the scalar calls leave it."""
+    bulk, scalar_rng = SplitMix64(seed), SplitMix64(seed)
+    for count in counts:
+        with np.errstate(all="raise"):
+            got = bulk.next_uint64s(count)
+        assert got.dtype == np.uint64 and got.shape == (count,)
+        assert got.tolist() == [scalar_rng.next_uint64() for _ in range(count)]
+        assert bulk._state == scalar_rng._state
+    assert bulk.next_uint64() == scalar_rng.next_uint64()

@@ -1,17 +1,27 @@
 """The verification battery as a library call: ``crossclust.verify``."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossclust import (
     DescentViolationError,
+    Norm,
+    SolverMode,
     SplitMix64,
     ValidationError,
+    exact_biclustering,
+    exact_kcluster,
+    kcluster_cols,
+    pooled_cost,
+    random_binary_matrix,
     random_real_matrix,
     verify_bounds,
 )
+from crossclust.bounds import PASS_TOL
 from crossclust import verify
 from crossclust.cost import _stacked
 from crossclust.cli import main
@@ -19,18 +29,24 @@ from crossclust.cli import main
 from oracles import unpadded
 
 
-def test_blocks_match_the_generator():
-    shapes = [(2, 3), (1, 1), (2, 3), (4, 2), (1, 1)]
-    seeds = [5, -1, 2**64 + 1, 7, 5]
-    stack = _stacked(verify._draw(shapes, seeds)[0], shapes)
-    blocks = [random_real_matrix(*shape, seed).values for shape, seed in zip(shapes, seeds)]
+@pytest.mark.parametrize("seed", [5, -1, 2**64 + 1])
+def test_blocks_match_the_generator(seed):
+    """Each block's shape and seed come off the outer stream in turn, and
+    its entries are ``random_real_matrix``'s at that seed."""
+    entries, shapes = verify._drawn_blocks(SplitMix64(seed), 40, 4)
+    stack = _stacked(entries, shapes)
+    rng, blocks = SplitMix64(seed), []
+    for _ in range(40):
+        n, m = rng.randint_below(4) + 1, rng.randint_below(4) + 1
+        blocks.append(random_real_matrix(n, m, rng.next_uint64()).values)
     # one ragged stack holds every block, in order, each in its own shape
-    assert len({b.shape for b in unpadded(stack)}) == len(set(shapes))
-    assert [b.shape for b in unpadded(stack)] == [b.shape for b in blocks] == shapes
+    assert len({b.shape for b in unpadded(stack)}) >= 2
+    assert [b.shape for b in unpadded(stack)] == [b.shape for b in blocks]
+    assert [b.shape for b in blocks] == [tuple(shape) for shape in shapes.tolist()]
     for block, padded in zip(blocks, unpadded(stack)):
         assert np.array_equal(padded, block)
     # each padded to the largest shape with zeros that are not valid
-    assert stack.values.shape == stack.valid.shape == (len(shapes), 4, 3)
+    assert stack.values.shape == stack.valid.shape == (40, *shapes.max(axis=0))
     assert stack.rows.tolist() == [[n] for n, _ in shapes]
     assert stack.cols.tolist() == [[m] for _, m in shapes]
     for values, valid, block in zip(stack.values, stack.valid, blocks):
@@ -86,3 +102,67 @@ def test_resolution_is_checked_before_any_battery(monkeypatch, capsys):
     assert main(["verify-bounds", "--resolution", "1"]) == 3
     assert "resolution must be >= 2" in capsys.readouterr().err
     assert ran == []
+
+
+#: One matrix as the lower-bound battery draws it: 2-5 rows and columns,
+#: budgets of at most 3 (and at most the side), and a seed.
+lower_bound_case = st.tuples(st.integers(2, 5), st.integers(2, 5), st.integers(1, 3),
+                             st.integers(1, 3), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases=st.lists(lower_bound_case, min_size=1, max_size=5), binary=st.booleans())
+def test_the_table_costs_are_the_exact_solvers(cases, binary):
+    """The battery's stacked costs against the public solvers: 0/1 matrices
+    at p = 0.5 under L1 exactly, uniform ones under L2 within the check's
+    tolerance."""
+    norm = Norm.L1 if binary else Norm.L2
+    xs = [random_binary_matrix(n, m, 0.5, seed) if binary else random_real_matrix(n, m, seed)
+          for n, m, _, _, seed in cases]
+    budgets = [(min(k_r, n), min(k_c, m)) for n, m, k_r, k_c, _ in cases]
+    costs = verify._lower_bound_costs(xs, budgets, norm)
+    for x, (k_r, k_c), got in zip(xs, budgets, costs):
+        want = (exact_biclustering(x, k_r, k_c, norm).cost, exact_kcluster(x, k_r, norm).cost,
+                kcluster_cols(x, k_c, norm, SolverMode.exact()).cost, pooled_cost(x, norm))
+        tol = 0.0 if binary else PASS_TOL * want[3]
+        assert np.abs(got - want).max() <= tol
+
+
+def test_the_table_costs_do_not_depend_on_the_chunk():
+    """Over 70 matrices, three table chunks, each matrix's costs are those
+    it gets alone."""
+    rng = SplitMix64(11)
+    for norm in (Norm.L1, Norm.L2):
+        xs, budgets = [], []
+        for _ in range(70):
+            n, m = rng.randint_below(4) + 2, rng.randint_below(4) + 2
+            if norm is Norm.L1:
+                xs.append(random_binary_matrix(n, m, 0.5, rng.next_uint64()))
+            else:
+                xs.append(random_real_matrix(n, m, rng.next_uint64()))
+            budgets.append((rng.randint_below(min(3, n)) + 1, rng.randint_below(min(3, m)) + 1))
+        stacked = verify._lower_bound_costs(xs, budgets, norm)
+        alone = np.concatenate([verify._lower_bound_costs([x], [k], norm)
+                                for x, k in zip(xs, budgets)])
+        tol = 0.0 if norm is Norm.L1 else PASS_TOL * alone[:, 3:]
+        assert np.all(np.abs(stacked - alone) <= tol)
+
+
+def test_the_cross_check_bites(monkeypatch):
+    """The first matrix of each norm goes through ``lower_bound_check``; an
+    l* off the table's by more than the tolerance fails those two, and only
+    those."""
+    real = verify.lower_bound_check
+    calls = []
+
+    def inflated(x, k_r, k_c, norm):
+        calls.append(norm)
+        report = real(x, k_r, k_c, norm)
+        return dataclasses.replace(report, l_star=report.l_star + 1e-6)
+
+    battery = verify._battery_lower_bound
+    assert verify._tally("one-way lower bound", battery(SplitMix64(60000), 25))["failures"] == 0
+    monkeypatch.setattr(verify, "lower_bound_check", inflated)
+    tally = verify._tally("one-way lower bound", battery(SplitMix64(60000), 25))
+    assert tally == {"name": "one-way lower bound", "checks": 25, "failures": 2}
+    assert calls == [Norm.L1, Norm.L2]

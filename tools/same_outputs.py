@@ -27,7 +27,8 @@ others still trade rows; ``run --mode heuristic`` under L1 on a literal
 ``-0``, ``0.0`` and ``1.0`` fields, which must be detected binary; plus
 ``sweep`` and ``verify-bounds`` as CSV, ``verify-bounds`` at odd counts,
 at the extreme seeds, at lattice resolutions from 2 to 2999, at its
-defaults at two seeds and at 2000 blocks per battery, ``sweep``
+defaults at two seeds, at 2000 blocks per battery and at 8000, where the
+lower-bound battery's 1,000 matrices span several table chunks, ``sweep``
 under each generator and at 1x1, and
 ``--help`` and usage errors.  Its overflow ops run ``run`` (both
 modes), ``exact`` and ``ratio`` under both norms on inputs whose costs
@@ -264,6 +265,8 @@ def _edge_ops() -> list[dict]:
     other += [["verify-bounds", "--seed", s] for s in ("60000", "60023")]
     other += [["verify-bounds", "--count", "2000", "--resolution", "20", "--seed", s]
               for s in ("1", "2")]
+    # 1,000 lower-bound matrices: more than one chunk of its stacked tables
+    other.append(["verify-bounds", "--count", "8000", "--resolution", "20"])
     other += [["sweep", "--count", "5"] + g for g in (["--norm", "l1"], ["--norm", "l2"],
                                                       ["--norm", "l2", "--planted"])]
     other += [["sweep", "--rows", "1", "--cols", "1", "--norm", "l2"] + k
