@@ -30,6 +30,7 @@ from .cost import (
     _require_binary,
     _stacked,
     _values_of,
+    block_costs,
     columnwise_cost,
     pooled_cost,
     rowwise_cost,
@@ -85,7 +86,7 @@ def per_bicluster_bound(y, norm: Norm, alpha: float) -> MarginReport:
     padded stack of blocks (:class:`~crossclust.cost._Blocks`), every
     field but alpha is a per-block array, in order.
     """
-    y = _values_of(y, stack=True)
+    y = _values_of(y)
     v = pooled_cost(y, norm)
     vr = columnwise_cost(y, norm)
     vc = rowwise_cost(y, norm)
@@ -105,17 +106,24 @@ class LowerBoundReport:
 
 @overflow_guard
 def lower_bound_check(x: DataMatrix, k_r: int, k_c: int, norm: Norm) -> LowerBoundReport:
-    """Verify max(l_r, l_c) <= l_star <= the one-block cost, with l_r and
-    l_c the exact one-way optima at the same cluster budgets: the oracle's
-    minimum covers the one-block pair.  Both within ``PASS_TOL`` times the
-    one-block cost, so that the check is free of the data's scale."""
+    """Verify max(l_r, l_c) <= l_star <= l, with l_r and l_c the exact
+    one-way optima at the same cluster budgets and l the cost of their
+    crossing, the scheme's biclustering: the oracle's minimum covers that
+    pair.  Both within ``PASS_TOL`` times the one-block cost, so that the
+    check is free of the data's scale."""
     l_star = exact_biclustering(x, k_r, k_c, norm).cost
-    l_r = exact_kcluster(x, k_r, norm).cost
-    l_c = kcluster_cols(x, k_c, norm, SolverMode.exact()).cost
-    pooled = pooled_cost(x, norm)
+    rows = exact_kcluster(x, k_r, norm)
+    cols = kcluster_cols(x, k_c, norm, SolverMode.exact())
+    l = float(block_costs(x, rows.partition, cols.partition, norm).sum())
+    passed = _lower_bound_holds(l_star, rows.cost, cols.cost, l, pooled_cost(x, norm))
+    return LowerBoundReport(l_star, rows.cost, cols.cost, bool(passed))
+
+
+def _lower_bound_holds(l_star, l_r, l_c, upper, pooled):
+    """max(l_r, l_c) - tol <= l_star <= upper + tol, with tol ``PASS_TOL``
+    times the one-block cost ``pooled``; elementwise on arrays."""
     tol = PASS_TOL * pooled
-    passed = max(l_r, l_c) - tol <= l_star <= pooled + tol
-    return LowerBoundReport(l_star, l_r, l_c, passed)
+    return (np.maximum(l_r, l_c) - tol <= l_star) & (l_star <= upper + tol)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +152,7 @@ def l2_decomposition(y) -> L2Decomposition:
     residual does not depend on an offset of the data, and a block of
     equal entries has a residual of exactly 0.  A 2-D block's residual is
     that of a one-block stack, which has no padding."""
-    arr = _values_of(y, stack=True)
+    arr = _values_of(y)
     if isinstance(arr, _Blocks):
         residual = _stack_residual(arr)
     else:
@@ -296,7 +304,7 @@ def swap_normalize(y) -> tuple[np.ndarray, tuple[SwapStep, ...]] | tuple[_Blocks
     the same checks.  It returns the terminal stack and each block's
     number of swaps, not a trace.
     """
-    arr = _values_of(y, stack=True)
+    arr = _values_of(y)
     single = not isinstance(arr, _Blocks)
     padded = _stacked(arr.ravel(), [arr.shape]) if single else arr
     blocks = padded._replace(values=padded.values.copy())
@@ -358,7 +366,7 @@ def terminal_structure(y) -> str | None:
     A padded stack of blocks (:class:`~crossclust.cost._Blocks`) gives an
     object array of these answers, in order; padding satisfies every test.
     """
-    arr = _values_of(y, stack=True)
+    arr = _values_of(y)
     blocks = arr if isinstance(arr, _Blocks) else _stacked(arr.ravel(), [arr.shape])
     values = blocks.values
     _require_binary(values)

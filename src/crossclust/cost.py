@@ -90,13 +90,13 @@ class CostBreakdown:
                 raise ValidationError(f"{name} must be finite and >= 0, got {val}")
 
 
-def _values_of(y, stack: bool = False):
+def _values_of(y):
     """A DataMatrix's values, or array-like values as one nonempty 2-D
-    block of floats; with ``stack``, the battery's padded stack
-    (:class:`_Blocks`) passes through as it is."""
+    block of floats; the battery's padded stack (:class:`_Blocks`) passes
+    through as it is."""
     if isinstance(y, DataMatrix):
         return y.values
-    if stack and isinstance(y, _Blocks):
+    if isinstance(y, _Blocks):
         return y
     arr = _as_floats(y)
     if arr.ndim != 2 or arr.size == 0:
@@ -243,7 +243,7 @@ def pooled_cost(y, norm: Norm) -> float:
     take a padded stack of blocks (:class:`_Blocks`), and then return the
     array of the B blocks' costs, in order; under L1 the stack must be 0/1
     valued."""
-    arr = _values_of(y, stack=True)
+    arr = _values_of(y)
     if isinstance(arr, _Blocks):
         return _columns_spread(arr.pooled(), norm)
     return dissimilarity(arr.ravel(), norm)
@@ -256,13 +256,13 @@ def columnwise_cost(y, norm: Norm) -> float:
     This is the contribution the block's rows would make to the
     row-clustering objective if they formed a single cluster.
     """
-    return _columns_spread(_values_of(y, stack=True), norm)
+    return _columns_spread(_values_of(y), norm)
 
 
 @overflow_guard
 def rowwise_cost(y, norm: Norm) -> float:
     """Sum of per-row dissimilarities of a block (transposed analogue)."""
-    arr = _values_of(y, stack=True)
+    arr = _values_of(y)
     return _columns_spread(arr.transposed() if isinstance(arr, _Blocks) else arr.T, norm)
 
 
@@ -776,3 +776,31 @@ def _oneway_bounds(
     step = max(1, BATCH_ENTRIES // (k * x.n_rows))
     l_r = [t_r[_group_keys(rows[i : i + step], k)].sum(axis=1) for i in range(0, len(rows), step)]
     return np.concatenate(l_r), t_c[score._cols].sum(axis=0)
+
+
+def _lower_bound_costs(x: _Blocks, budgets, norm: Norm) -> np.ndarray:
+    """(l*, l_r, l_c, one-block cost) of each block of the padded stack
+    ``x`` (0/1 under L1) at its (k_r, k_c) in ``budgets``.  Centered on
+    their grand means under L2, each chunk of blocks gets one
+    :func:`_sum_table` over the groups of the stack's largest shape: T[g, h]
+    costs the block of row and column bitmasks g and h (a key below 2^n
+    holds no padding), and each cost is a least sum of T over groups' keys,
+    as in :func:`_oneway_bounds`: exact for 0/1 L1, within
+    ``BatchCosts.err`` of the direct costs for L2."""
+    v = x.values
+    cases = np.hstack([x.rows, x.cols, budgets]).tolist()  # n, m, k_r, k_c
+    if norm is Norm.L2:  # padding sums as 0, and no key read below covers it
+        v = v - v.sum(axis=(1, 2), keepdims=True) / (x.rows * x.cols)[:, :, None]
+    row_groups, col_groups = _members(v.shape[1], False), _members(v.shape[2], False)
+    step, costs = max(1, BATCH_ENTRIES // (len(row_groups) * len(col_groups))), []
+    for i in range(0, len(v), step):
+        tables = _sum_table(v[i : i + step], row_groups, col_groups, True, norm is Norm.L2)
+        for table, (n, m, k_r, k_c) in zip(tables, cases[i : i + step]):
+            # bitmask keys of the groups of label_table(t, k); the full mask for k = 1
+            rows, cols = (_label_keys(t, k) if k > 1 else np.array([[(1 << t) - 1]])
+                          for t, k in ((n, k_r), (m, k_c)))
+            l_star = table[:, cols].sum(axis=1)[rows].sum(axis=0).min()
+            l_r = table[:, 1 << np.arange(m)].sum(axis=1)[rows].sum(axis=0).min()
+            l_c = table[1 << np.arange(n)].sum(axis=0)[cols].sum(axis=0).min()
+            costs.append((l_star, l_r, l_c, table[(1 << n) - 1, (1 << m) - 1]))
+    return np.array(costs)

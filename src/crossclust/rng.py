@@ -59,10 +59,19 @@ def _outputs(seeds, counts) -> np.ndarray:
     """The first ``counts[i]`` uint64 outputs of the stream seeded with
     ``seeds[i]``, for every i in turn, concatenated: the j-th state (from 1)
     of a stream is seed + j * gamma mod 2^64, so each output is mixed from its
-    own counter, in uint64 arithmetic that wraps as the scalar class masks."""
-    counts = np.asarray(counts, dtype=np.int64)
+    own counter, in uint64 arithmetic that wraps as the scalar class masks.
+    A negative count, or a total past the int64 counter, raises before
+    anything is drawn."""
+    try:
+        counts = np.asarray(counts, dtype=np.int64)
+        # of counts >= 0, the first running total past 2^63 - 1 wraps negative
+        ends = np.cumsum(counts)
+        if (counts < 0).any() or (ends < 0).any():
+            raise OverflowError
+    except OverflowError:
+        raise ValidationError("draw counts must be >= 0 and total below 2^63") from None
     z = np.arange(1, counts.sum() + 1, dtype=np.uint64)
-    z -= np.repeat(np.cumsum(counts) - counts, counts).astype(np.uint64)
+    z -= np.repeat(ends - counts, counts).astype(np.uint64)
     z *= np.uint64(_GAMMA)
     z += np.repeat(np.array([s & MASK64 for s in seeds], dtype=np.uint64), counts)
     z ^= z >> np.uint64(30)

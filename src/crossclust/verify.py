@@ -7,6 +7,7 @@ import numpy as np
 
 from .bounds import (
     PASS_TOL,
+    _lower_bound_holds,
     analytic_optima,
     grid_search_alpha,
     l2_decomposition,
@@ -16,15 +17,12 @@ from .bounds import (
     terminal_structure,
 )
 from .cost import (
-    BATCH_ENTRIES,
     BINARY_L1_RATIO_BOUND,
     REAL_L2_RATIO_BOUND,
     Norm,
     _Blocks,
-    _label_keys,
-    _members,
+    _lower_bound_costs,
     _stacked,
-    _sum_table,
     columnwise_cost,
     rowwise_cost,
 )
@@ -83,47 +81,25 @@ def _battery_per_block(rng: SplitMix64, count: int):
 
 def _battery_lower_bound(rng: SplitMix64, count: int):
     """L* >= max(L_R*, L_C*) on 2-5 x 2-5 matrices at budgets up to 3, 0/1
-    under L1 and uniform under L2 in turn, on :func:`_lower_bound_costs`.  The
-    first of each norm also goes through ``lower_bound_check``, which must
+    under L1 and uniform under L2 in turn, one padded stack per norm read by
+    :func:`~crossclust.cost._lower_bound_costs`.  The first of each norm
+    also goes through its generator and ``lower_bound_check``, which must
     pass and agree with them."""
     cases = rng.next_uint64s(5 * count).reshape(count, 5)  # n, m, k_r, k_c, seed
     cases[:, :2] = cases[:, :2] % 4 + 2
     cases[:, 2:4] = cases[:, 2:4] % np.minimum(cases[:, :2], 3) + 1
-    for norm, half in ((Norm.L1, cases[::2].tolist()), (Norm.L2, cases[1::2].tolist())):
-        xs = [random_binary_matrix(n, m, 0.5, s) if norm is Norm.L1 else random_real_matrix(n, m, s)
-              for n, m, _, _, s in half]
-        l_star, l_r, l_c, pooled = costs = _lower_bound_costs(xs, [c[2:4] for c in half], norm).T
-        tol = PASS_TOL * pooled
-        ok = (np.maximum(l_r, l_c) - tol <= l_star) & (l_star <= pooled + tol)
-        r = lower_bound_check(xs[0], *half[0][2:4], norm)
-        ok[0] &= r.passed and (abs(costs[:3, 0] - (r.l_star, r.l_r, r.l_c)) <= tol[0]).all()
+    for norm, half in ((Norm.L1, cases[::2]), (Norm.L2, cases[1::2])):
+        shapes = half[:, :2].astype(int)
+        u = uniforms(half[:, 4].tolist(), shapes.prod(axis=1))
+        x = _stacked(u < 0.5 if norm is Norm.L1 else u, shapes)
+        l_star, l_r, l_c, pooled = costs = _lower_bound_costs(x, half[:, 2:4].astype(int), norm).T
+        ok = _lower_bound_holds(l_star, l_r, l_c, pooled, pooled)
+        n, m, k_r, k_c, s = half[0].tolist()
+        first = random_binary_matrix(n, m, 0.5, s) if norm is Norm.L1 else random_real_matrix(n, m, s)
+        r = lower_bound_check(first, k_r, k_c, norm)
+        tol = PASS_TOL * pooled[0]
+        ok[0] &= r.passed and (abs(costs[:3, 0] - (r.l_star, r.l_r, r.l_c)) <= tol).all()
         yield from ok.tolist()
-
-
-def _lower_bound_costs(xs: list, budgets, norm: Norm) -> np.ndarray:
-    """(l*, l_r, l_c, one-block cost) of each matrix in ``xs`` (at most 5 x 5,
-    0/1 under L1) at its (k_r, k_c) in ``budgets``.  Zero-padded to 5 x 5,
-    centered on their grand means under L2, and stacked, each chunk gets one
-    :func:`~crossclust.cost._sum_table`: T[g, h] costs the block of row and
-    column bitmasks g and h (a key below 2^n holds no padding), and each cost
-    is a least sum of T over groups' keys, as in ``cost._oneway_bounds``:
-    exact for 0/1 L1, within ``BatchCosts.err`` of the direct costs for L2."""
-    v = np.zeros((len(xs), 5, 5))
-    for block, x in zip(v, xs):
-        block[: x.n_rows, : x.n_cols] = x.values - x.values.mean() if norm is Norm.L2 else x.values
-    groups, step, costs = _members(5, False), BATCH_ENTRIES // 4**5, []
-    for i in range(0, len(xs), step):
-        tables = _sum_table(v[i : i + step], groups, groups, True, norm is Norm.L2)
-        for table, x, (k_r, k_c) in zip(tables, xs[i : i + step], budgets[i : i + step]):
-            n, m = x.shape
-            # bitmask keys of the groups of label_table(t, k); the full mask for k = 1
-            rows, cols = (_label_keys(t, k) if k > 1 else np.array([[(1 << t) - 1]])
-                          for t, k in ((n, k_r), (m, k_c)))
-            l_star = table[:, cols].sum(axis=1)[rows].sum(axis=0).min()
-            l_r = table[:, 1 << np.arange(m)].sum(axis=1)[rows].sum(axis=0).min()
-            l_c = table[1 << np.arange(n)].sum(axis=0)[cols].sum(axis=0).min()
-            costs.append((l_star, l_r, l_c, table[(1 << n) - 1, (1 << m) - 1]))
-    return np.array(costs)
 
 
 def _swap_checks(x: _Blocks) -> list[bool]:

@@ -17,13 +17,16 @@ from crossclust import (
     DataMatrix,
     Norm,
     Partition,
+    SolverMode,
     ValidationError,
     alpha_objective,
     analytic_optima,
     biclustering_cost,
     block_decomposition,
     columnwise_cost,
+    exact_kcluster,
     grid_search_alpha,
+    kcluster_cols,
     l2_decomposition,
     lower_bound_check,
     make_alpha_point,
@@ -172,6 +175,27 @@ class TestLowerBound:
         assert rep.l_star == 2 * pooled_cost(x, norm) > 0.0
         assert not rep.passed
 
+    @pytest.mark.parametrize("norm", list(Norm))
+    def test_an_oracle_above_the_scheme_fails(self, monkeypatch, norm):
+        """The oracle's minimum covers the crossing of the two one-way
+        optima, so an l_star above that pair's cost fails, even below the
+        one-block cost."""
+        x = random_real_matrix(4, 5, 1)
+        rows = exact_kcluster(x, 2, norm).partition
+        cols = kcluster_cols(x, 2, norm, SolverMode.exact()).partition
+        l = biclustering_cost(x, rows, cols, norm)[0].l
+        between = (l + pooled_cost(x, norm)) / 2
+        assert l + 1e-3 < between < pooled_cost(x, norm) - 1e-3
+        real = bounds.exact_biclustering
+
+        def inflated(*args, **kwargs):
+            return replace(real(*args, **kwargs), cost=between)
+
+        monkeypatch.setattr(bounds, "exact_biclustering", inflated)
+        rep = lower_bound_check(x, 2, 2, norm)
+        assert rep.l_star == between
+        assert not rep.passed
+
 
 class TestL2Decomposition:
     def test_constant(self):
@@ -256,6 +280,10 @@ class TestBlockDecomposition:
     def test_non_binary_rejected(self):
         with pytest.raises(ValidationError):
             block_decomposition([[0.5, 1.0]])
+
+    def test_a_stack_is_rejected(self):
+        with pytest.raises(ValidationError):
+            block_decomposition(_stacked(np.zeros(4), [[2, 2]]))
 
     @given(binary_block())
     @settings(max_examples=100)

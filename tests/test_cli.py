@@ -331,6 +331,21 @@ class TestUsage:
         assert main(argv) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-bounds", "--count", "100000000000000000000"],
+            ["sweep", "--count", "1", "--rows", "100000000000000000000"],
+        ],
+    )
+    def test_huge_draw_counts_exit_3(self, capsys, argv):
+        """A draw no int64 counter holds is refused before anything is
+        drawn, as one error line."""
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: draw counts must be >= 0 and total below 2^63\n"
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert main(["run", "--help"]) == 0

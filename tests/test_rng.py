@@ -4,7 +4,13 @@ bit, and the generators built on it against their scalar definitions."""
 import numpy as np
 import pytest
 
-from crossclust import SplitMix64, planted_real_matrix, random_binary_matrix, random_real_matrix
+from crossclust import (
+    SplitMix64,
+    ValidationError,
+    planted_real_matrix,
+    random_binary_matrix,
+    random_real_matrix,
+)
 from crossclust.rng import uniforms
 
 SEEDS = (-1, 0, 2**63, 2**64 - 1, 2**64 + 5)
@@ -77,3 +83,21 @@ def test_bulk_draws_are_the_scalar_stream(seed, counts):
         assert got.tolist() == [scalar_rng.next_uint64() for _ in range(count)]
         assert bulk._state == scalar_rng._state
     assert bulk.next_uint64() == scalar_rng.next_uint64()
+
+
+#: Draw counts no int64 counter holds: each one alone, or their total.
+HUGE_COUNTS = ([10**20], [2**63], [2**62, 2**62], [2**63 - 1, 1], [3, -1], [-1])
+
+
+@pytest.mark.parametrize("counts", HUGE_COUNTS)
+def test_huge_or_negative_counts_are_rejected(counts):
+    """A count below 0, or a total past 2^63 - 1, raises before any draw;
+    a failed ``next_uint64s`` leaves the stream where it was."""
+    with pytest.raises(ValidationError, match="draw counts"):
+        uniforms([7] * len(counts), counts)
+    with pytest.raises(ValidationError, match="draw counts"):
+        uniforms([7] * len(counts), np.array(counts, dtype=object))
+    rng = SplitMix64(7)
+    with pytest.raises(ValidationError, match="draw counts"):
+        rng.next_uint64s(sum(counts) if min(counts) >= 0 else min(counts))
+    assert rng.next_uint64() == SplitMix64(7).next_uint64()

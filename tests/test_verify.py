@@ -22,8 +22,8 @@ from crossclust import (
     verify_bounds,
 )
 from crossclust.bounds import PASS_TOL
-from crossclust import verify
-from crossclust.cost import _stacked
+from crossclust import cost, verify
+from crossclust.cost import _lower_bound_costs, _stacked
 from crossclust.cli import main
 
 from oracles import unpadded
@@ -110,22 +110,48 @@ lower_bound_case = st.tuples(st.integers(2, 5), st.integers(2, 5), st.integers(1
                              st.integers(1, 3), st.integers(0, 2**64 - 1))
 
 
-@settings(max_examples=40, deadline=None)
-@given(cases=st.lists(lower_bound_case, min_size=1, max_size=5), binary=st.booleans())
-def test_the_table_costs_are_the_exact_solvers(cases, binary):
-    """The battery's stacked costs against the public solvers: 0/1 matrices
-    at p = 0.5 under L1 exactly, uniform ones under L2 within the check's
-    tolerance."""
-    norm = Norm.L1 if binary else Norm.L2
-    xs = [random_binary_matrix(n, m, 0.5, seed) if binary else random_real_matrix(n, m, seed)
+def stack_of(xs):
+    """The padded stack of the matrices ``xs``, in order."""
+    return _stacked(np.concatenate([x.values.ravel() for x in xs]), [x.shape for x in xs])
+
+
+def assert_table_costs_are_exact(cases, norm):
+    """The stacked table costs of ``cases`` (n, m, k_r, k_c, seed) against
+    the public solvers: 0/1 matrices at p = 0.5 under L1 exactly, uniform
+    ones under L2 within the check's tolerance."""
+    xs = [random_binary_matrix(n, m, 0.5, seed) if norm is Norm.L1 else random_real_matrix(n, m, seed)
           for n, m, _, _, seed in cases]
     budgets = [(min(k_r, n), min(k_c, m)) for n, m, k_r, k_c, _ in cases]
-    costs = verify._lower_bound_costs(xs, budgets, norm)
+    costs = _lower_bound_costs(stack_of(xs), budgets, norm)
     for x, (k_r, k_c), got in zip(xs, budgets, costs):
         want = (exact_biclustering(x, k_r, k_c, norm).cost, exact_kcluster(x, k_r, norm).cost,
                 kcluster_cols(x, k_c, norm, SolverMode.exact()).cost, pooled_cost(x, norm))
-        tol = 0.0 if binary else PASS_TOL * want[3]
+        tol = 0.0 if norm is Norm.L1 else PASS_TOL * want[3]
         assert np.abs(got - want).max() <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases=st.lists(lower_bound_case, min_size=1, max_size=5), binary=st.booleans())
+def test_the_table_costs_are_the_exact_solvers(cases, binary):
+    assert_table_costs_are_exact(cases, Norm.L1 if binary else Norm.L2)
+
+
+@pytest.mark.parametrize("norm", list(Norm))
+def test_a_stack_below_five_by_five_gets_its_own_table(monkeypatch, norm):
+    """A stack whose largest block is 3 x 4 is read off a table over the
+    groups of 3 rows and 4 columns."""
+    real, shapes = cost._sum_table, []
+
+    def spy(*args, **kwargs):
+        table = real(*args, **kwargs)
+        shapes.append(table.shape)
+        return table
+
+    monkeypatch.setattr(cost, "_sum_table", spy)
+    cases = [(3, 4, 3, 2, 1), (2, 2, 2, 1, 2), (3, 2, 1, 2, 3), (2, 4, 2, 3, 4), (3, 3, 2, 2, 5)]
+    assert_table_costs_are_exact(cases, norm)
+    # the exact solvers' own tables are 2-D, one matrix each
+    assert [s for s in shapes if len(s) == 3] == [(5, 2**3, 2**4)]
 
 
 def test_the_table_costs_do_not_depend_on_the_chunk():
@@ -141,11 +167,53 @@ def test_the_table_costs_do_not_depend_on_the_chunk():
             else:
                 xs.append(random_real_matrix(n, m, rng.next_uint64()))
             budgets.append((rng.randint_below(min(3, n)) + 1, rng.randint_below(min(3, m)) + 1))
-        stacked = verify._lower_bound_costs(xs, budgets, norm)
-        alone = np.concatenate([verify._lower_bound_costs([x], [k], norm)
+        stacked = _lower_bound_costs(stack_of(xs), budgets, norm)
+        alone = np.concatenate([_lower_bound_costs(stack_of([x]), [k], norm)
                                 for x, k in zip(xs, budgets)])
         tol = 0.0 if norm is Norm.L1 else PASS_TOL * alone[:, 3:]
         assert np.all(np.abs(stacked - alone) <= tol)
+
+
+@pytest.mark.parametrize("seed", [3, -1, 60000, 2**64 + 1])
+def test_the_battery_stack_is_the_generators(monkeypatch, seed):
+    """Battery 2's stack per norm holds, block by block, in shape and in
+    bits, the matrices its generator draws at each case's seed, with each
+    case's budgets; each case comes off the outer stream in turn."""
+    real, seen = verify._lower_bound_costs, []
+
+    def spy(x, budgets, norm):
+        seen.append((x, np.asarray(budgets).tolist(), norm))
+        return real(x, budgets, norm)
+
+    monkeypatch.setattr(verify, "_lower_bound_costs", spy)
+    assert all(verify._battery_lower_bound(SplitMix64(seed), 40))
+    rng, want = SplitMix64(seed), {Norm.L1: ([], []), Norm.L2: ([], [])}
+    for i in range(40):
+        n, m, k_r, k_c, s = (rng.next_uint64() for _ in range(5))
+        n, m = n % 4 + 2, m % 4 + 2
+        norm = Norm.L1 if i % 2 == 0 else Norm.L2
+        x = random_binary_matrix(n, m, 0.5, s) if norm is Norm.L1 else random_real_matrix(n, m, s)
+        want[norm][0].append(x.values)
+        want[norm][1].append([k_r % min(n, 3) + 1, k_c % min(m, 3) + 1])
+    assert [norm for _, _, norm in seen] == [Norm.L1, Norm.L2]
+    for stack, budgets, norm in seen:
+        blocks, want_budgets = want[norm]
+        assert budgets == want_budgets
+        assert [b.shape for b in unpadded(stack)] == [b.shape for b in blocks]
+        for got, block in zip(unpadded(stack), blocks):
+            assert got.tobytes() == block.tobytes()
+        assert not stack.values[~stack.valid].any()
+
+
+@pytest.mark.parametrize("count", [8, 25, 1000])
+def test_the_battery_builds_two_matrices(monkeypatch, count):
+    """Only the two cross-checked matrices go through the generators."""
+    built = []
+    for name in ("random_binary_matrix", "random_real_matrix"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *a, real=real: built.append(a) or real(*a))
+    assert len(list(verify._battery_lower_bound(SplitMix64(1), count))) == count
+    assert len(built) == 2
 
 
 def test_the_cross_check_bites(monkeypatch):

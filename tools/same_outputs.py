@@ -30,7 +30,9 @@ at the extreme seeds, at lattice resolutions from 2 to 2999, at its
 defaults at two seeds, at 2000 blocks per battery and at 8000, where the
 lower-bound battery's 1,000 matrices span several table chunks, ``sweep``
 under each generator and at 1x1, and
-``--help`` and usage errors.  Its overflow ops run ``run`` (both
+``--help`` and usage errors, among them ``verify-bounds --count`` and
+``sweep --rows`` at 10^20, draws too large for the generators' counter.
+Its overflow ops run ``run`` (both
 modes), ``exact`` and ``ratio`` under both norms on inputs whose costs
 may overflow: two literal matrices with entries near 1e308 and 1e200,
 and a real matrix shifted by 1e300; and ``exact`` at 8x8, k=3,3, under
@@ -272,6 +274,9 @@ def _edge_ops() -> list[dict]:
     other += [["sweep", "--rows", "1", "--cols", "1", "--norm", "l2"] + k
               for k in ([], ["--kr", "1", "--kc", "1"])]
     other += [["--help"], ["verify-bounds", "--help"], ["ratio"], ["sweep", "--count", "x"]]
+    # draws no int64 counter holds, refused before anything is drawn
+    other += [["verify-bounds", "--count", "100000000000000000000"],
+              ["sweep", "--count", "1", "--rows", "100000000000000000000"]]
     for argv in other:
         ops.append({"key": "edge/" + "_".join(argv), "argv": argv, "inputs": {}})
     inputs = [(name.removesuffix(".csv"), {}, {"x": name}) for name in OVERFLOW_MATRICES]
