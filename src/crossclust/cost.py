@@ -335,9 +335,12 @@ def biclustering_cost(
 #: wins.
 TIE_RTOL = 1e-12
 
-#: Entries per temporary array of :class:`BatchCosts`, in its table build
-#: and its scoring; it fixes how many row partitions are scored per batch,
-#: so memory beyond the table stays flat however many partitions there are.
+#: Memory budget, in float entries, of :class:`BatchCosts`' temporaries: of
+#: all those of one chunk of a sum table's build together (:func:`_sum_table`),
+#: and of each one of the median table's build and of the scoring.  It fixes
+#: how many row groups a build takes at once and how many row partitions are
+#: scored per batch, so memory beyond the table stays flat however many
+#: partitions there are.
 BATCH_ENTRIES = 1 << 15
 
 
@@ -387,8 +390,10 @@ class BatchCosts:
     a row per row key (2^n, or 2 when k == 1) and a column per column key
     (2^m, or 2 when k_c == 1).  At the default oracle cap of 8 that is at
     most 256 x 256 floats, about 0.5 MB; one more row and one more column
-    make it 4x larger.  The build's temporaries, like the scoring's, stay
-    within ``BATCH_ENTRIES`` entries each.
+    make it 4x larger.  Beside the table, the temporaries of a sum table's
+    build stay within ``BATCH_ENTRIES`` entries all together, chunk by
+    chunk; those of the median table's build and of the scoring stay
+    within that many each.
 
     ``scale`` is the cost of the whole matrix as one block (with ``k_c``)
     or as one cluster (without).  It is the unit of the tie tolerance,
@@ -539,19 +544,56 @@ def _sum_table(
     min(S1, size - S1) under L1; an empty group's entries are 0.  Pooled,
     each block is one multiset; otherwise each column of a block costs
     that, and the costs are summed.  A (B, n, m) stack ``v`` gives B tables,
-    as the products broadcast over it; row groups are taken in chunks that
-    keep each temporary, stack included, within ``BATCH_ENTRIES`` entries."""
+    as the products broadcast over it.
+
+    Row groups, a power of two of them as :func:`_members` gives, are
+    taken in chunks of a power of two, and each chunk's spread is computed in
+    place, in its slice of the table, by the formula's operations in its
+    order: every entry is the whole-table formula's to the bit.  A chunk
+    works in buffers made once per build, for its float memberships, their
+    sizes and two kinds of sums (stack included), which hold
+    ``BATCH_ENTRIES`` entries all together, unless four row groups need
+    more (pooled, from 13 columns on).  The float column memberships, their
+    sizes and the squares of ``v`` are made once per build too, on top."""
     cols = col_groups.T.astype(float)  # (m, column groups)
-    table = np.empty((*v.shape[:-2], len(row_groups), cols.shape[1]))
-    sq = v * v
-    step = max(1, BATCH_ENTRIES // (max(cols.shape) * math.prod(v.shape[:-2])))
+    stack, (n, m) = v.shape[:-2], v.shape[-2:]
+    width = cols.shape[1] if pooled else m  # of the sums the spread is taken of
+    sq = v * v if l2 else None
+    col_sizes = cols.sum(axis=0, keepdims=True) if pooled else None
+    ones = np.ones((n, 1))  # a product with it counts a row group, faster than a sum
+    # chunks a power of two long, like the group count, and four at least end
+    # where BLAS's row blocks end, so each row rounds as in one whole product;
+    # a one-row chunk would go through a vector kernel
+    budget = BATCH_ENTRIES // (n + 1 + math.prod(stack) * (m + width))
+    step = min(len(row_groups), 1 << max(2, budget.bit_length() - 1))
+    # row groups outermost in memory: a chunk's slice of a stack's tables is
+    # then contiguous, and numpy's in-place steps on it need no buffers
+    table = np.empty((len(row_groups), *stack, cols.shape[1])).swapaxes(0, -2)
+    rows, counts = np.empty((step, n)), np.empty((step, 1))
+    line_sums = np.empty((step, *stack, m)).swapaxes(0, -2)
+    block_sums = np.empty((step, *stack, width)).swapaxes(0, -2)
     for i in range(0, len(row_groups), step):
-        rows = row_groups[i : i + step].astype(float)
-        s1, s2, size = rows @ v, rows @ sq, rows.sum(axis=1, keepdims=True)
+        np.copyto(rows, row_groups[i : i + step])
+        out = table[..., i : i + step, :]
+        s1 = np.matmul(rows, v, out=line_sums)
+        np.matmul(rows, ones, out=counts)
+        # the sizes fill a buffer of the spread's shape, so that no step below
+        # broadcasts, which numpy buffers; pooled, as a column times a row
         if pooled:
-            s1, s2, size = s1 @ cols, s2 @ cols, size * cols.sum(axis=0)
-        spread = s2 - s1 * s1 / np.maximum(size, 1.0) if l2 else _binary_l1(s1, size)
-        table[..., i : i + step, :] = spread if pooled else spread @ cols
+            s1 = np.matmul(s1, cols, out=out)
+            size = np.matmul(counts, col_sizes, out=block_sums)
+        else:
+            size = block_sums
+            np.copyto(size, counts)
+        if l2:
+            s1 *= s1
+            s1 /= np.maximum(size, 1.0, out=size)
+            s2 = np.matmul(rows, sq, out=line_sums if pooled else block_sums)
+            spread = np.subtract(np.matmul(s2, cols, out=block_sums) if pooled else s2, s1, out=s1)
+        else:
+            spread = np.minimum(s1, np.subtract(size, s1, out=size), out=s1)
+        if not pooled:
+            np.matmul(spread, cols, out=out)
     return table
 
 

@@ -174,6 +174,14 @@ class Partition:
             raise ValidationError("partition needs at least one item")
         if self.k < 1:
             raise ValidationError("cluster bound k must be >= 1")
+        # the loop's checks over the whole tuple at once: integer labels, first
+        # used in the order 0, 1, ..., d - 1, with d <= k; the loop below only
+        # names the first bad label
+        types = set(map(type, self.assignment))
+        if types == {int} or all(issubclass(t, (int, np.integer)) for t in types):
+            firsts = list(dict.fromkeys(self.assignment))
+            if len(firsts) <= self.k and firsts == list(range(len(firsts))):
+                return
         top = -1
         for i, lab in enumerate(self.assignment):
             if not isinstance(lab, (int, np.integer)):

@@ -1,5 +1,7 @@
 """Tests for the cost functionals, pinned against pure-Python oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -16,6 +18,7 @@ from crossclust import (
     oneway_col_cost,
     oneway_row_cost,
     pooled_cost,
+    random_real_matrix,
     rowwise_cost,
     worst_case_matrix,
 )
@@ -403,3 +406,84 @@ class TestStackedSumTable:
             err = BatchCosts(DataMatrix(x), Norm.L2, 2, 2 if pooled else None).err
             flat = cost._sum_table(block, rows, cols, pooled, l2=True)
             assert np.abs(table - flat).max() <= err
+
+
+def _whole_table(v, row_groups, col_groups, pooled, l2):
+    """Every entry of ``_sum_table`` by its formula, as one expression over
+    all row groups at once: no chunks, no buffers."""
+    rows, cols = row_groups.astype(float), col_groups.T.astype(float)
+    s1, s2, size = rows @ v, rows @ (v * v), rows.sum(axis=1, keepdims=True)
+    if pooled:
+        s1, s2, size = s1 @ cols, s2 @ cols, size * cols.sum(axis=0)
+    spread = s2 - s1 * s1 / np.maximum(size, 1.0) if l2 else np.minimum(s1, size - s1)
+    return spread if pooled else spread @ cols
+
+
+class TestSumTableChunks:
+    """``_sum_table`` builds its table chunk by chunk, in place; every
+    entry must be the whole-table formula's to the bit."""
+
+    @pytest.mark.parametrize("l2", [False, True])
+    @pytest.mark.parametrize("single", [False, True])
+    @pytest.mark.parametrize("stack, n, m, pooled", [
+        ((), 10, 10, True),  # 1,024 row groups, 64 chunks
+        ((), 7, 7, True),  # the certify workload's one chunk
+        ((), 9, 5, False),
+        ((4,), 8, 8, True),  # 16 chunks
+        ((40,), 10, 10, False),  # 32 chunks
+        ((32,), 5, 5, True),  # the lower-bound battery's stack: 2 chunks
+        ((3,), 3, 4, False),
+    ])
+    def test_entries_are_the_whole_table_formula(self, stack, n, m, pooled, single, l2):
+        rng = np.random.default_rng(n * 100 + m * 10 + len(stack))
+        v = rng.random((*stack, n, m))
+        if l2:  # centered, over varied scales
+            v = v * 10.0 ** rng.integers(-3, 4, size=(*stack, 1, m))
+            v -= v.mean(axis=(-2, -1), keepdims=True)
+        else:
+            v = (v < 0.5).astype(float)
+        rows = cost._members(n, single)
+        cols = cost._members(m, False) if pooled else np.ones((1, m), dtype=bool)
+        table = cost._sum_table(v, rows, cols, pooled, l2)
+        assert table.shape == (*stack, len(rows), len(cols))
+        assert np.array_equal(table, _whole_table(v, rows, cols, pooled, l2))
+
+    @pytest.mark.parametrize("entries", [1, 100])
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_the_smallest_chunks_change_no_entry(self, monkeypatch, entries, pooled):
+        """At a budget below one row group, chunks are four row groups."""
+        monkeypatch.setattr(cost, "BATCH_ENTRIES", entries)
+        v = np.random.default_rng(3).random((2, 6, 9))
+        v -= v.mean(axis=(-2, -1), keepdims=True)
+        rows = cost._members(6, False)
+        cols = cost._members(9, False) if pooled else np.ones((1, 9), dtype=bool)
+        for l2, data in ((True, v), (False, (v < 0).astype(float))):
+            table = cost._sum_table(data, rows, cols, pooled, l2)
+            assert np.array_equal(table, _whole_table(data, rows, cols, pooled, l2))
+
+
+class TestTableBuildMemory:
+    """A sum table's build keeps a chunk's temporaries within
+    ``BATCH_ENTRIES`` entries together, beside the table."""
+
+    def _peak(self, build):
+        build()  # fills the per-shape caches
+        tracemalloc.start()
+        try:
+            table = build()
+            return tracemalloc.get_traced_memory()[1], table
+        finally:
+            tracemalloc.stop()
+
+    def test_a_seven_by_seven_pair_table(self):
+        x = random_real_matrix(7, 7, 20000)
+        peak, kernel = self._peak(lambda: BatchCosts(x, Norm.L2, 3, 3))
+        assert peak <= kernel._table.nbytes + 8 * cost.BATCH_ENTRIES
+
+    @pytest.mark.parametrize("l2", [False, True])
+    def test_the_lower_bound_batterys_stack(self, l2):
+        v = np.random.default_rng(5).random((32, 5, 5))
+        v = v - 0.5 if l2 else (v < 0.5).astype(float)
+        groups = cost._members(5, False)
+        peak, table = self._peak(lambda: cost._sum_table(v, groups, groups, True, l2))
+        assert peak <= table.nbytes + 8 * cost.BATCH_ENTRIES

@@ -220,6 +220,44 @@ class TestCsvLoader:
             assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
+def _first_label_error(labels, k):
+    """The text of the first error that a label-by-label pass raises on a
+    partition of at least one item with k >= 1, or None if it passes."""
+    top = -1
+    for i, lab in enumerate(labels):
+        if not isinstance(lab, (int, np.integer)):
+            return "assignment labels must be integers"
+        if lab < 0 or lab >= k:
+            return f"label {lab} out of range [0, {k})"
+        if lab > top + 1:
+            return f"assignment is not canonical at position {i}: label {lab} appears before {top + 1}"
+        top = max(top, int(lab))
+    return None
+
+
+_RETYPES = {
+    "int": int, "int8": np.int8, "int64": np.int64, "bool": bool, "np.bool": np.bool_,
+    "float": float, "str": str, "negative": lambda lab: -lab - 1,
+}
+
+
+@st.composite
+def _labelings(draw):
+    """(labels, k): a restricted growth string, possibly with more labels
+    than k, whose labels are each kept or retyped or moved out of range."""
+    k = draw(st.integers(1, 4))
+    labels, top = [], -1
+    for _ in range(draw(st.integers(1, 12))):
+        labels.append(draw(st.integers(0, top + 1)))
+        top = max(top, labels[-1])
+    kinds = st.sampled_from(["int"] * 8 + sorted(_RETYPES) + ["at least k"])
+    out = []
+    for lab in labels:
+        kind = draw(kinds)
+        out.append(lab + k if kind == "at least k" else _RETYPES[kind](lab))
+    return tuple(out), k
+
+
 class TestPartition:
     def test_valid(self):
         p = Partition((0, 0, 1, 1), 2)
@@ -253,6 +291,35 @@ class TestPartition:
         assert Partition((0, 1), 2) == Partition((0, 1), 5)
         assert hash(Partition((0, 1), 2)) == hash(Partition((0, 1), 5))
         assert Partition((0, 0), 1) != Partition((0, 1), 2)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_labelings())
+    def test_validation_is_the_label_by_label_checks(self, case):
+        """A partition is accepted exactly when the label-by-label checks
+        accept it, and rejected with the text of the first check to fail."""
+        labels, k = case
+        try:
+            got = Partition(labels, k).assignment
+        except ValidationError as exc:
+            got = str(exc)
+        expected = _first_label_error(labels, k)
+        assert got == (labels if expected is None else expected)
+
+    @pytest.mark.parametrize("labels, k, text", [
+        ((0, 2, "a"), 3, "assignment is not canonical at position 1: label 2 appears before 1"),
+        ((0, 1.0), 2, "assignment labels must be integers"),
+        ((0, np.int8(-1)), 2, "label -1 out of range [0, 2)"),
+        ((0, 1, np.int64(2)), 2, "label 2 out of range [0, 2)"),
+        ((0, np.bool_(True)), 2, "assignment labels must be integers"),
+    ])
+    def test_rejections_name_the_first_bad_label(self, labels, k, text):
+        with pytest.raises(ValidationError) as exc:
+            Partition(labels, k)
+        assert str(exc.value) == text
+
+    @pytest.mark.parametrize("labels", [(False, True, True), (0, np.int8(1), np.int64(0), True)])
+    def test_accepts_integer_labels_of_any_integer_type(self, labels):
+        assert Partition(labels, 2).n_clusters == 2
 
     @given(st.lists(st.integers(0, 6), min_size=1, max_size=10))
     def test_canonicalization_idempotent(self, labels):
