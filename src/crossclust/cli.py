@@ -22,7 +22,7 @@ import sys
 
 from .cost import Norm
 from .errors import BoundViolationError, CapExceededError, CrossclustError, ValidationError
-from .model import Partition, load_matrix_csv
+from .model import DataMatrix, Partition, load_matrix_csv
 from .oneway import SolverMode
 from .rng import derive_seed
 from .search import RatioReport, exact_biclustering, ratio, run_scheme
@@ -177,21 +177,22 @@ def _config_echo(args: argparse.Namespace) -> dict:
     }
 
 
+def _load_input(args: argparse.Namespace) -> tuple[DataMatrix, dict, bool]:
+    """The ``--input`` matrix of ``run``, ``exact`` or ``ratio``, the
+    report's first fields, and whether the report prints costs as integers."""
+    x = load_matrix_csv(args.input)
+    report = _config_echo(args)
+    report.update(input=args.input, n_rows=x.n_rows, n_cols=x.n_cols, is_binary=x.is_binary)
+    return x, report, x.is_binary and args.norm is Norm.L1
+
+
 # ---------------------------------------------------------------------------
 # Commands.
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    x = load_matrix_csv(args.input)
+    x, report, integral = _load_input(args)
     result = run_scheme(x, args.kr, args.kc, args.norm, args.mode)
-    integral = x.is_binary and args.norm is Norm.L1
-    report = _config_echo(args)
-    report.update(
-        input=args.input,
-        n_rows=x.n_rows,
-        n_cols=x.n_cols,
-        is_binary=x.is_binary,
-    )
     report.update(_partition_fields("rows", result.biclustering.rows))
     report.update(_partition_fields("cols", result.biclustering.cols))
     grid = result.biclustering.per_bicluster_costs
@@ -204,11 +205,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
-    x = load_matrix_csv(args.input)
+    x, report, integral = _load_input(args)
     opt = exact_biclustering(x, args.kr, args.kc, args.norm)
-    integral = x.is_binary and args.norm is Norm.L1
-    report = _config_echo(args)
-    report.update(input=args.input, n_rows=x.n_rows, n_cols=x.n_cols, is_binary=x.is_binary)
     report.update(_partition_fields("rows", opt.rows))
     report.update(_partition_fields("cols", opt.cols))
     report["l_star"] = _maybe_int(opt.cost, integral)
@@ -229,11 +227,8 @@ def _ratio_fields(rep: RatioReport, integral: bool) -> dict:
 
 
 def _cmd_ratio(args: argparse.Namespace) -> int:
-    x = load_matrix_csv(args.input)
+    x, report, integral = _load_input(args)
     rep = ratio(x, args.kr, args.kc, args.norm)
-    integral = x.is_binary and args.norm is Norm.L1
-    report = _config_echo(args)
-    report.update(input=args.input, n_rows=x.n_rows, n_cols=x.n_cols, is_binary=x.is_binary)
     report.update(_ratio_fields(rep, integral))
     _emit(report, args.output_format)
     return EXIT_VIOLATION if rep.certified is False else EXIT_OK

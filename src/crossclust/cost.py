@@ -377,10 +377,11 @@ class BatchCosts:
     ``k == 1`` the one group holds item 0 and is keyed by that item alone,
     so a long axis needs no wide mask.  Key 0 is the empty group of a partition with fewer
     than ``k`` clusters; its entries are 0.  What depends only on the
-    shape is built once and kept read-only: the groups' membership rows
-    (:func:`_members`) and size buckets (:func:`_size_buckets`), per item
-    count and whether there is one cluster, and the keys of every column
-    partition (:func:`_label_keys`), per (m, k_c).
+    shape is built once and kept read-only: the groups' float membership
+    rows (:func:`_members`), which the sum tables read in place, and size
+    buckets (:func:`_size_buckets`), per item count and whether there is
+    one cluster, and the keys of every column partition
+    (:func:`_label_keys`), per (m, k_c).
 
     With ``k_c``, the column partitions are those of
     ``label_table(m, k_c)``, an entry is a block's pooled cost, and the
@@ -432,7 +433,7 @@ class BatchCosts:
             # entry (c, p): the table column of cluster c of column partition p
             self._cols = _label_keys(m, k_c)
         else:
-            col_groups = np.ones((1, m), dtype=bool)  # all columns, each apart
+            col_groups = np.ones((1, m))  # all columns, each apart
             self._cols = np.zeros((1, 1), dtype=np.intp)
         eps = np.finfo(float).eps
         if norm is Norm.L2:
@@ -497,14 +498,13 @@ def _item_keys(t: int, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _members(t: int, single: bool) -> np.ndarray:
-    """Read-only (G, t) boolean membership rows of every group key of
+    """Read-only (G, t) float 0/1 membership rows of every group key of
     partitions of ``t`` items, into one cluster if ``single`` and into
-    any number otherwise (see :class:`BatchCosts`), in key order."""
-    keys = np.arange(2 if single else 1 << t)
-    if single:
-        members = np.repeat(keys[:, None] > 0, t, axis=1)
-    else:
-        members = (keys[:, None] >> np.arange(t)) & 1 == 1
+    any number otherwise (see :class:`BatchCosts`), in key order.  Floats,
+    as :func:`_sum_table`'s products read them in place."""
+    keys = np.arange(2 if single else 1 << t)[:, None]
+    bits = np.repeat(keys > 0, t, axis=1) if single else (keys >> np.arange(t)) & 1
+    members = bits.astype(float)
     members.setflags(write=False)
     return members
 
@@ -514,7 +514,7 @@ def _size_buckets(t: int, single: bool) -> tuple[tuple[int, np.ndarray, np.ndarr
     """The groups of :func:`_members` per nonempty size s: s, the groups'
     indices and their (G_s, s) items.  Read-only."""
     members = _members(t, single)
-    sizes = members.sum(axis=1)
+    sizes = members.sum(axis=1).astype(int)
     buckets = []
     for s in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
         ids = np.flatnonzero(sizes == s)
@@ -538,7 +538,7 @@ def _sum_table(
     v: np.ndarray, row_groups: np.ndarray, col_groups: np.ndarray, pooled: bool, l2: bool
 ) -> np.ndarray:
     """L2 (``l2``, on centered ``v``) or 0/1 L1 cost of every (row group,
-    column group) block of ``v``, groups given as boolean membership rows,
+    column group) block of ``v``, groups given as float 0/1 membership rows,
     from sums over the groups by matrix products.  A block of S1 = sum,
     S2 = sum of squares and size entries costs S2 - S1^2/size under L2 and
     min(S1, size - S1) under L1; an empty group's entries are 0.  Pooled,
@@ -549,13 +549,13 @@ def _sum_table(
     Row groups, a power of two of them as :func:`_members` gives, are
     taken in chunks of a power of two, and each chunk's spread is computed in
     place, in its slice of the table, by the formula's operations in its
-    order: every entry is the whole-table formula's to the bit.  A chunk
-    works in buffers made once per build, for its float memberships, their
+    order: every entry is the whole-table formula's to the bit.  The
+    memberships are read in place; a chunk's row memberships are a slice of
+    them.  A chunk works in buffers made once per build, for its row-group
     sizes and two kinds of sums (stack included), which hold
     ``BATCH_ENTRIES`` entries all together, unless four row groups need
-    more (pooled, from 13 columns on).  The float column memberships, their
-    sizes and the squares of ``v`` are made once per build too, on top."""
-    cols = col_groups.T.astype(float)  # (m, column groups)
+    more (pooled, from 13 columns on)."""
+    cols = col_groups.T  # (m, column groups)
     stack, (n, m) = v.shape[:-2], v.shape[-2:]
     width = cols.shape[1] if pooled else m  # of the sums the spread is taken of
     sq = v * v if l2 else None
@@ -564,16 +564,16 @@ def _sum_table(
     # chunks a power of two long, like the group count, and four at least end
     # where BLAS's row blocks end, so each row rounds as in one whole product;
     # a one-row chunk would go through a vector kernel
-    budget = BATCH_ENTRIES // (n + 1 + math.prod(stack) * (m + width))
+    budget = BATCH_ENTRIES // (1 + math.prod(stack) * (m + width))
     step = min(len(row_groups), 1 << max(2, budget.bit_length() - 1))
     # row groups outermost in memory: a chunk's slice of a stack's tables is
     # then contiguous, and numpy's in-place steps on it need no buffers
     table = np.empty((len(row_groups), *stack, cols.shape[1])).swapaxes(0, -2)
-    rows, counts = np.empty((step, n)), np.empty((step, 1))
+    counts = np.empty((step, 1))
     line_sums = np.empty((step, *stack, m)).swapaxes(0, -2)
     block_sums = np.empty((step, *stack, width)).swapaxes(0, -2)
     for i in range(0, len(row_groups), step):
-        np.copyto(rows, row_groups[i : i + step])
+        rows = row_groups[i : i + step]
         out = table[..., i : i + step, :]
         s1 = np.matmul(rows, v, out=line_sums)
         np.matmul(rows, ones, out=counts)

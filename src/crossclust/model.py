@@ -250,7 +250,9 @@ def enumerate_partitions(t: int, max_k: int) -> Iterator[Partition]:
 
 def _partitions(blocks: Iterator[np.ndarray], k: int) -> Iterator[Partition]:
     """The rows of label blocks as partitions.  The rows are canonical by
-    construction, so they skip the validation of ``Partition.__post_init__``."""
+    construction, so they skip the validation of ``Partition.__post_init__``:
+    the walk makes one object per partition, and validated, a walk of 12
+    items into at most 3 clusters takes about four times as long."""
     new = object.__new__
     for block in blocks:
         for labels in block.tolist():
@@ -261,16 +263,13 @@ def _partitions(blocks: Iterator[np.ndarray], k: int) -> Iterator[Partition]:
 
 def _canonical_partition(labels: np.ndarray, k: int) -> Partition:
     """``Partition.from_labels(labels.tolist(), k)`` for an integer array
-    of labels in [0, k): numpy relabels it in first-occurrence order, which
-    is canonical by construction, so the result skips the validation of
-    ``Partition.__post_init__`` as :func:`_partitions` does."""
+    of labels in [0, k): numpy relabels it in first-occurrence order, and
+    the result is validated as any ``Partition``."""
     first = np.full(k, labels.size)  # labels absent from the array sort last
     np.minimum.at(first, labels, np.arange(labels.size))
     relabel = np.empty(k, dtype=int)
     relabel[np.argsort(first)] = np.arange(k)
-    part = object.__new__(Partition)
-    part.__dict__.update(assignment=tuple(relabel[labels].tolist()), k=k)
-    return part
+    return Partition(tuple(relabel[labels].tolist()), k)
 
 
 def _check_enumeration(t: int, max_k: int) -> None:

@@ -375,6 +375,32 @@ class TestCertificateBound:
             Norm.parse("l3")
 
 
+class TestGroupMembers:
+    """The per-shape caches behind the tables: float membership rows, and
+    the size buckets derived from them."""
+
+    @pytest.mark.parametrize("t, single", [(t, False) for t in range(1, 9)] + [(5, True)])
+    def test_members_are_read_only_float_rows(self, t, single):
+        members = cost._members(t, single)
+        bools = [[True] * t] if single else [[g >> i & 1 == 1 for i in range(t)]
+                                             for g in range(1, 1 << t)]
+        assert members.dtype == np.float64 and not members.flags.writeable
+        assert np.array_equal(members, np.array([[False] * t] + bools, dtype=float))
+
+    @pytest.mark.parametrize("t, single", [(t, False) for t in range(1, 9)] + [(1, True), (6, True)])
+    def test_size_buckets_match_the_boolean_groups(self, t, single):
+        groups = [[]] + ([list(range(t))] if single else
+                         [[i for i in range(t) if g >> i & 1] for g in range(1, 1 << t)])
+        expected = []
+        for size in sorted({len(g) for g in groups} - {0}):
+            ids = [g for g, items in enumerate(groups) if len(items) == size]
+            expected.append((size, ids, [groups[g] for g in ids]))
+        buckets = cost._size_buckets(t, single)
+        assert [(s, ids.tolist(), items.tolist()) for s, ids, items in buckets] == expected
+        assert all(type(s) is int and ids.dtype == items.dtype == np.intp
+                   for s, ids, items in buckets)
+
+
 class TestStackedSumTable:
     """``_sum_table`` on a (B, n, m) stack against one 2-D call per matrix."""
 
@@ -386,7 +412,7 @@ class TestStackedSumTable:
         v = (rng.random((b, n, m)) < 0.5).astype(float)
         rows, cols = cost._members(n, single), cost._members(m, False)
         if not pooled:
-            cols = np.ones((1, m), dtype=bool)
+            cols = np.ones((1, m))
         stacked = cost._sum_table(v, rows, cols, pooled, l2=False)
         assert stacked.shape == (b, len(rows), len(cols))
         for table, x in zip(stacked, v):
@@ -400,7 +426,7 @@ class TestStackedSumTable:
         # centered as BatchCosts centers: whole for pooled, per column otherwise
         v = xs - (xs.mean(axis=(1, 2), keepdims=True) if pooled else xs.mean(axis=1, keepdims=True))
         rows = cost._members(n, False)
-        cols = cost._members(m, False) if pooled else np.ones((1, m), dtype=bool)
+        cols = cost._members(m, False) if pooled else np.ones((1, m))
         stacked = cost._sum_table(v, rows, cols, pooled, l2=True)
         for table, block, x in zip(stacked, v, xs):
             err = BatchCosts(DataMatrix(x), Norm.L2, 2, 2 if pooled else None).err
@@ -443,7 +469,7 @@ class TestSumTableChunks:
         else:
             v = (v < 0.5).astype(float)
         rows = cost._members(n, single)
-        cols = cost._members(m, False) if pooled else np.ones((1, m), dtype=bool)
+        cols = cost._members(m, False) if pooled else np.ones((1, m))
         table = cost._sum_table(v, rows, cols, pooled, l2)
         assert table.shape == (*stack, len(rows), len(cols))
         assert np.array_equal(table, _whole_table(v, rows, cols, pooled, l2))
@@ -456,7 +482,7 @@ class TestSumTableChunks:
         v = np.random.default_rng(3).random((2, 6, 9))
         v -= v.mean(axis=(-2, -1), keepdims=True)
         rows = cost._members(6, False)
-        cols = cost._members(9, False) if pooled else np.ones((1, 9), dtype=bool)
+        cols = cost._members(9, False) if pooled else np.ones((1, 9))
         for l2, data in ((True, v), (False, (v < 0).astype(float))):
             table = cost._sum_table(data, rows, cols, pooled, l2)
             assert np.array_equal(table, _whole_table(data, rows, cols, pooled, l2))
@@ -485,5 +511,14 @@ class TestTableBuildMemory:
         v = np.random.default_rng(5).random((32, 5, 5))
         v = v - 0.5 if l2 else (v < 0.5).astype(float)
         groups = cost._members(5, False)
+        peak, table = self._peak(lambda: cost._sum_table(v, groups, groups, True, l2))
+        assert peak <= table.nbytes + 8 * cost.BATCH_ENTRIES
+
+    @pytest.mark.parametrize("l2", [False, True])
+    def test_an_eleven_by_eleven_pooled_table(self, l2):
+        """The memberships are read in place: no copy of them per build."""
+        v = np.random.default_rng(11).random((11, 11))
+        v = v - 0.5 if l2 else (v < 0.5).astype(float)
+        groups = cost._members(11, False)
         peak, table = self._peak(lambda: cost._sum_table(v, groups, groups, True, l2))
         assert peak <= table.nbytes + 8 * cost.BATCH_ENTRIES

@@ -24,11 +24,14 @@ literal 60x3 matrix at k=4 with one far cluster that settles while the
 others still trade rows; ``run --mode heuristic`` under L1 on a literal
 600x3 matrix whose columns tie -0.0 and 0.0 at their medians; ``run`` and
 ``ratio`` under L1 on a 0/1 CSV written with
-``-0``, ``0.0`` and ``1.0`` fields, which must be detected binary; plus
-``sweep`` and ``verify-bounds`` as CSV, ``verify-bounds`` at odd counts,
-at the extreme seeds, at lattice resolutions from 2 to 2999, at its
-defaults at two seeds, at 2000 blocks per battery and at 8000, where the
-lower-bound battery's 1,000 matrices span several table chunks, ``sweep``
+``-0``, ``0.0`` and ``1.0`` fields, which must be detected binary;
+``run``, ``exact`` and ``ratio`` as CSV, on that 0/1 CSV under L1 and the
+7x7 real matrix under L2, and on a missing ``--input`` path (an I/O
+error); plus ``sweep`` and ``verify-bounds`` as CSV, ``verify-bounds``
+at odd counts, at the extreme seeds, at lattice resolutions from 2 to
+2999, at its defaults at two seeds, at 2000 blocks per battery and at
+8000, where the lower-bound battery's 1,000 matrices span several table
+chunks, ``sweep``
 under each generator and at 1x1, and
 ``--help`` and usage errors, among them ``verify-bounds --count`` and
 ``sweep --rows`` at 10^20, draws too large for the generators' counter.
@@ -249,6 +252,21 @@ def _edge_ops() -> list[dict]:
             "argv": [cmd, "--input", "{x}", "--norm", "l1"],
             "inputs": {},
             "literals": {"x": "zero_one_text.csv"},
+        })
+    # the input commands as CSV, on 0/1 data (integer costs) and real data,
+    # and on an input path that does not exist
+    for cmd in ("run", "exact", "ratio"):
+        for name, norm in (("zero_one_text.csv", "l1"), ("medians_7x7.csv", "l2")):
+            ops.append({
+                "key": f"edge/csv/{cmd}_{name.removesuffix('.csv')}_{norm}",
+                "argv": [cmd, "--input", "{x}", "--norm", norm, "--format", "csv"],
+                "inputs": {},
+                "literals": {"x": name},
+            })
+        ops.append({
+            "key": f"edge/{cmd}/missing_input",
+            "argv": [cmd, "--input", "inputs/missing.csv"],
+            "inputs": {},
         })
     csv = ["--count", "3", "--format", "csv"]
     for extra in (["sweep", "--norm", "l1"], ["sweep", "--norm", "l2"],
