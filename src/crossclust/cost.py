@@ -9,8 +9,9 @@ sum; fixing the lower median just makes outputs deterministic.  The
 center is defined once, in ``_center`` (the lower median, selected at
 ``_lower_median``), and every direct cost goes through
 ``_columns_spread``; Lloyd's centers are the same ``_center``.  Both
-exact solvers run one search, ``_exact_search``: it scores label blocks
-of partitions from one table of block costs (``BatchCosts``), built from
+exact solvers run one search, ``_exact_search``: it scores blocks of
+partitions, by the bitmask keys of their groups that the partition walk
+writes, from one table of block costs (``BatchCosts``), built from
 sums over the groups under L2 and under L1 on 0/1 data, and under L1 on
 real data from the same lower medians, read off sorted contiguous lanes
 (``_median_table``), and picks the winner by one tie rule
@@ -38,7 +39,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import ValidationError, overflow_guard
-from .model import DataMatrix, Partition, _as_floats, label_table, partition_blocks, partition_count
+from .model import DataMatrix, Partition, _as_floats, keyed_blocks, label_table, partition_count
 
 #: Certified worst-case ratio of the independent-clustering scheme cost to
 #: the optimal biclustering cost, per input class.
@@ -337,25 +338,26 @@ TIE_RTOL = 1e-12
 
 #: Memory budget, in float entries, of :class:`BatchCosts`' temporaries: of
 #: all those of one chunk of a sum table's build together (:func:`_sum_table`),
-#: and of each one of the median table's build and of the scoring.  It fixes
-#: how many row groups a build takes at once and how many row partitions are
-#: scored per batch, so memory beyond the table stays flat however many
-#: partitions there are.
+#: of each one of the median table's build, and of all those of a batch's
+#: scoring together, the walk's labels and keys among them.  It fixes how many
+#: row groups a build takes at once and how many row partitions are scored
+#: per batch, so memory beyond the table stays flat however many partitions
+#: there are.
 BATCH_ENTRIES = 1 << 15
 
 
 class BatchCosts:
     """Costs of many row partitions at once, from a table of block costs.
 
-    Partitions come as (P, t) int8 label blocks, one restricted growth
-    string per row, as :func:`~crossclust.model.partition_blocks` yields
-    them.  The cost of every (row group, column group) block that the
+    Partitions come as the (k, P) keys of their groups, as
+    :func:`~crossclust.model.keyed_blocks` writes them next to each label
+    block.  The cost of every (row group, column group) block that the
     partitions can use is computed once, into a table, and a block of row
     partitions is scored against every column partition by gathering
-    entries and summing them: over the row partition's groups, then over
-    the column partition's.  Every input class shares the table and the scoring; only
-    the build of the entries differs (:func:`_sum_table`,
-    :func:`_median_table`):
+    entries and summing them: over the row partition's groups, in cluster
+    order, then over the column partition's.  Every input class shares the
+    table and the scoring; only the build of the entries differs
+    (:func:`_sum_table`, :func:`_median_table`):
 
     * Under L2 a block costs S2 - S1^2/size, from the sums S1 of its
       entries and S2 of their squares, which are matrix products of the
@@ -375,13 +377,14 @@ class BatchCosts:
 
     A group is keyed by its bitmask (item i is bit i), in integers.  With
     ``k == 1`` the one group holds item 0 and is keyed by that item alone,
-    so a long axis needs no wide mask.  Key 0 is the empty group of a partition with fewer
-    than ``k`` clusters; its entries are 0.  What depends only on the
-    shape is built once and kept read-only: the groups' float membership
-    rows (:func:`_members`), which the sum tables read in place, and size
-    buckets (:func:`_size_buckets`), per item count and whether there is
-    one cluster, and the keys of every column partition
-    (:func:`_label_keys`), per (m, k_c).
+    so a long axis needs no wide mask.  Key 0 is the empty group of a
+    partition with fewer than ``k`` clusters; its entries are 0.  What
+    depends only on the shape is built once and kept read-only: the
+    groups' float membership rows (:func:`_members`), which the sum tables
+    read in place, and size buckets (:func:`_size_buckets`), per item count
+    and whether there is one cluster, and the keys of every column
+    partition, and of every row partition for a pruned pair search
+    (:func:`_label_keys`), per (items, clusters).
 
     With ``k_c``, the column partitions are those of
     ``label_table(m, k_c)``, an entry is a block's pooled cost, and the
@@ -393,8 +396,9 @@ class BatchCosts:
     most 256 x 256 floats, about 0.5 MB; one more row and one more column
     make it 4x larger.  Beside the table, the temporaries of a sum table's
     build stay within ``BATCH_ENTRIES`` entries all together, chunk by
-    chunk; those of the median table's build and of the scoring stay
-    within that many each.
+    chunk, and so do those of a batch's scoring, the walk's blocks of
+    labels and keys included (:meth:`batch_size`); those of the median
+    table's build stay within that many each.
 
     ``scale`` is the cost of the whole matrix as one block (with ``k_c``)
     or as one cluster (without).  It is the unit of the tie tolerance,
@@ -453,26 +457,29 @@ class BatchCosts:
             shape = (len(row_groups), len(col_groups))
             self._table = _median_table(v, _size_buckets(n, k == 1), col_buckets, shape, pooled)
             self.err = 4.0 * n * m * eps * self.scale
-        self._k = k
-        self._width = max(k * n, k * len(col_groups))
+        # per row partition, in entries: its gathered costs, a gather's copy
+        # of them and its key row cast to intp; its int8 labels and int16
+        # keys twice, as the walk fills a block while the last is held
+        self._width = 2 * len(col_groups) + 1 + (n + 2 * k + 3) // 4
 
     def batch_size(self, cols=slice(None)) -> int:
         """Row partitions per call, crossed with the column partitions
-        ``cols``, that keep every scoring temporary within ``BATCH_ENTRIES``
-        entries."""
+        ``cols``: as many as keep the temporaries of a block's scoring, its
+        labels and keys included, within ``BATCH_ENTRIES`` entries, and its
+        crossed costs within as many."""
         n_cols = len(range(self._cols.shape[1])[cols]) if isinstance(cols, slice) else len(cols)
         return max(1, BATCH_ENTRIES // max(self._width, len(self._cols) * n_cols))
 
-    def __call__(self, rows: np.ndarray, cols=slice(None)) -> np.ndarray:
-        """Costs of every row partition of the (R, n) label block ``rows``,
+    def __call__(self, keys: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """Costs of the R row partitions whose groups have the (k, R) keys
+        ``keys``, as :func:`~crossclust.model.keyed_blocks` writes them,
         crossed with every column partition at the indices ``cols`` of the
         label table (all by default), as one flat array, rows outer."""
         # one gather and add per cluster, on each side: a sum over a short
         # axis would cost more time, and a gather of all clusters more memory
-        keys = _group_keys(rows, self._k).T  # (k, R)
-        per_col_group = self._table[keys[0]]  # (R, column groups)
+        per_col_group = self._table.take(keys[0], axis=0)  # (R, column groups)
         for keys_r in keys[1:]:
-            per_col_group += self._table[keys_r]
+            per_col_group += self._table.take(keys_r, axis=0)
         crossed = self._cols[:, cols] if isinstance(cols, slice) else self._cols.take(cols, axis=1)
         costs = per_col_group.take(crossed[0], axis=1)
         for keys_c in crossed[1:]:
@@ -482,7 +489,8 @@ class BatchCosts:
 
 def _group_keys(labels: np.ndarray, k: int) -> np.ndarray:
     """(P, t) labels to the (P, k) keys of each partition's groups (see
-    :class:`BatchCosts`); an empty group has key 0."""
+    :class:`BatchCosts`), which :func:`_label_keys` caches; an empty group
+    has key 0."""
     # one BLAS product per cluster; exact, as every key is an integer below 2^t
     weights = _item_keys(labels.shape[1], k).astype(float)
     keys = np.empty((len(labels), k), dtype=np.intp)
@@ -527,9 +535,14 @@ def _size_buckets(t: int, single: bool) -> tuple[tuple[int, np.ndarray, np.ndarr
 
 @lru_cache(maxsize=16)
 def _label_keys(t: int, k: int) -> np.ndarray:
-    """Read-only (k, P) keys of the groups of the P partitions of
-    ``label_table(t, k)``, cluster-major; built once per (t, k)."""
-    keys = np.ascontiguousarray(_group_keys(label_table(t, k), k).T)
+    """Read-only (k, P) int16 keys of the groups of the P partitions of
+    ``label_table(t, k)``, cluster-major, as :func:`~crossclust.model.keyed_blocks`
+    writes them (a key is below 2^14); built once per (t, k), from chunks
+    of ``BATCH_ENTRIES`` labels."""
+    labels = label_table(t, k)
+    keys, step = np.empty((k, len(labels)), dtype=np.int16), max(1, BATCH_ENTRIES // t)
+    for i in range(0, len(labels), step):
+        keys[:, i : i + step] = _group_keys(labels[i : i + step], k).T
     keys.setflags(write=False)
     return keys
 
@@ -704,16 +717,18 @@ def _exact_search(
     most ``k`` clusters or, with ``k_c``, the least-cost (row partition,
     column partition) pair, the columns into at most ``k_c`` clusters.
 
-    Every row partition is scored in the label blocks of
-    :func:`partition_blocks`, canonical order, by :class:`BatchCosts`: on
-    its own (the row-clustering objective) or against every column
-    partition (the biclustering cost, columns inner).  A pair search whose
-    row partitions do not all fit in one scoring batch is pruned first by
-    the one-way bound, read off the same table (:func:`_bounded_pairs`);
-    one that fits is cheaper to score whole.  Only candidates and the
-    winner become :class:`Partition` objects.  :class:`FirstMinimum`
-    applies the tie rule with tolerance ``TIE_RTOL`` times the scorer's
-    ``scale``: candidates are re-scored directly, by
+    Every row partition is scored by the keys of its groups, which the
+    walk writes next to its labels (:func:`keyed_blocks`), a block at a
+    time in canonical order, by :class:`BatchCosts`: on its own (the
+    row-clustering objective) or against every column partition (the
+    biclustering cost, columns inner).  A pair search whose row partitions
+    do not all fit in one scoring batch is pruned first by the one-way
+    bound, read off the same table, and scores keys from the cached table
+    of every row partition's (:func:`_bounded_pairs`); one that fits is
+    cheaper to score whole.  The labels are read only for candidates, and
+    only candidates and the winner become :class:`Partition` objects.
+    :class:`FirstMinimum` applies the tie rule with tolerance ``TIE_RTOL``
+    times the scorer's ``scale``: candidates are re-scored directly, by
     :func:`oneway_row_cost` or :func:`block_costs`, unless the scorer is
     exact (``err`` 0, binary L1).  Returns the winning rows, the winning
     columns (None without ``k_c``) and the exact cost the winner won on.
@@ -721,28 +736,28 @@ def _exact_search(
     """
     cols = None if k_c is None else label_table(x.n_cols, k_c)
     score = BatchCosts(x, norm, k, k_c)
-    # ``item`` reads the block being fed and the indices of its column partitions
+    # ``item`` reads the labels being fed and the indices of their column partitions
     if cols is None:
         def rescore(labels) -> float:
             return oneway_row_cost(x, Partition(labels, k), norm)
 
         def item(i: int):
-            return tuple(block[i].tolist())
+            return tuple(labels[i].tolist())
     else:
         def rescore(pair) -> float:
             return float(block_costs(x, Partition(pair[0], k), Partition(pair[1], k_c), norm).sum())
 
         def item(i: int):
             c = len(crossed)
-            return tuple(block[i // c].tolist()), tuple(cols[crossed[i % c]].tolist())
+            return tuple(labels[i // c].tolist()), tuple(cols[crossed[i % c]].tolist())
     pick = FirstMinimum(TIE_RTOL * score.scale, score.err, rescore if score.err else None)
     if cols is not None and partition_count(x.n_rows, k) > score.batch_size():
         blocks = _bounded_pairs(x, k, k_c, score, pick)
     else:
         every = np.arange(1 if cols is None else len(cols))
-        blocks = ((block, every) for block in partition_blocks(x.n_rows, k, score.batch_size()))
-    for block, crossed in blocks:
-        if pick.feed(score(block, crossed), item):
+        blocks = ((*block, every) for block in keyed_blocks(x.n_rows, k, score.batch_size()))
+    for labels, keys, crossed in blocks:
+        if pick.feed(score(keys, crossed), item):
             break
     best, cost = pick.winner
     if cols is None:
@@ -752,9 +767,10 @@ def _exact_search(
 
 def _bounded_pairs(
     x: DataMatrix, k: int, k_c: int, score: BatchCosts, pick: FirstMinimum
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The pair search of :func:`_exact_search`, pruned by the one-way
-    bound: label blocks of the surviving row partitions, each with the
+    bound: blocks of the surviving row partitions, as labels and as keys
+    (gathered from ``label_table`` and :func:`_label_keys`), each with the
     indices of the surviving column partitions, in canonical order.
 
     A block's pooled cost is at least the sum of its per-column costs, so
@@ -790,34 +806,35 @@ def _bounded_pairs(
       + m + 4)*eps times the centered sum of squares, which is the whole
       matrix's cost, and a drift over groups of up to n*m entries.
     """
-    rows, cols = label_table(x.n_rows, k), label_table(x.n_cols, k_c)
-    l_r, l_c = _oneway_bounds(x, k, k_c, score, rows)
-    incumbent = float(score(rows[[l_r.argmin()]], [l_c.argmin()])[0]) + score.err
+    rows, row_keys = label_table(x.n_rows, k), _label_keys(x.n_rows, k)
+    l_r, l_c = _oneway_bounds(x, k, k_c, score)
+    incumbent = float(score(row_keys[:, [l_r.argmin()]], [l_c.argmin()])[0]) + score.err
     margin = 2.0 * score.err + TIE_RTOL * score.scale
-    left, crossed = np.arange(len(rows)), np.arange(len(cols))
+    left, crossed = np.arange(len(rows)), np.arange(len(l_c))
     while True:
         limit = min(incumbent, pick.best) + margin
         left = left[l_r[left] <= limit]
         if not len(left):
             return
         crossed = crossed[l_c[crossed] <= limit]
-        step = score.batch_size(crossed)
-        yield rows[left[:step]], crossed
-        left = left[step:]
+        block = left[: score.batch_size(crossed)]
+        yield rows[block], row_keys[:, block], crossed
+        left = left[len(block) :]
 
 
 def _oneway_bounds(
-    x: DataMatrix, k: int, k_c: int, score: BatchCosts, rows: np.ndarray
+    x: DataMatrix, k: int, k_c: int, score: BatchCosts
 ) -> tuple[np.ndarray, np.ndarray]:
     """The bounds of :func:`_bounded_pairs` from ``score``'s table T: of
-    each row partition in ``rows``, T[g, {j}] summed over its groups g and
-    the columns j; of each column partition ``score`` crosses, T[{i}, h]
-    likewise.  With one cluster on the other axis that is the pair's cost."""
+    each row partition of ``label_table(n, k)``, T[g, {j}] summed over its
+    groups g, keyed by :func:`_label_keys`, and the columns j; of each
+    column partition ``score`` crosses, T[{i}, h] likewise.  With one
+    cluster on the other axis that is the pair's cost."""
     t_r = score._table[:, _item_keys(x.n_cols, k_c)].sum(axis=1)
     t_c = score._table[_item_keys(x.n_rows, k)].sum(axis=0)
-    step = max(1, BATCH_ENTRIES // (k * x.n_rows))
-    l_r = [t_r[_group_keys(rows[i : i + step], k)].sum(axis=1) for i in range(0, len(rows), step)]
-    return np.concatenate(l_r), t_c[score._cols].sum(axis=0)
+    # a gather and add per cluster, as BatchCosts scores
+    l_r = sum(t_r.take(keys_r) for keys_r in _label_keys(x.n_rows, k))
+    return l_r, t_c[score._cols].sum(axis=0)
 
 
 def _lower_bound_costs(x: _Blocks, budgets, norm: Norm) -> np.ndarray:

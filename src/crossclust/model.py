@@ -244,8 +244,9 @@ def enumerate_partitions(t: int, max_k: int) -> Iterator[Partition]:
     """
     _check_enumeration(t, max_k)
     # blocks of at least 14 rows (>= max_k) keep the prefixes of
-    # partition_blocks shorter than t, so its recursion here ends
-    return _partitions(partition_blocks(t, max_k, 1 << 12), max_k)
+    # partition_blocks shorter than t, so its recursion here ends; blocks of
+    # 256 keep the lists ``_partitions`` makes of a block's rows small
+    return _partitions(partition_blocks(t, max_k, 1 << 8), max_k)
 
 
 def _partitions(blocks: Iterator[np.ndarray], k: int) -> Iterator[Partition]:
@@ -285,38 +286,60 @@ def _check_enumeration(t: int, max_k: int) -> None:
 
 def partition_blocks(t: int, k: int, rows: int) -> Iterator[np.ndarray]:
     """The partitions of :func:`enumerate_partitions`, in its order, as
-    (P, t) int8 label blocks of at most ``rows`` rows each.
+    (P, t) int8 label blocks of at most ``rows`` rows each: the label
+    blocks of :func:`keyed_blocks`."""
+    return (labels for labels, _ in keyed_blocks(t, k, rows))
+
+
+def keyed_blocks(t: int, k: int, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The blocks of :func:`partition_blocks`, each with the (k, P) int16
+    keys of its partitions' groups, cluster-major.  A group is keyed by
+    its bitmask, item i adding 1 << i; an empty group has key 0.  With
+    k == 1 the all-in-one partition is one zero row, under no cap, and
+    its one group is keyed by item 0 alone, so a long axis needs no wide
+    mask.
 
     Only the prefixes of the first p labels are walked, on
     :func:`enumerate_partitions`, the least p >= 1 with k**(t - p) <= rows,
-    so that no prefix has more than ``rows`` completions.  These depend
-    only on the prefix's largest label, so each table of them is built
-    once (:func:`_completions`) and set next to every such prefix.  With
-    k == 1 the all-in-one partition is one zero row, under no cap.
+    so that no prefix has more than ``rows`` completions.  These, with
+    their keys, depend only on the prefix's largest label, so each table
+    of them is built once (:func:`_completions`) and set next to every
+    such prefix: a group's key is its prefix's, plus its completion's
+    shifted left by p.
     """
     if rows < 1:
         raise ValidationError(f"block size must be >= 1, got {rows}")
     if k == 1:
-        return iter([np.zeros((1, t), dtype=np.int8)])
+        return iter([(np.zeros((1, t), dtype=np.int8), np.ones((1, 1), dtype=np.int16))])
     _check_enumeration(t, k)
     return _blocks(t, k, rows)
 
 
-def _blocks(t: int, k: int, rows: int) -> Iterator[np.ndarray]:
+def _blocks(t: int, k: int, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     s = t - 1  # labels per completion
     while k**s > rows:
         s -= 1
     p = t - s
-    buf, size = np.empty((rows, t), dtype=np.int8), 0
+    # partitions along the last axis of labels and keys alike: each write
+    # below is then of whole rows, and a label block is a transposed view
+    labels, keys, size = np.empty((t, rows), dtype=np.int8), np.empty((k, rows), dtype=np.int16), 0
+    # the completions by the prefix's largest label, their keys shifted past it
+    tails = [_completions(s, k, top) for top in range(min(k, p))]
+    tails = [(tail, tail_keys << p) for tail, tail_keys in tails]
     for prefix in enumerate_partitions(p, min(k, p)):
-        tail = _completions(s, k, prefix.n_clusters - 1)
-        if size + len(tail) > rows:
-            yield buf[:size]
-            buf, size = np.empty((rows, t), dtype=np.int8), 0
-        out = buf[size : size + len(tail)]
-        out[:, :p], out[:, p:] = prefix.assignment, tail
-        size += len(tail)
-    yield buf[:size]
+        tail, tail_keys = tails[prefix.n_clusters - 1]
+        if size + tail.shape[1] > rows:
+            yield labels[:, :size].T, keys[:, :size]
+            labels, keys, size = np.empty_like(labels), np.empty_like(keys), 0
+        end = size + tail.shape[1]
+        head = [0] * k  # the prefix's group keys
+        for i, c in enumerate(prefix.assignment):
+            head[c] += 1 << i
+        labels[:p, size:end] = np.array(prefix.assignment, dtype=np.int8)[:, None]
+        labels[p:, size:end] = tail
+        np.add(tail_keys, np.array(head, dtype=np.int16)[:, None], out=keys[:, size:end])
+        size = end
+    yield labels[:, :size].T, keys[:, :size]
 
 
 def partition_count(t: int, k: int) -> int:
@@ -340,20 +363,27 @@ def label_table(t: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _completions(s: int, k: int, top: int) -> np.ndarray:
-    """Read-only (C, s) int8 table of the label strings that extend a
-    restricted growth string with largest label ``top`` by ``s`` labels,
-    below ``k``, in lexicographic order.  Built by prefix extension: a
-    string whose largest label is h gets the children 0..min(h + 1, k - 1)."""
-    labels, tops = np.zeros((1, 0), dtype=np.int8), np.array([top])
-    for _ in range(s):
+def _completions(s: int, k: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (s, C) int8 table of the C label strings, one per column,
+    that extend a restricted growth string with largest label ``top`` by
+    ``s`` labels, below ``k``, in lexicographic order, with the (k, C)
+    int16 keys of their groups (see :func:`keyed_blocks`), item 0 the
+    first label.  Built by prefix extension: a string whose largest label
+    is h gets the children 0..min(h + 1, k - 1), and child c adds 1 << j
+    to key c."""
+    labels, tops = np.zeros((0, 1), dtype=np.int8), np.array([top])
+    keys = np.zeros((k, 1), dtype=np.int16)
+    for j in range(s):
         counts = np.minimum(tops + 1, k - 1) + 1
         parent = np.repeat(np.arange(len(tops)), counts)
         child = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
-        labels = np.hstack([labels[parent], child[:, None].astype(np.int8)])
+        labels = np.vstack([labels[:, parent], child.astype(np.int8)])
+        keys = keys[:, parent]
+        keys[child, np.arange(len(parent))] += 1 << j
         tops = np.maximum(tops[parent], child)
     labels.setflags(write=False)
-    return labels
+    keys.setflags(write=False)
+    return labels, keys
 
 
 @dataclass(frozen=True, eq=False)

@@ -131,9 +131,10 @@ class TestAgainstTheExhaustivePath:
     @pytest.mark.parametrize("k_r, k_c", [(3, 3), (3, 2), (2, 3), (4, 1)])
     @pytest.mark.parametrize("kind, norm", CLASSES)
     def test_eight_by_eight(self, kind, norm, k_r, k_c):
-        # the default batch size takes the bounded path here; small
+        # half the default batch size takes the bounded path here, at k = 4,1
+        # too, whose 2,795 row partitions fit in one default batch; small
         # integers tie often, so ties straddle the pruning threshold
-        _both_paths(DataMatrix(_values(kind, 8, 8, 11)), k_r, k_c, norm, cost.BATCH_ENTRIES)
+        _both_paths(DataMatrix(_values(kind, 8, 8, 11)), k_r, k_c, norm, cost.BATCH_ENTRIES // 2)
 
 
 class TestTableBounds:
@@ -143,7 +144,7 @@ class TestTableBounds:
         x = DataMatrix(_values(kind, 6, 5, 7))
         rows, cols = label_table(6, 3), label_table(5, 3)
         score = BatchCosts(x, norm, 3, 3)
-        l_r, l_c = cost._oneway_bounds(x, 3, 3, score, rows)
+        l_r, l_c = cost._oneway_bounds(x, 3, 3, score)
         direct_r = [oneway_row_cost(x, Partition(r, 3), norm) for r in map(tuple, rows.tolist())]
         direct_c = [oneway_col_cost(x, Partition(c, 3), norm) for c in map(tuple, cols.tolist())]
         assert np.abs(l_r - direct_r).max() <= score.err

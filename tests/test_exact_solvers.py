@@ -1,6 +1,7 @@
 """The exact solvers' batched kernel and tie rule, against direct costs and
 the exhaustive naive oracles."""
 
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -35,9 +36,10 @@ from crossclust.model import label_table, partition_blocks
 from oracles import exact_biclustering_argmin_naive, exact_oneway_argmin_naive
 
 
-def _labels(parts):
-    """Partitions as the (P, t) int8 label table that ``BatchCosts`` takes."""
-    return np.array([p.assignment for p in parts], dtype=np.int8)
+def _keys(parts, k):
+    """Partitions into at most ``k`` clusters as the (k, P) group keys that
+    ``BatchCosts`` scores, as the partition walk writes them."""
+    return cost._group_keys(np.array([p.assignment for p in parts], dtype=np.int8), k).T
 
 
 def _summed(norm, n, m, seed):
@@ -71,7 +73,7 @@ class TestBatchCosts:
         parts = list(enumerate_partitions(shape[0], k))
         kernel = BatchCosts(x, Norm.L2, k)
         direct = np.array([oneway_row_cost(x, p, Norm.L2) for p in parts])
-        assert np.abs(kernel(_labels(parts)) - direct).max() <= kernel.err
+        assert np.abs(kernel(_keys(parts, k)) - direct).max() <= kernel.err
         # centering keeps the bound at rounding level at these offsets
         assert kernel.err <= 1e-12 * columnwise_cost(x, Norm.L2)
 
@@ -82,7 +84,7 @@ class TestBatchCosts:
         cols = list(enumerate_partitions(shape[1], 2))
         kernel = BatchCosts(x, Norm.L2, min(3, shape[0]), 2)
         direct = [block_costs(x, r, c, Norm.L2).sum() for r in rows for c in cols]
-        assert np.abs(kernel(_labels(rows)) - direct).max() <= kernel.err
+        assert np.abs(kernel(_keys(rows, min(3, shape[0]))) - direct).max() <= kernel.err
         assert kernel.err <= 1e-12 * pooled_cost(x, Norm.L2)
 
     def test_binary_l1_is_exact(self):
@@ -92,9 +94,9 @@ class TestBatchCosts:
         kernel = BatchCosts(x, Norm.L1, 3, 3)
         assert kernel.err == 0.0
         direct = [block_costs(x, r, c, Norm.L1).sum() for r in rows for c in cols]
-        assert kernel(_labels(rows)).tolist() == direct
+        assert kernel(_keys(rows, 3)).tolist() == direct
         oneway = BatchCosts(x, Norm.L1, 3)
-        assert oneway(_labels(rows)).tolist() == [oneway_row_cost(x, p, Norm.L1) for p in rows]
+        assert oneway(_keys(rows, 3)).tolist() == [oneway_row_cost(x, p, Norm.L1) for p in rows]
 
     @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
     def test_fewer_clusters_than_k(self, norm):
@@ -105,10 +107,10 @@ class TestBatchCosts:
         cols = list(enumerate_partitions(4, 2))
         pairs = BatchCosts(x, norm, 4, 2)
         direct = [block_costs(x, r, c, norm).sum() for r in rows for c in cols]
-        assert np.abs(pairs(_labels(rows)) - direct).max() <= pairs.err
+        assert np.abs(pairs(_keys(rows, 4)) - direct).max() <= pairs.err
         oneway = BatchCosts(x, norm, 4)
         direct = [oneway_row_cost(x, p, norm) for p in rows]
-        assert np.abs(oneway(_labels(rows)) - direct).max() <= oneway.err
+        assert np.abs(oneway(_keys(rows, 4)) - direct).max() <= oneway.err
 
     @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
     def test_one_cluster_on_an_axis_longer_than_any_mask(self, norm):
@@ -117,9 +119,9 @@ class TestBatchCosts:
         cols = list(enumerate_partitions(3, 3))
         pairs = BatchCosts(x, norm, 1, 3)
         direct = [block_costs(x, whole, c, norm).sum() for c in cols]
-        assert np.abs(pairs(_labels([whole])) - direct).max() <= pairs.err
+        assert np.abs(pairs(_keys([whole], 1)) - direct).max() <= pairs.err
         oneway = BatchCosts(x, norm, 1)
-        assert abs(oneway(_labels([whole]))[0] - columnwise_cost(x, norm)) <= oneway.err
+        assert abs(oneway(_keys([whole], 1))[0] - columnwise_cost(x, norm)) <= oneway.err
 
     @pytest.mark.parametrize("k_c", [None, 1, 2, 3])
     @pytest.mark.parametrize("entries", [1, 97, cost.BATCH_ENTRIES])
@@ -137,9 +139,9 @@ class TestBatchCosts:
     @pytest.mark.parametrize("k_c", [1, 3])
     def test_indexed_columns_score_as_the_full_cross(self, k_c):
         x = random_real_matrix(4, 5, seed=4)
-        rows = _labels(enumerate_partitions(4, 2))
+        rows = _keys(enumerate_partitions(4, 2), 2)
         kernel = BatchCosts(x, Norm.L2, 2, k_c)
-        full = kernel(rows).reshape(len(rows), -1)
+        full = kernel(rows).reshape(rows.shape[1], -1)
         p = full.shape[1]
         for cols in (np.arange(p)[::-2], [0], [p - 1, 0]):
             assert np.array_equal(kernel(rows, cols), full[:, cols].ravel())
@@ -152,7 +154,7 @@ class TestBatchCosts:
         for kernel in (BatchCosts(x, Norm.L2, 2, 2),
                        BatchCosts(x, Norm.L2, 2)):
             assert 0.0 < kernel.err <= 1e-12
-            assert np.abs(kernel(_labels(rows))).max() <= kernel.err
+            assert np.abs(kernel(_keys(rows, 2))).max() <= kernel.err
 
 
 def _group_keys_one_product(labels, k):
@@ -236,6 +238,38 @@ class TestBatching:
         assert (whole.rows.assignment, whole.cols.assignment) == (labels_r, labels_c)
         labels, _ = exact_oneway_argmin_naive(rows, 3, norm.value, TIE_RTOL)
         assert oneway.partition.assignment == labels
+
+
+class TestScoringBatch:
+    """A one-way search scores the keys the walk writes, in as few calls
+    as ``BATCH_ENTRIES`` allows, and its memory beside the table stays
+    within that budget however many partitions there are."""
+
+    def test_nine_rows_score_in_one_call(self):
+        calls = []
+        score = BatchCosts.__call__
+
+        def spy(self, keys, cols=slice(None)):
+            calls.append(keys.shape)
+            return score(self, keys, cols)
+
+        with patch.object(BatchCosts, "__call__", spy):
+            exact_kcluster(random_real_matrix(9, 6, seed=1), 3, Norm.L2)
+        assert calls == [(3, 3281)]  # every partition of 9 rows into at most 3 clusters
+
+    @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
+    def test_thirteen_rows_stay_within_the_budget(self, norm):
+        # 2,798,251 partitions of 13 rows into at most 4 clusters, scored in
+        # hundreds of calls; the one-way table has a float per row group
+        x = _summed(norm, 13, 6, 2)
+        exact_kcluster(x, 4, norm)  # fills the per-shape caches
+        tracemalloc.start()
+        try:
+            exact_kcluster(x, 4, norm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 << 13) * 8 + 8 * cost.BATCH_ENTRIES
 
 
 class TestShiftedL2:

@@ -30,9 +30,10 @@ from crossclust.cost import (
 from oracles import exact_biclustering_argmin_naive, exact_oneway_argmin_naive
 
 
-def _labels(parts):
-    """Partitions as the (P, t) int8 label table that ``BatchCosts`` takes."""
-    return np.array([p.assignment for p in parts], dtype=np.int8)
+def _keys(parts, k):
+    """Partitions into at most ``k`` clusters as the (k, P) group keys that
+    ``BatchCosts`` scores, as the partition walk writes them."""
+    return cost._group_keys(np.array([p.assignment for p in parts], dtype=np.int8), k).T
 
 
 def _real(values) -> DataMatrix:
@@ -59,7 +60,7 @@ class TestWithinErrorBound:
         cols = list(enumerate_partitions(4, 3))
         table = BatchCosts(x, Norm.L1, 3, 3)
         direct = np.array([block_costs(x, r, c, Norm.L1).sum() for r in rows for c in cols])
-        assert np.abs(table(_labels(rows)) - direct).max() <= table.err
+        assert np.abs(table(_keys(rows, 3)) - direct).max() <= table.err
         assert table.err <= 1e-12 * pooled_cost(x, Norm.L1)
 
     @pytest.mark.parametrize("shift", [0.0, 1e7])
@@ -69,7 +70,7 @@ class TestWithinErrorBound:
         parts = list(enumerate_partitions(6, 3))
         table = BatchCosts(x, Norm.L1, 3)
         direct = np.array([oneway_row_cost(x, p, Norm.L1) for p in parts])
-        assert np.abs(table(_labels(parts)) - direct).max() <= table.err
+        assert np.abs(table(_keys(parts, 3)) - direct).max() <= table.err
         assert table.err <= 1e-12 * columnwise_cost(x, Norm.L1)
 
     def test_fewer_clusters_than_k(self):
@@ -79,26 +80,26 @@ class TestWithinErrorBound:
         rows = list(enumerate_partitions(5, 2))
         cols = list(enumerate_partitions(4, 2))
         direct = [block_costs(x, r, c, Norm.L1).sum() for r in rows for c in cols]
-        labels = _labels(rows)
-        np.testing.assert_allclose(BatchCosts(x, Norm.L1, 4, 2)(labels), direct, rtol=1e-12)
+        keys = _keys(rows, 4)
+        np.testing.assert_allclose(BatchCosts(x, Norm.L1, 4, 2)(keys), direct, rtol=1e-12)
         oneway = [oneway_row_cost(x, p, Norm.L1) for p in rows]
-        np.testing.assert_allclose(BatchCosts(x, Norm.L1, 4)(labels), oneway, rtol=1e-12)
+        np.testing.assert_allclose(BatchCosts(x, Norm.L1, 4)(keys), oneway, rtol=1e-12)
 
     def test_one_cluster_on_an_axis_longer_than_any_mask(self):
         x = random_real_matrix(70, 3, seed=9)
         whole = Partition((0,) * 70, 1)
         cols = list(enumerate_partitions(3, 3))
         direct = [block_costs(x, whole, c, Norm.L1).sum() for c in cols]
-        labels = _labels([whole])
-        np.testing.assert_allclose(BatchCosts(x, Norm.L1, 1, 3)(labels), direct, rtol=1e-12)
-        assert BatchCosts(x, Norm.L1, 1)(labels)[0] == pytest.approx(columnwise_cost(x, Norm.L1))
+        keys = _keys([whole], 1)
+        np.testing.assert_allclose(BatchCosts(x, Norm.L1, 1, 3)(keys), direct, rtol=1e-12)
+        assert BatchCosts(x, Norm.L1, 1)(keys)[0] == pytest.approx(columnwise_cost(x, Norm.L1))
 
     def test_constant_matrix_costs_exactly_zero(self):
         x = _real(np.full((4, 3), 0.1))
         rows = list(enumerate_partitions(4, 2))
         table = BatchCosts(x, Norm.L1, 2, 2)
         assert table.err == 0.0
-        assert not table(_labels(rows)).any()
+        assert not table(_keys(rows, 2)).any()
 
 
 class TestTableBuild:

@@ -2,7 +2,9 @@
 ``enumerate_partitions``, against the brute-force enumerations of
 ``oracles.py``, the Stirling counts and the blocks' row bound.  The walk
 the blocks are checked against is the reference one: every set partition
-from the insert-into-each-block recursion, sorted lexicographically."""
+from the insert-into-each-block recursion, sorted lexicographically.  The
+group keys ``model.keyed_blocks`` writes next to the labels are checked
+against ``cost._group_keys`` of those labels."""
 
 import tracemalloc
 from functools import lru_cache
@@ -11,9 +13,9 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from crossclust import CapExceededError, ValidationError, enumerate_partitions
+from crossclust import CapExceededError, ValidationError, cost, enumerate_partitions
 from crossclust.cost import BATCH_ENTRIES
-from crossclust.model import label_table, partition_blocks, partition_count
+from crossclust.model import keyed_blocks, label_table, partition_blocks, partition_count
 
 from oracles import (
     partitions_by_block_recursion,
@@ -40,6 +42,15 @@ def _blocks(t, k, rows):
     return blocks
 
 
+def _keyed(t, k, rows):
+    blocks = list(keyed_blocks(t, k, rows))
+    for labels, keys in blocks:
+        assert labels.dtype == np.int8 and labels.shape[1] == t
+        assert keys.dtype == np.int16 and keys.shape == (k, len(labels))
+        assert 1 <= len(labels) <= rows
+    return blocks
+
+
 class TestAgainstTheWalk:
     @pytest.mark.parametrize("t", range(1, 11))
     def test_byte_identical_at_every_batch_size(self, t):
@@ -58,6 +69,36 @@ class TestAgainstTheWalk:
         # most 3**3 completions
         sizes = [len(b) for b in _blocks(8, 3, 40)]
         assert all(40 - 27 < s for s in sizes[:-1])
+
+
+class TestKeyedBlocks:
+    @pytest.mark.parametrize("rows", [1, 7, 50, 4096])
+    @pytest.mark.parametrize("t", range(1, 11))
+    def test_keys_of_the_labels_at_every_batch_size(self, t, rows):
+        # at 10 items the budgets of 1 and 7 rows walk about a block per
+        # prefix: only up to k = 3 (9,842 rows), as the larger bounds take
+        # seconds more
+        for k in range(1, t + 1 if t < 10 or rows > 7 else 4):
+            blocks = _keyed(t, k, rows)
+            table = np.concatenate([labels for labels, _ in blocks])
+            keys = np.concatenate([keys for _, keys in blocks], axis=1)
+            assert table.tobytes() == label_table(t, k).tobytes(), (k, rows)
+            # each block's keys are its own labels', as the shapes line up
+            assert np.array_equal(keys, cost._group_keys(table, k).T), (k, rows)
+
+    def test_first_blocks_of_a_large_space(self):
+        first = list(islice(keyed_blocks(14, 4, 1000), 3))
+        for labels, keys in first:
+            assert len(labels) <= 1000
+            assert np.array_equal(keys, cost._group_keys(labels, 4).T)
+        got = [tuple(r) for labels, _ in first for r in labels.tolist()]
+        assert got == list(islice(restricted_growth_strings(14, 4), len(got)))
+
+    def test_one_cluster_is_keyed_by_item_zero(self):
+        (labels, keys), = keyed_blocks(20, 1, 5)
+        assert labels.shape == (1, 20) and not labels.any()
+        assert keys.tolist() == [[1]]
+        assert np.array_equal(keys, cost._group_keys(labels, 1).T)
 
 
 class TestTheView:

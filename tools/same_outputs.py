@@ -10,13 +10,18 @@ benchmark's pools (``bench/spec.pool``): ``certify``, ``exact_enum``,
 ``run --mode exact`` commands on inputs the pools do not reach: a
 one-cluster axis (one longer than the enumeration cap among them), L1 on
 real data and L2 shifted by +1e7; ``exact`` and ``ratio`` at 8x8 with
-k=3,3, k=3,2 and k=4,1, where the oracle's pair search is bounded (k=4,1
-with one column cluster), on each of those input classes, planted L2,
+k=3,3 and k=3,2, where the oracle's pair search is bounded, and k=4,1,
+where one column cluster lets it score every pair, on each of those
+input classes, planted L2,
 and, under both norms, a literal small-integer matrix full of ties and a
 literal one whose columns are shifted by different powers of ten;
 ``exact`` and ``ratio`` under real L1 at 7x7, k=2,2 and k=3,3, on a
 literal matrix of repeated quarters with a -0.0 entry and one column
-shifted by 1e7; ``run --mode heuristic``, under both norms, on a 300x10
+shifted by 1e7; ``run --mode exact`` at 12 and 13 rows by 3 columns, k=3
+and k=4, as binary L1, real L1 and L2, where the one-way search scores
+its partitions in several blocks, and at 12x4 under L1 on a literal 0/1
+matrix of repeated rows, whose ties straddle those blocks; ``run --mode
+heuristic``, under both norms, on a 300x10
 real matrix shifted by 1e7, on the 8x8 ties matrix at k=6 with three
 restarts, where a cluster stays empty, on two literal small-integer
 matrices where Lloyd's empty-cluster repair moves a point, and on a
@@ -121,6 +126,11 @@ REPAIR_MATRICES = {
 }
 
 
+#: A literal 12x4 0/1 input for the one-way search: four distinct rows,
+#: each repeated three times, so that very many partitions tie.
+TIES_12X4 = {"ties_12x4.csv": [[(i >> j) & 1 for j in range(4)] for i in (3, 5, 9, 14) * 3]}
+
+
 #: Literal inputs of Lloyd's center step, by file name: 600 rows of mostly
 #: zeros of both signs, so that a cluster's lower median ties -0.0 and 0.0
 #: past the 256 entries where numpy's sort and selection may pick different
@@ -153,7 +163,7 @@ def _edge_ops() -> list[dict]:
     one-cluster axes included, then the other commands and the overflow
     ops.  ``inputs`` are ``[generator, rows, cols, seed, shift]`` as in
     ``bench/spec``; ``literals`` name files of :data:`OVERFLOW_MATRICES`,
-    :data:`MATRICES_8X8`, :data:`MEDIANS_7X7`, :data:`REPAIR_MATRICES`,
+    :data:`MATRICES_8X8`, :data:`MEDIANS_7X7`, :data:`TIES_12X4`, :data:`REPAIR_MATRICES`,
     :data:`LLOYD_MATRICES` and :data:`ZERO_ONE_TEXT`."""
     classes = (("binary", "l1", 0), ("real", "l1", 0), ("real", "l2", 0), ("real", "l2", SHIFT))
     shapes = (
@@ -176,8 +186,9 @@ def _edge_ops() -> list[dict]:
                                        "--norm", norm],
                         "inputs": {"x": [gen, n, m, seed, shift]},
                     })
-    # 8x8 at k=3,3, k=3,2 and k=4,1: the row partitions do not fit in one
-    # scoring batch, so the oracle prunes its pair search by the one-way bound
+    # 8x8 at k=3,3 and k=3,2: the row partitions do not fit in one scoring
+    # batch, so the oracle prunes its pair search by the one-way bound; at
+    # k=4,1 they do, and it scores every pair
     literal = ("ties", "offsets")
     for gen, norm, shift in classes + (("planted", "l2", 0),) + tuple(
         (name, norm, 0) for name in literal for norm in ("l1", "l2")
@@ -205,6 +216,25 @@ def _edge_ops() -> list[dict]:
                 "inputs": {},
                 "literals": {"x": "medians_7x7.csv"},
             })
+    # the one-way search over more partitions than one scoring batch holds
+    run_seed = 91_000  # seeds of their own, so that the ops after these keep theirs
+    for gen, norm, _ in classes[:3]:
+        for n in (12, 13):
+            for k in ("3", "4"):
+                run_seed += 1
+                ops.append({
+                    "key": f"edge/run/{gen}_{norm}_{n}x3_k{k}2_s{run_seed}",
+                    "argv": ["run", "--mode", "exact", "--input", "{x}", "--kr", k, "--kc",
+                             "2", "--norm", norm],
+                    "inputs": {"x": [gen, n, 3, run_seed, 0]},
+                })
+    ops.append({
+        "key": "edge/run/ties_12x4_l1_k32",
+        "argv": ["run", "--mode", "exact", "--input", "{x}", "--kr", "3", "--kc", "2",
+                 "--norm", "l1"],
+        "inputs": {},
+        "literals": {"x": "ties_12x4.csv"},
+    })
     # Lloyd's bounds far from the origin, and its empty-cluster repair: on
     # the ties matrix a cluster stays empty (8 rows, 5 of them distinct), on
     # the repair matrices a point moves after the first iteration
@@ -338,8 +368,8 @@ def _child(src: Path, out: Path, pools: list[str]) -> None:
         raise SystemExit(f"error: imported crossclust from {crossclust.cli.__file__}")
     workdir = Path("inputs")  # relative, so both trees print the same input paths
     workdir.mkdir()
-    literal = {**OVERFLOW_MATRICES, **MATRICES_8X8, **MEDIANS_7X7, **REPAIR_MATRICES,
-               **LLOYD_MATRICES}
+    literal = {**OVERFLOW_MATRICES, **MATRICES_8X8, **MEDIANS_7X7, **TIES_12X4,
+               **REPAIR_MATRICES, **LLOYD_MATRICES}
     for name, rows in literal.items():
         # repr round-trips every float exactly, as in bench/common.write_inputs
         text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
