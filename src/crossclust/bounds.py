@@ -532,11 +532,13 @@ def grid_search_alpha(resolution: int) -> GridSearchResult:
     formed as ``i / res`` on index arrays, so the result is the same bit
     for bit whatever the leaf side and chunk size.
 
-    Memory is flat in the resolution: no array spans a lattice side, a
-    chunk holds at most ``BATCH_ENTRIES`` points, and the live boxes are
-    those the bound cannot rule out, which stay few: at resolution 400 the
-    search evaluates 0.9% of the lattice's points, at 1001 0.3%, at 20000
-    0.002%.
+    No array spans a lattice side and a chunk holds at most
+    ``BATCH_ENTRIES`` points; the live boxes are those the bound cannot
+    rule out, which stay few up to resolution 20000: the search evaluates
+    0.9% of the lattice's points at resolution 400, 0.3% at 1001 and
+    0.002% at 20000.  Memory is not known to stay flat beyond that range:
+    at resolution 10^14 a run was killed for lack of memory on an 8 GB
+    host.
     """
     if resolution < 2:
         raise ValidationError("resolution must be >= 2")

@@ -9,7 +9,7 @@ Reports go to stdout as a single JSON object or a CSV table; diagnostics
 go to stderr.  Exit codes: 0 success, 2 I/O error, 3 validation error
 (usage errors and input whose costs overflow included), 4 enumeration cap
 exceeded, 5 certified-bound violation, failed check or failed internal
-check.
+check, 6 out of memory.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ EXIT_IO = 2
 EXIT_VALIDATION = 3
 EXIT_CAP = 4
 EXIT_VIOLATION = 5
+EXIT_MEMORY = 6
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,6 +122,9 @@ def main(argv=None) -> int:
     except CrossclustError as exc:  # a failed internal check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except MemoryError as exc:  # numpy's message gives the size it could not allocate
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 # ---------------------------------------------------------------------------

@@ -311,20 +311,22 @@ def block_costs(x: DataMatrix, rows: Partition, cols: Partition, norm: Norm) -> 
 
 @overflow_guard
 def biclustering_cost(
-    x: DataMatrix, rows: Partition, cols: Partition, norm: Norm
+    x: DataMatrix, rows: Partition, cols: Partition, norm: Norm, *,
+    oneway: tuple[float, float] | None = None,
 ) -> tuple[CostBreakdown, np.ndarray]:
     """Evaluate a (row partition, column partition) pair.
 
-    Returns the cost breakdown and the :func:`block_costs` grid.
+    Returns the cost breakdown and the :func:`block_costs` grid.  The
+    breakdown's l_r and l_c are :func:`oneway_row_cost` and
+    :func:`oneway_col_cost` of the pair, unless ``oneway`` gives them: it
+    must hold exactly those two costs of exactly these partitions, which
+    are then used as given, unchecked, and only the grid is computed.
     """
     grid = block_costs(x, rows, cols, norm)
-    breakdown = CostBreakdown(
-        l_r=oneway_row_cost(x, rows, norm),
-        l_c=oneway_col_cost(x, cols, norm),
-        l=float(grid.sum()),
-        norm=norm,
-    )
-    return breakdown, grid
+    if oneway is None:
+        oneway = oneway_row_cost(x, rows, norm), oneway_col_cost(x, cols, norm)
+    l_r, l_c = oneway
+    return CostBreakdown(l_r=l_r, l_c=l_c, l=float(grid.sum()), norm=norm), grid
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,13 @@ class DataMatrix:
         return self._values.shape
 
     def transpose(self) -> "DataMatrix":
-        return DataMatrix(self._values.T)
+        """The transposed matrix, as a read-only C-ordered copy; the entries
+        were validated once, so ``is_binary`` carries over unchecked."""
+        t = object.__new__(DataMatrix)
+        t._values = self._values.T.copy()
+        t._values.setflags(write=False)
+        t.is_binary = self.is_binary
+        return t
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DataMatrix):

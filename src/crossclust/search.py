@@ -72,10 +72,19 @@ class RatioReport:
 def run_scheme(
     x: DataMatrix, k_r: int, k_c: int, norm: Norm, mode: SolverMode
 ) -> SchemeResult:
-    """Cluster rows and columns independently and evaluate the crossing."""
+    """Cluster rows and columns independently and evaluate the crossing.
+
+    The crossing's L_R and L_C are the costs the two one-way solves return
+    with their partitions, which are the direct :func:`oneway_row_cost` of
+    each partition (the column solve's on the transpose): the winner's
+    exact cost in exact mode, the best restart's in heuristic mode.  Only
+    the grid of block costs, and its sum L, is computed here.
+    """
     rows_sol = kcluster_rows(x, k_r, norm, mode)
     cols_sol = kcluster_cols(x, k_c, norm, mode)
-    breakdown, grid = biclustering_cost(x, rows_sol.partition, cols_sol.partition, norm)
+    breakdown, grid = biclustering_cost(
+        x, rows_sol.partition, cols_sol.partition, norm, oneway=(rows_sol.cost, cols_sol.cost)
+    )
     bic = Biclustering(rows_sol.partition, cols_sol.partition, grid)
     return SchemeResult(bic, breakdown, mode)
 

@@ -184,6 +184,18 @@ class TestWorstcase:
         assert code == 0
         assert "1.995" in out
 
+    @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 3.7 GiB"), MemoryError()])
+    def test_out_of_memory_exits_6_with_one_line(self, capsys, monkeypatch, exc):
+        def allocate(q):
+            raise exc
+
+        monkeypatch.setattr(cli, "worst_case_report", allocate)
+        assert main(["worstcase", "--q", "100000000"]) == cli.EXIT_MEMORY == 6
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error: out of memory: ")
+        assert captured.err.count("\n") == 1 and str(exc) in captured.err
+
 
 class TestSweep:
     def test_binary_sweep_within_bound(self, capsys):

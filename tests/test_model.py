@@ -79,6 +79,17 @@ class TestDataMatrix:
         assert x.transpose().shape == (3, 2)
         assert x.transpose().values[2, 0] == 3.0
 
+    @pytest.mark.parametrize("values", [[[0, 1, 1], [1, 0, 0]], [[1.5, -2.0], [3.0, 1e7], [0.0, -0.0]]])
+    def test_transpose_copies_without_validating_again(self, values, monkeypatch):
+        x = DataMatrix(values)
+        validated = DataMatrix(x.values.T)
+        monkeypatch.setattr(DataMatrix, "__init__", lambda *a: pytest.fail("validated again"))
+        t = x.transpose()
+        assert np.array_equal(t.values, validated.values)
+        flags = ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE", "ALIGNED")
+        assert [t.values.flags[f] for f in flags] == [validated.values.flags[f] for f in flags]
+        assert t.is_binary is validated.is_binary is x.is_binary
+
 
 @st.composite
 def csv_texts(draw):

@@ -1,24 +1,30 @@
 """Tests for the scheme and the brute-force biclustering oracle."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossclust import (
     BINARY_L1_RATIO_BOUND,
     CapExceededError,
     DataMatrix,
     Norm,
+    Partition,
     SolverMode,
     ValidationError,
     biclustering_cost,
     exact_biclustering,
     exact_kcluster,
+    planted_real_matrix,
     random_binary_matrix,
     random_real_matrix,
     ratio,
     run_scheme,
     worst_case_matrix,
 )
+from crossclust import cost
 
 from oracles import exact_biclustering_naive
 
@@ -64,6 +70,58 @@ class TestRunScheme:
         assert result.mode.kind == "heuristic"
         assert result.breakdown.l_r >= exact.breakdown.l_r - 1e-9
         assert result.breakdown.l_c >= exact.breakdown.l_c - 1e-9
+
+
+@st.composite
+def scheme_cases(draw):
+    """A matrix of up to 6 x 6 (0/1, uniform, planted, or uniform shifted
+    by 1e7), cluster counts with k = 1 drawn often on either axis, a norm
+    and a mode: exact, or heuristic with 1 or 3 restarts."""
+    n, m, seed = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(0, 2**32))
+    x = draw(st.sampled_from([
+        lambda: random_binary_matrix(n, m, 0.5, seed),
+        lambda: random_real_matrix(n, m, seed),
+        lambda: planted_real_matrix(n, m, seed),
+        lambda: DataMatrix(random_real_matrix(n, m, seed).values + 1e7),
+    ]))()
+    k_r, k_c = (draw(st.one_of(st.just(1), st.integers(1, min(t, 3)))) for t in (n, m))
+    mode = draw(st.sampled_from([EXACT, SolverMode.heuristic(1, seed), SolverMode.heuristic(3, seed)]))
+    return x, k_r, k_c, draw(st.sampled_from(Norm)), mode
+
+
+class TestSchemeCrossing:
+    """``run_scheme`` takes the crossing's L_R and L_C from its one-way
+    solves; they must be the costs a from-scratch evaluation gives, bit
+    for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scheme_cases())
+    def test_breakdown_is_the_from_scratch_one(self, case):
+        x, k_r, k_c, norm, mode = case
+        result = run_scheme(x, k_r, k_c, norm, mode)
+        bic = result.biclustering
+        breakdown, grid = biclustering_cost(x, bic.rows, bic.cols, norm)
+        assert result.breakdown == breakdown
+        assert np.array_equal(bic.per_bicluster_costs, grid)
+
+    def test_given_costs_skip_the_oneway_evaluation(self):
+        x = random_real_matrix(5, 4, seed=2)
+        rows, cols = Partition((0, 1, 0, 1, 2), 3), Partition((0, 0, 1, 1), 2)
+        calls = []
+
+        def spy(name):
+            original = getattr(cost, name)
+            return patch.object(cost, name, lambda *a: calls.append(name) or original(*a))
+
+        with spy("oneway_row_cost"), spy("oneway_col_cost"):
+            full, grid = biclustering_cost(x, rows, cols, Norm.L2)
+            assert calls == ["oneway_row_cost", "oneway_col_cost"]
+            calls.clear()
+            given_costs, given_grid = biclustering_cost(
+                x, rows, cols, Norm.L2, oneway=(full.l_r, full.l_c)
+            )
+        assert not calls
+        assert given_costs == full and np.array_equal(given_grid, grid)
 
 
 class TestExactBiclustering:
