@@ -58,6 +58,10 @@ BOX_ROUNDING = 2.0**-40
 #: sides are at most this many lattice points.
 LEAF_SIDE = 4
 
+#: Largest lattice resolution :func:`grid_search_alpha` takes: the range its
+#: memory figures cover (see there).
+MAX_RESOLUTION = 20_000
+
 
 # ---------------------------------------------------------------------------
 # Per-block inequality and the lower bound.
@@ -499,6 +503,15 @@ class GridSearchResult:
         return self.lattice_best.objective
 
 
+def _check_resolution(resolution: int) -> None:
+    """Raise :class:`ValidationError` unless ``resolution`` is in
+    [2, ``MAX_RESOLUTION``]."""
+    if resolution < 2:
+        raise ValidationError("resolution must be >= 2")
+    if resolution > MAX_RESOLUTION:
+        raise ValidationError(f"resolution must be <= {MAX_RESOLUTION}, got {resolution}")
+
+
 def grid_search_alpha(resolution: int) -> GridSearchResult:
     """Maximize the ratio objective over the step-1/resolution lattice.
 
@@ -538,10 +551,9 @@ def grid_search_alpha(resolution: int) -> GridSearchResult:
     0.9% of the lattice's points at resolution 400, 0.3% at 1001 and
     0.002% at 20000.  Memory is not known to stay flat beyond that range:
     at resolution 10^14 a run was killed for lack of memory on an 8 GB
-    host.
+    host, so resolutions above ``MAX_RESOLUTION`` are refused.
     """
-    if resolution < 2:
-        raise ValidationError("resolution must be >= 2")
+    _check_resolution(resolution)
     res = resolution
     near = np.array([f(t * res) for t in (1.0 - math.sqrt(0.5), math.sqrt(0.5))
                      for f in (math.floor, math.ceil)])

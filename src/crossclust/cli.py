@@ -10,6 +10,10 @@ go to stderr.  Exit codes: 0 success, 2 I/O error, 3 validation error
 (usage errors and input whose costs overflow included), 4 enumeration cap
 exceeded, 5 certified-bound violation, failed check or failed internal
 check, 6 out of memory.
+
+``verify-bounds --resolution`` must be in [2, 20000]
+(``bounds.MAX_RESOLUTION``), the range over which the lattice search's
+memory was measured flat; any other value exits 3 before a battery runs.
 """
 
 from __future__ import annotations

@@ -7,13 +7,28 @@ a constant multiset costs exactly 0.  For an even-sized multiset every
 point of the closed median interval gives the same absolute-deviation
 sum; fixing the lower median just makes outputs deterministic.  The
 center is defined once, in ``_center`` (the lower median, selected at
-``_lower_median``), and every direct cost goes through
-``_columns_spread``; Lloyd's centers are the same ``_center``.  Both
-exact solvers run one search, ``_exact_search``: it scores blocks of
+``_lower_median``), and Lloyd's centers are the same ``_center``.  A
+direct cost takes one of three routes, each exact:
+
+* per-column spreads of a 2-D array, the one-way objectives among them
+  (but on 0/1 data under L1), go through ``_columns_spread``, centered by
+  ``_center``;
+* a multiset, a pooled block of ``block_costs`` or the values of
+  ``dissimilarity``, is priced flat by ``_multiset_spread``, with the
+  reductions ``_columns_spread`` makes of it as one column, in the same
+  order, so to the same bits (numpy sums a flat array and an (s, 1)
+  column pairwise alike);
+* on 0/1 data under L1 (``DataMatrix.is_binary``), ``block_costs``, the
+  one-way objectives and ``columnwise_cost`` of a ``DataMatrix`` count
+  ones with one-hot products: a group of s entries with o ones costs
+  min(o, s - o) (``_binary_l1``), the deviations from its lower median,
+  in integers exact below 2^53.
+
+Both exact solvers run one search, ``_exact_search``: it scores blocks of
 partitions, by the bitmask keys of their groups that the partition walk
-writes, from one table of block costs (``BatchCosts``), built from
-sums over the groups under L2 and under L1 on 0/1 data, and under L1 on
-real data from the same lower medians, read off sorted contiguous lanes
+writes, from one table of block costs (``BatchCosts``), built from sums
+over the groups under L2 and under L1 on 0/1 data, and under L1 on real
+data from the same lower medians, read off sorted contiguous lanes
 (``_median_table``), and picks the winner by one tie rule
 (``FirstMinimum``).  The pair search skips the partitions ruled out
 by the one-way lower bound, read off the same table (``_bounded_pairs``).
@@ -192,12 +207,13 @@ def _center(arr: np.ndarray, norm: Norm):
 
 def _columns_spread(arr, norm: Norm):
     """Sum over the columns of a 2-D array of the within-column
-    dissimilarity, the deviations of each column from its :func:`_center`;
-    a multiset is one column.  :class:`_Blocks` is a stack of blocks, whose
-    spreads come back as an array.  Under L1 a stack must be 0/1, and a
-    column of s cells with o ones costs min(o, s - o) (:func:`_binary_l1`),
-    counted exactly; under L2 its center is the sum of its s cells over s.
-    Padding costs nothing, and a constant column costs exactly 0."""
+    dissimilarity, the deviations of each column from its :func:`_center`,
+    taken in place and summed in one pass.  :class:`_Blocks` is a stack of
+    blocks, whose spreads come back as an array.  Under L1 a stack must be
+    0/1, and a column of s cells with o ones costs min(o, s - o)
+    (:func:`_binary_l1`), counted exactly; under L2 its center is the sum
+    of its s cells over s.  Padding costs nothing, and a constant column
+    costs exactly 0."""
     if isinstance(arr, _Blocks):
         values = arr.values
         if norm is Norm.L1:
@@ -206,16 +222,38 @@ def _columns_spread(arr, norm: Norm):
         center = values.sum(axis=1, keepdims=True) / arr.rows[:, :, None]
         dev = np.where(arr.valid & arr.varies(1), values - center, 0.0) ** 2
         return dev.sum(axis=(1, 2))
+    dev = arr - _center(arr, norm)
     if norm is Norm.L1:
-        dev = np.abs(arr - _center(arr, norm))
+        np.abs(dev, out=dev)
     else:
+        dev *= dev
         # a constant column must cost exactly 0; the computed mean of n equal
-        # values can round off the value itself (e.g. three 0.1s)
-        constant = (arr == arr[0]).all(axis=0)
-        dev = (arr - _center(arr, norm)) ** 2
-        if constant.any():
-            dev[:, constant] = 0.0
+        # values can round off the value itself (e.g. three 0.1s).  Its first
+        # and last entries are equal, which rules most columns out in one step
+        if (arr[0] == arr[-1]).any():
+            dev[:, (arr == arr[0]).all(axis=0)] = 0.0
     return float(dev.sum())
+
+
+def _multiset_spread(a: np.ndarray, norm: Norm) -> float:
+    """Dissimilarity of the 1-D array ``a`` as one multiset; it overwrites
+    ``a``.  The reductions are those :func:`_columns_spread` makes of ``a``
+    as one column, in the same order, so the cost has the same bits: the
+    mean is ``a.sum() / a.size``, the lower median is selected from a copy,
+    and the deviations, in place, are summed in one pass.  A constant
+    multiset costs exactly 0: under L2 by the test ``min == max``, made
+    only where the first and last entries are equal, and under L1 as its
+    median is its value."""
+    if norm is Norm.L2:
+        if a[0] == a[-1] and a.min() == a.max():
+            return 0.0
+        a -= a.sum() / a.size
+        a *= a
+    else:
+        mid = _lower_median(a.size)
+        a -= np.partition(a, mid)[mid]
+        np.abs(a, out=a)
+    return float(a.sum())
 
 
 def _counted_l1(blocks: _Blocks) -> np.ndarray:
@@ -230,10 +268,10 @@ def dissimilarity(values, norm: Norm) -> float:
     Zero iff all values are equal; raises on an empty multiset and on a
     non-finite value.
     """
-    v = _as_floats(values).reshape(-1, 1)
+    v = _as_floats(values, copy=True).ravel()
     if v.size == 0:
         raise ValidationError("dissimilarity of an empty multiset is undefined")
-    return _columns_spread(_require_finite(v), norm)
+    return _multiset_spread(_require_finite(v), norm)
 
 
 @overflow_guard
@@ -255,8 +293,13 @@ def columnwise_cost(y, norm: Norm) -> float:
     """Sum of per-column dissimilarities of a block.
 
     This is the contribution the block's rows would make to the
-    row-clustering objective if they formed a single cluster.
+    row-clustering objective if they formed a single cluster.  A 0/1
+    :class:`DataMatrix` under L1 counts each column's ones
+    (:func:`_binary_l1`); anything else goes through :func:`_columns_spread`.
     """
+    if norm is Norm.L1 and isinstance(y, DataMatrix) and y.is_binary:
+        v = y.values
+        return float(_binary_l1(v.sum(axis=0), v.shape[0]).sum())
     return _columns_spread(_values_of(y), norm)
 
 
@@ -267,20 +310,33 @@ def rowwise_cost(y, norm: Norm) -> float:
     return _columns_spread(arr.transposed() if isinstance(arr, _Blocks) else arr.T, norm)
 
 
-def _clusters_spread(vals: np.ndarray, part: Partition, norm: Norm) -> float:
-    """Sum of :func:`_columns_spread` over the row clusters of ``vals``."""
-    return sum(_columns_spread(vals[np.asarray(members)], norm) for members in part.clusters)
+def _clusters_spread(x: DataMatrix, vals: np.ndarray, part: Partition, norm: Norm) -> float:
+    """Sum of the column spreads of the row clusters of ``vals``, the
+    values of ``x`` or their transpose (see :func:`oneway_row_cost`)."""
+    if norm is Norm.L1 and x.is_binary:
+        members = _one_hot(part)
+        ones = members @ vals
+        return float(_binary_l1(ones, members.sum(axis=1, keepdims=True)).sum())
+    return sum(_columns_spread(vals.take(members, axis=0), norm) for members in part.clusters)
+
+
+def _one_hot(part: Partition) -> np.ndarray:
+    """(clusters, items) float 0/1 membership rows of ``part``'s clusters."""
+    return (np.arange(part.n_clusters)[:, None] == part.assignment).astype(float)
 
 
 @overflow_guard
 def oneway_row_cost(x: DataMatrix, rows: Partition, norm: Norm) -> float:
     """Row-clustering objective: for every row cluster and every column,
-    the dissimilarity of that cluster's slice of the column, summed."""
+    the dissimilarity of that cluster's slice of the column, summed.
+    On 0/1 data under L1 the ones of every slice are counted by one product
+    with the clusters' one-hot rows (:func:`_binary_l1`); otherwise each
+    cluster's rows are gathered once for :func:`_columns_spread`."""
     if rows.n_items != x.n_rows:
         raise ValidationError(
             f"row partition covers {rows.n_items} items, matrix has {x.n_rows} rows"
         )
-    return _clusters_spread(x.values, rows, norm)
+    return _clusters_spread(x, x.values, rows, norm)
 
 
 @overflow_guard
@@ -290,22 +346,30 @@ def oneway_col_cost(x: DataMatrix, cols: Partition, norm: Norm) -> float:
         raise ValidationError(
             f"column partition covers {cols.n_items} items, matrix has {x.n_cols} columns"
         )
-    return _clusters_spread(x.values.T, cols, norm)
+    return _clusters_spread(x, x.values.T, cols, norm)
 
 
 @overflow_guard
 def block_costs(x: DataMatrix, rows: Partition, cols: Partition, norm: Norm) -> np.ndarray:
     """Grid of per-block pooled costs of a (row partition, column
-    partition) pair, indexed by (row cluster label, column cluster label)."""
+    partition) pair, indexed by (row cluster label, column cluster label).
+    On 0/1 data under L1 the ones of every block are counted at once, by
+    products with both partitions' one-hot rows (:func:`_binary_l1`);
+    otherwise each row cluster's rows are gathered once, and each block's
+    entries, copied out in row-major order, are priced as one flat multiset
+    (:func:`_multiset_spread`)."""
     if rows.n_items != x.n_rows or cols.n_items != x.n_cols:
         raise ValidationError("partition lengths do not match matrix dimensions")
     vals = x.values
+    if norm is Norm.L1 and x.is_binary:
+        r, c = _one_hot(rows), _one_hot(cols)
+        return _binary_l1(r @ vals @ c.T, np.outer(r.sum(axis=1), c.sum(axis=1)))
     col_groups = [np.asarray(g) for g in cols.clusters]
-    grid = np.zeros((rows.n_clusters, len(col_groups)))
+    grid = np.empty((rows.n_clusters, len(col_groups)))
     for r, members in enumerate(rows.clusters):
-        sub = vals[np.asarray(members), :]
+        sub = vals.take(members, axis=0)
         for c, cidx in enumerate(col_groups):
-            grid[r, c] = _columns_spread(sub[:, cidx].reshape(-1, 1), norm)
+            grid[r, c] = _multiset_spread(sub.take(cidx, axis=1).ravel(), norm)
     return grid
 
 

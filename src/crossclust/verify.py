@@ -7,6 +7,7 @@ import numpy as np
 
 from .bounds import (
     PASS_TOL,
+    _check_resolution,
     _lower_bound_holds,
     analytic_optima,
     grid_search_alpha,
@@ -36,13 +37,14 @@ def verify_bounds(seed: int, count: int, resolution: int) -> list[dict]:
     stream seeded with ``seed``: the per-block inequality, the one-way lower
     bound against the oracle (on ``max(8, count // 8)`` matrices), swap
     descent and the squared-norm identity, ``count`` samples each, then the
-    ratio-constant search on the step-1/``resolution`` lattice.  Returns one
-    record per battery, in that order: ``name``, ``checks``, ``failures``
-    (plus ``alpha`` and ``lattice_alpha`` for the search) and ``passed``."""
+    ratio-constant search on the step-1/``resolution`` lattice, whose
+    resolution in [2, ``MAX_RESOLUTION``] is checked before any battery
+    runs.  Returns one record per battery, in that order: ``name``,
+    ``checks``, ``failures`` (plus ``alpha`` and ``lattice_alpha`` for the
+    search) and ``passed``."""
     if count < 1:
         raise ValidationError("count must be >= 1")
-    if resolution < 2:
-        raise ValidationError("resolution must be >= 2")
+    _check_resolution(resolution)
     rng = SplitMix64(seed)
     batteries = [
         _tally("per-block inequality", _battery_per_block(rng, count)),

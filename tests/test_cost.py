@@ -10,16 +10,20 @@ from crossclust import (
     DataMatrix,
     Norm,
     Partition,
+    SolverMode,
     ValidationError,
     biclustering_cost,
     certificate_bound,
     columnwise_cost,
     dissimilarity,
+    exact_biclustering,
     oneway_col_cost,
     oneway_row_cost,
     pooled_cost,
     random_real_matrix,
+    ratio,
     rowwise_cost,
+    run_scheme,
     worst_case_matrix,
 )
 
@@ -121,6 +125,10 @@ class TestDissimilarity:
         assert columnwise_cost([[0.1, 2.0]] * 3, Norm.L2) == pooled_cost(
             [[2.0, 2.0]] * 3, Norm.L2
         ) == 0.0
+        # a pooled block of six 0.1s, priced as a flat multiset
+        x = DataMatrix([[0.1, 0.1, 2.0], [0.1, 0.1, 5.0], [0.1, 0.1, 3.0]])
+        grid = block_costs(x, Partition((0, 0, 0), 1), Partition((0, 0, 1), 2), Norm.L2)
+        assert grid[0, 0] == 0.0 and grid[0, 1] > 0.0
 
 
 class TestBlockCosts:
@@ -168,7 +176,7 @@ def bits(value: float) -> bytes:
 
 class TestOneKernel:
     """Every direct cost runs one kernel per norm: the L1 lower median found
-    by selection, and a multiset priced as one column."""
+    by selection, and a multiset priced with the reductions of one column."""
 
     @given(small_matrix(6, 6, entries=st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 3.0])),
            st.integers(0, 2**32 - 1))
@@ -214,6 +222,124 @@ class TestOneKernel:
         x = DataMatrix(v[:, None])
         one = Partition((0,), 1)
         assert bits(block_costs(x, Partition((0,) * n, 1), one, Norm.L2)[0, 0]) == expected
+
+
+def _reference_columns(arr: np.ndarray, norm: Norm) -> float:
+    """The direct formula for the summed column spreads of a 2-D ``arr``:
+    per-column centers (the mean as the column sum over its count, or the
+    lower median selected from a contiguous lane), the deviations of the
+    whole array, a constant column zeroed under L2, and one sum."""
+    if norm is Norm.L2:
+        constant = (arr == arr[0]).all(axis=0)
+        dev = (arr - arr.sum(axis=0) / arr.shape[0]) ** 2
+        dev[:, constant] = 0.0
+    else:
+        lanes = arr.T.copy()
+        mid = (arr.shape[0] - 1) // 2
+        lanes.partition(mid, axis=1)
+        dev = np.abs(arr - lanes[:, mid])
+    return float(dev.sum())
+
+
+def _reference_costs(v: np.ndarray, rows: Partition, cols: Partition, norm: Norm):
+    """Block grid, row and column objectives and columnwise cost of ``v``,
+    each block and each cluster priced on its own by :func:`_reference_columns`:
+    a pooled block as one column of its entries in row-major order."""
+    grid = np.array([[_reference_columns(v[np.ix_(r, c)].reshape(-1, 1), norm)
+                      for c in map(list, cols.clusters)] for r in map(list, rows.clusters)])
+    l_r = sum(_reference_columns(v[list(r)], norm) for r in rows.clusters)
+    l_c = sum(_reference_columns(v.T[list(c)], norm) for c in cols.clusters)
+    return grid, l_r, l_c, _reference_columns(v, norm)
+
+
+#: Input classes of the direct routes: 0/1 with zeros of both signs, small
+#: integers full of ties, 0.1s whose computed mean rounds off the value,
+#: uniform and planted reals, reals shifted by 1e7, and reals scaled by 2^-40
+#: or 2^40.
+DIRECT_CLASSES = ("binary", "ties", "tenths", "uniform", "planted", "shifted", "scaled")
+
+
+def _direct_input(kind: str, n: int, m: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "binary":
+        v = rng.integers(0, 2, size=(n, m)).astype(float)
+        return np.where((v == 0.0) & (rng.random((n, m)) < 0.5), -0.0, v)
+    if kind == "ties":
+        return rng.integers(0, 4, size=(n, m)).astype(float)
+    if kind == "tenths":
+        return np.where(rng.random((n, m)) < 0.2, 0.7, 0.1)
+    if kind == "planted":
+        means = rng.normal(size=(2, 2)) * 5.0
+        planted = means[rng.integers(0, 2, size=n)][:, rng.integers(0, 2, size=m)]
+        return planted + rng.normal(size=(n, m))
+    v = rng.random((n, m))
+    if kind == "shifted":
+        return v + 1e7
+    if kind == "scaled":
+        return rng.standard_normal((n, m)) * 2.0 ** rng.choice([-40, 40])
+    return v
+
+
+def _labels(t: int, k: int, seed: int) -> Partition:
+    return Partition.from_labels(np.random.default_rng(seed).integers(0, k, size=t).tolist(), k)
+
+
+class TestDirectRoutes:
+    """The direct costs of a matrix and a pair of partitions equal, bit for
+    bit, the formula priced block by block and cluster by cluster: pooled
+    blocks as flat multisets, and 0/1 data under L1 by counting ones."""
+
+    def _check(self, v, rows, cols, norm):
+        x = DataMatrix(v)
+        grid, l_r, l_c, whole = _reference_costs(v, rows, cols, norm)
+        got = block_costs(x, rows, cols, norm)
+        assert np.array_equal(got, grid) and got.tobytes() == grid.tobytes()
+        assert bits(oneway_row_cost(x, rows, norm)) == bits(l_r)
+        assert bits(oneway_col_cost(x, cols, norm)) == bits(l_c)
+        assert bits(columnwise_cost(x, norm)) == bits(whole)
+        assert bits(columnwise_cost(v, norm)) == bits(whole)
+
+    @given(st.sampled_from(DIRECT_CLASSES), st.integers(1, 9), st.integers(1, 9),
+           st.integers(1, 4), st.integers(1, 4), st.sampled_from([Norm.L1, Norm.L2]),
+           st.integers(0, 2**32 - 1))
+    @example("tenths", 6, 1, 1, 1, Norm.L2, 6)  # six 0.1s, whose computed mean is not 0.1
+    @example("binary", 9, 9, 4, 4, Norm.L1, 1)
+    @settings(max_examples=400, deadline=None)
+    def test_equal_the_per_block_formula_bit_for_bit(self, kind, n, m, k_r, k_c, norm, seed):
+        v = _direct_input(kind, n, m, seed)
+        rows = _labels(n, min(k_r, n), seed + 1)
+        cols = _labels(m, min(k_c, m), seed + 2)
+        self._check(v, rows, cols, norm)
+
+    @pytest.mark.parametrize("kind", ["binary", "tenths", "planted", "shifted"])
+    @pytest.mark.parametrize("norm", [Norm.L1, Norm.L2])
+    def test_large_blocks_equal_the_formula_bit_for_bit(self, kind, norm):
+        # blocks of thousands of entries, where the sums run pairwise in
+        # several blocks of numpy's reduction
+        v = _direct_input(kind, 300, 40, 7)
+        self._check(v, _labels(300, 3, 8), _labels(40, 2, 9), norm)
+        self._check(v, Partition((0,) * 300, 1), Partition((0,) * 40, 1), norm)
+
+    @pytest.mark.parametrize("k_r, k_c", [(1, 1), (2, 3), (3, 2)])
+    def test_binary_l1_scheme_and_oracle_select_no_median(self, monkeypatch, k_r, k_c):
+        calls = []
+        center = cost._center
+
+        def spy(arr, norm):
+            calls.append(norm)
+            return center(arr, norm)
+
+        monkeypatch.setattr(cost, "_center", spy)
+        x = DataMatrix(_direct_input("binary", 6, 5, 3))
+        assert x.is_binary
+        run_scheme(x, k_r, k_c, Norm.L1, SolverMode.exact())
+        exact_biclustering(x, k_r, k_c, Norm.L1)
+        ratio(x, k_r, k_c, Norm.L1)
+        assert calls == []
+        # the spy sees the medians of real data
+        real = DataMatrix(_direct_input("uniform", 6, 5, 3))
+        oneway_row_cost(real, Partition((0,) * 6, 1), Norm.L1)
+        assert calls == [Norm.L1]
 
 
 class TestOnewayCosts:

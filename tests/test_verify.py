@@ -21,7 +21,7 @@ from crossclust import (
     random_real_matrix,
     verify_bounds,
 )
-from crossclust.bounds import PASS_TOL
+from crossclust.bounds import MAX_RESOLUTION, PASS_TOL, grid_search_alpha
 from crossclust import cost, verify
 from crossclust.cost import _lower_bound_costs, _stacked
 from crossclust.cli import main
@@ -102,6 +102,29 @@ def test_resolution_is_checked_before_any_battery(monkeypatch, capsys):
     assert main(["verify-bounds", "--resolution", "1"]) == 3
     assert "resolution must be >= 2" in capsys.readouterr().err
     assert ran == []
+
+
+def test_resolution_above_the_limit_exits_3_before_any_battery(monkeypatch, capsys):
+    # the lattice search's memory is vouched for up to MAX_RESOLUTION only;
+    # far above it a run exhausts the host's memory, so it is never run here
+    ran = []
+    for name in ("_battery_per_block", "_battery_lower_bound", "_battery_swaps",
+                 "_battery_l2_identity"):
+        monkeypatch.setattr(verify, name, lambda *args, name=name: ran.append(name) or [])
+    assert MAX_RESOLUTION == 20_000
+    assert main(["verify-bounds", "--resolution", "20001"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: resolution must be <= 20000, got 20001"]
+    assert captured.out == ""
+    assert ran == []
+    with pytest.raises(ValidationError, match="resolution must be <= 20000"):
+        grid_search_alpha(MAX_RESOLUTION + 1)
+
+
+def test_resolution_at_the_limit_runs(capsys):
+    assert main(["verify-bounds", "--count", "1", "--resolution", "20000"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["resolution"] == 20_000 and report["passed"] is True
 
 
 #: One matrix as the lower-bound battery draws it: 2-5 rows and columns,

@@ -29,7 +29,10 @@ literal 60x3 matrix at k=4 with one far cluster that settles while the
 others still trade rows; ``run --mode heuristic`` under L1 on a literal
 600x3 matrix whose columns tie -0.0 and 0.0 at their medians; ``run`` and
 ``ratio`` under L1 on a 0/1 CSV written with
-``-0``, ``0.0`` and ``1.0`` fields, which must be detected binary;
+``-0``, ``0.0`` and ``1.0`` fields, which must be detected binary, and
+``run --mode heuristic`` on it, whose L1 costs are counted; ``run --mode
+exact`` and ``ratio`` under L2 on a literal matrix of constant blocks,
+one of six 0.1s whose computed mean rounds off;
 ``run``, ``exact`` and ``ratio`` as CSV, on that 0/1 CSV under L1 and the
 7x7 real matrix under L2, and on a missing ``--input`` path (an I/O
 error); plus ``sweep`` and ``verify-bounds`` as CSV, ``verify-bounds``
@@ -158,13 +161,19 @@ ZERO_ONE_TEXT = {
 }
 
 
+#: A literal input of four constant blocks at k=2,2, one of them six 0.1s,
+#: whose computed mean rounds off 0.1: the flat pricing of a pooled block
+#: must cost it exactly 0, and with it the scheme's and the oracle's L.
+TENTHS_5X4 = {"tenths_5x4.csv": [[0.1, 0.1, 5.0, 5.0]] * 3 + [[9.0, 9.0, 2.0, 2.0]] * 2}
+
+
 def _edge_ops() -> list[dict]:
     """``exact``, ``ratio`` and ``run --mode exact`` on every input class,
     one-cluster axes included, then the other commands and the overflow
     ops.  ``inputs`` are ``[generator, rows, cols, seed, shift]`` as in
     ``bench/spec``; ``literals`` name files of :data:`OVERFLOW_MATRICES`,
     :data:`MATRICES_8X8`, :data:`MEDIANS_7X7`, :data:`TIES_12X4`, :data:`REPAIR_MATRICES`,
-    :data:`LLOYD_MATRICES` and :data:`ZERO_ONE_TEXT`."""
+    :data:`LLOYD_MATRICES`, :data:`ZERO_ONE_TEXT` and :data:`TENTHS_5X4`."""
     classes = (("binary", "l1", 0), ("real", "l1", 0), ("real", "l2", 0), ("real", "l2", SHIFT))
     shapes = (
         (5, 6, ((1, 3), (3, 1), (1, 1), (2, 2))),
@@ -283,6 +292,21 @@ def _edge_ops() -> list[dict]:
             "inputs": {},
             "literals": {"x": "zero_one_text.csv"},
         })
+    # 0/1 L1 costs counted from ones: Lloyd's restart costs and the crossing
+    ops.append({
+        "key": "edge/heuristic/zero_one_text_l1",
+        "argv": ["run", "--mode", "heuristic", "--input", "{x}", "--norm", "l1"],
+        "inputs": {},
+        "literals": {"x": "zero_one_text.csv"},
+    })
+    # a constant block of 0.1s in the scheme's crossing and the oracle's winner
+    for cmd in (["run", "--mode", "exact"], ["ratio"]):
+        ops.append({
+            "key": f"edge/{cmd[0]}/tenths_5x4_l2",
+            "argv": cmd + ["--input", "{x}", "--norm", "l2"],
+            "inputs": {},
+            "literals": {"x": "tenths_5x4.csv"},
+        })
     # the input commands as CSV, on 0/1 data (integer costs) and real data,
     # and on an input path that does not exist
     for cmd in ("run", "exact", "ratio"):
@@ -369,7 +393,7 @@ def _child(src: Path, out: Path, pools: list[str]) -> None:
     workdir = Path("inputs")  # relative, so both trees print the same input paths
     workdir.mkdir()
     literal = {**OVERFLOW_MATRICES, **MATRICES_8X8, **MEDIANS_7X7, **TIES_12X4,
-               **REPAIR_MATRICES, **LLOYD_MATRICES}
+               **REPAIR_MATRICES, **LLOYD_MATRICES, **TENTHS_5X4}
     for name, rows in literal.items():
         # repr round-trips every float exactly, as in bench/common.write_inputs
         text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
