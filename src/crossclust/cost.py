@@ -28,10 +28,11 @@ Both exact solvers run one search, ``_exact_search``: it scores blocks of
 partitions, by the bitmask keys of their groups that the partition walk
 writes, from one table of block costs (``BatchCosts``), built from sums
 over the groups under L2 and under L1 on 0/1 data, and under L1 on real
-data from the same lower medians, read off sorted contiguous lanes
-(``_median_table``), and picks the winner by one tie rule
-(``FirstMinimum``).  The pair search skips the partitions ruled out
-by the one-way lower bound, read off the same table (``_bounded_pairs``).
+data from the same lower medians: a block's entries, in one contiguous
+lane, are sorted and priced by one signed sum (``_median_table``).  It
+picks the winner by one tie rule (``FirstMinimum``).  The pair search
+skips the partitions ruled out by the one-way lower bound, read off the
+same table (``_bounded_pairs``).
 
 On top of the multiset measure three aggregate costs are defined for a
 matrix with a row partition and/or a column partition:
@@ -435,11 +436,14 @@ class BatchCosts:
       of its ones and its zeros (:func:`_binary_l1`), from the same
       products.
     * Under L1 on real data a block's cost needs its median, which no sum
-      gives.  Per (row-group size, column-group size) bucket, the entries
-      of every block are copied into the last axis of one array, where
-      they sit contiguous; each such lane is sorted in place, and its
-      lower median (:func:`_lower_median`, as in :func:`_center`) and
-      sum of absolute deviations are read along that axis.
+      gives.  The data is first centered on the lower median of all its
+      entries (with ``k_c``) or of each column (without), the centers
+      ``scale`` is taken about.  Per (row-group size, column-group size)
+      bucket, the entries of every block are copied into the last axis of
+      one array, where they sit contiguous; each such lane is sorted in
+      place, and its sum of absolute deviations from its lower median
+      (:func:`_lower_median`, as in :func:`_center`) is one signed sum of
+      its sorted entries (:func:`_lanes_spread`).
 
     A group is keyed by its bitmask (item i is bit i), in integers.  With
     ``k == 1`` the one group holds item 0 and is keyed by that item alone,
@@ -474,16 +478,26 @@ class BatchCosts:
     evaluation, so where it is 0 the two are equal:
 
     * binary L1: 0, as both are exact integers.
-    * L1 on real data: every cost is a sum of n*m deviations from data
-      values, each rounded once, and the two differ only in the order of
-      that sum.  So they are within n*m*eps times the cost, which is at
-      most ``scale``; ``err`` is 4x that bound.
+    * L1 on real data: the direct cost is a sum of n*m deviations from
+      data values, each rounded once, so within n*m*u of the exact cost
+      (u = eps/2), which is at most ``scale``.  The batched one is
+      rounded twice.  Centering rounds each y - c within u*|y - c|, and
+      an L1 cost moves by at most the sum of its entries' moves, so the
+      exact costs of the centered data are within u*``scale`` of the
+      data's (rounding is monotone, so the centered entries also sort as
+      the data do).  Then a partition's cost is a signed sum of its n*m
+      centered entries y', by +-1 and 0, exact products, summed in lanes,
+      over a block's columns and over the partition's blocks; in any order
+      such a sum is within (n*m - 1)*u times the sum of the |y'|
+      (Higham, 2002, ch. 4), which ``scale`` is, as it is taken about the
+      same centers.  So to first order the two costs are within
+      n*m*eps*``scale``; ``err`` is 4x that bound.
     * L2: an a-priori rounding bound of the sums, the squares and the
       subtraction, 4(nm+n+m+4)*eps times the centered data's sum of
       squares, plus the drift of the direct path, which does not center.
       There a group of s entries, each at most M in magnitude, has its mean
-      rounded by delta <= s*u*M to first order (u = eps/2; a sum of s
-      terms, then a division), and the computed cost exceeds the exact one
+      rounded by delta <= s*u*M to first order (a sum of s terms, then a
+      division), and the computed cost exceeds the exact one
       by s*delta^2, since the cross term vanishes around the exact mean.
       That error does not scale with the cost.  The group sizes of one
       partition add up to n*m, so over its groups the drift is at most
@@ -516,6 +530,9 @@ class BatchCosts:
             self._table = _sum_table(v, row_groups, col_groups, pooled, l2=False)
             self.err = 0.0
         else:
+            # centered on the lower median of all entries, or of each column:
+            # the centers ``scale`` is taken about
+            v = v - _center(v.reshape(-1, 1) if pooled else v, norm)
             if pooled:
                 col_buckets = _size_buckets(m, k_c == 1)
             else:  # one bucket: the one group of all m columns
@@ -698,10 +715,10 @@ def _median_table(
     along the rows makes (G_c, G_r, a, b) lanes, each block's a*b entries
     last and contiguous.  Not pooled, the copy is (G_c, b, n) and the
     lanes (G_c, b, G_r, a): each of a block's columns is a lane.  Every
-    lane is sorted in place; its lower median (:func:`_lower_median`) is
-    read, and the absolute deviations from it are summed along the
-    lane.  Copies and lanes are made in chunks of at most
-    ``BATCH_ENTRIES`` entries."""
+    lane is sorted in place and priced by :func:`_lanes_spread`, its
+    absolute deviations from its lower median (:func:`_lower_median`)
+    as one product with signs.  Copies and lanes are made in chunks of
+    at most ``BATCH_ENTRIES`` entries."""
     n = v.shape[0]
     table = np.zeros(shape)
     for b, col_ids, col_items in col_buckets:
@@ -724,10 +741,24 @@ def _median_table(
 
 def _lanes_spread(lanes: np.ndarray) -> np.ndarray:
     """Sum of absolute deviations from the lower median along the last
-    axis of ``lanes``, which it sorts and overwrites."""
+    axis of the contiguous ``lanes``, which it sorts in place: one product
+    of the sorted lanes with :func:`_median_signs`."""
+    size = lanes.shape[-1]
     lanes.sort(axis=-1)
-    lanes -= lanes[..., [_lower_median(lanes.shape[-1])]]
-    return np.abs(lanes, out=lanes).sum(axis=-1)
+    return (lanes.reshape(-1, size) @ _median_signs(size)).reshape(lanes.shape[:-1])
+
+
+@lru_cache(maxsize=64)
+def _median_signs(size: int) -> np.ndarray:
+    """Read-only signs whose product with a sorted lane of ``size`` values
+    is the sum of their absolute deviations from its lower median m: -1
+    before m, +1 after it, and at m -1 for an even size, where one more
+    value lies after m than before it, and 0 for an odd one."""
+    mid = _lower_median(size)
+    signs = np.where(np.arange(size) > mid, 1.0, -1.0)
+    signs[mid] = -1.0 if size % 2 == 0 else 0.0
+    signs.setflags(write=False)
+    return signs
 
 
 class FirstMinimum:
@@ -863,7 +894,8 @@ def _bounded_pairs(
     * L1 on real data: a center is a data value, so a direct cost is a sum
       of at most n*m deviations, each rounded once, and within n*m*u of
       the cost; the two together are within n*m*eps*scale, a quarter of
-      ``err``.
+      ``err``.  The batched cost's own rounding, centering included, is
+      the first ``err``, as :class:`BatchCosts` derives it.
     * L2: the exact mean minimizes a group's spread, so a rounded one only
       raises it, and the pair's cost is rounded down by at most (n*m + 2)*u
       relative, in the squares and the sums.  That of (R, F) is rounded up

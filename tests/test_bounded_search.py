@@ -153,6 +153,52 @@ class TestTableBounds:
             assert score.err > 1.0  # wider than the costs compared, which are a few units
 
 
+class TestMarginsUnderFaults:
+    """``_bounded_pairs``' margins, against batched costs moved as far as
+    ``err`` allows, signed against the search: each one-way bound raised,
+    and each scored cost, the incumbent's among them, lowered, by a seeded
+    fraction of ``err``.  Under L2 shifted by 1e9 ``err`` is 30-230x the
+    tie tolerance, so only the margins keep the winner.
+
+    Without the ``2 * score.err`` of the pruning margin some of these
+    searches lose the winner, or every partition.  Without the incumbent's
+    ``+ score.err`` (or half the pruning margin) none does, and no fault of
+    the batched costs can make one: with the bounds raised and the
+    incumbent lowered by ``err`` each, the ``2 * err`` left still drops only
+    a partition whose direct one-way cost is above the incumbent's direct
+    cost by more than the tie tolerance.  The third ``err`` covers the
+    direct costs' own rounding, which is not faulted here."""
+
+    @pytest.mark.parametrize("n, m, k_r, k_c", [(5, 3, 2, 3), (6, 3, 3, 3), (6, 2, 2, 2),
+                                                (5, 4, 3, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_naive_winner_and_cost(self, n, m, k_r, k_c, seed):
+        rows = (random_real_matrix(n, m, seed).values + 1e9).tolist()
+        x = DataMatrix(rows)
+        plain = BatchCosts(x, Norm.L2, k_r, k_c)
+        assert plain.err > 30 * TIE_RTOL * plain.scale
+        rng = np.random.default_rng(seed)
+        call, bounds = BatchCosts.__call__, cost._oneway_bounds
+
+        def lowered(self, keys, cols=slice(None)):
+            costs = call(self, keys, cols)
+            return costs - self.err * rng.uniform(0.0, 1.0, costs.shape)
+
+        def raised(x, k, k_c, score):
+            return tuple(b + score.err * rng.uniform(0.0, 1.0, b.shape)
+                         for b in bounds(x, k, k_c, score))
+
+        with patch.object(BatchCosts, "__call__", lowered), \
+                patch.object(cost, "_oneway_bounds", raised), _batch_entries(1) as calls:
+            opt = exact_biclustering(x, k_r, k_c, Norm.L2)
+        assert len(calls) == 1
+        (labels_r, labels_c), best = exact_biclustering_argmin_naive(
+            rows, k_r, k_c, "l2", TIE_RTOL
+        )
+        assert (opt.rows.assignment, opt.cols.assignment) == (labels_r, labels_c)
+        assert opt.cost == pytest.approx(float(best), rel=1e-12)
+
+
 class TestOneTablePerCall:
     @staticmethod
     def _count(run):

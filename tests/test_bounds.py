@@ -3,6 +3,7 @@ bound, squared-norm identity, majority blocks, swaps, and the ratio
 constant search."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -572,7 +573,73 @@ class TestStacks:
                     check(y)
 
 
+#: Per case, a point on the boundary of one of its constraints, the
+#: coordinate and the 1e-7 step that take it outside, and the constraint as
+#: its error names it: ``CONSTRAINT_TOL`` (1e-9) must reject the step.
+#: Case i has no point on x <= 1, y <= 1 or d <= (1-x)*(1-y): there
+#: a + b + c = x + y - xy, which is 1 at x = 1 or y = 1, and 1 - d with d
+#: at its bound, above the sum's 1/2.
+_I = (0.25, 0.25, 0.0625, 0.1875, 0.1875, 0.0)
+_II = (0.25, 0.25, 0.0625, 0.0, 0.0, 0.0)
+_III = (0.5, 0.5, 0.25, 0.0, 0.0, 0.0)
+BOUNDARY_POINTS = [
+    ("i", (0.0, 0.25, 0.0, 0.0, 0.25, 0.0), "x", -1e-7, "x in [0, 1]"),
+    ("i", (0.25, 0.0, 0.0, 0.25, 0.0, 0.0), "y", -1e-7, "y in [0, 1]"),
+    ("i", (0.0, 0.25, 0.0, 0.0, 0.25, 0.0), "a", -1e-7, "a >= 0"),
+    ("i", (0.0, 0.25, 0.0, 0.0, 0.25, 0.0), "b", -1e-7, "b >= 0"),
+    ("i", (0.25, 0.0, 0.0, 0.25, 0.0, 0.0), "c", -1e-7, "c >= 0"),
+    ("i", _I, "d", -1e-7, "d >= 0"),
+    ("i", (0.25, 0.25, 0.0625, 0.1875, 0.1875, 0.0625), "d", 1e-7, "a+b+c+d <= 1/2"),
+    ("i", _I, "a", 1e-7, "a = x*y"),
+    ("i", _I, "a", -1e-7, "a = x*y"),
+    ("i", _I, "b", 1e-7, "b = x*(1-y)"),
+    ("i", _I, "b", -1e-7, "b = x*(1-y)"),
+    ("i", _I, "c", 1e-7, "c = (1-x)*y"),
+    ("i", _I, "c", -1e-7, "c = (1-x)*y"),
+    ("ii", (0.0, 0.25, 0.0, 0.0, 0.0, 0.0), "x", -1e-7, "x in [0, 1]"),
+    ("ii", (1.0, 0.25, 0.25, 0.0, 0.0, 0.0), "x", 1e-7, "x in [0, 1]"),
+    ("ii", (0.25, 0.0, 0.0, 0.0, 0.0, 0.0), "y", -1e-7, "y in [0, 1]"),
+    ("ii", (0.25, 1.0, 0.25, 0.0, 0.0, 0.0), "y", 1e-7, "y in [0, 1]"),
+    ("ii", (0.0, 0.25, 0.0, 0.0, 0.0, 0.0), "a", -1e-7, "a >= 0"),
+    ("ii", _II, "b", -1e-7, "b >= 0"),
+    ("ii", _II, "c", -1e-7, "c >= 0"),
+    ("ii", _II, "d", -1e-7, "d >= 0"),
+    ("ii", (0.5, 0.5, 0.25, 0.25, 0.0, 0.0), "c", 1e-7, "a+b+c+d <= 1/2"),
+    ("ii", _II, "a", 1e-7, "a = x*y"),
+    ("ii", _II, "a", -1e-7, "a = x*y"),
+    ("ii", (0.25, 0.25, 0.0625, 0.1875, 0.0, 0.0), "b", 1e-7, "b <= x*(1-y)"),
+    ("ii", (0.25, 0.25, 0.0625, 0.0, 0.1875, 0.0), "c", 1e-7, "c <= (1-x)*y"),
+    ("ii", _II, "d", 1e-7, "d = 0"),
+    ("iii", (0.0, 0.5, 0.0, 0.0, 0.0, 0.0), "x", -1e-7, "x in [0, 1]"),
+    ("iii", (1.0, 0.5, 0.0, 0.0, 0.0, 0.0), "x", 1e-7, "x in [0, 1]"),
+    ("iii", (0.5, 0.0, 0.0, 0.0, 0.0, 0.0), "y", -1e-7, "y in [0, 1]"),
+    ("iii", (0.5, 1.0, 0.0, 0.0, 0.0, 0.0), "y", 1e-7, "y in [0, 1]"),
+    ("iii", (0.5, 0.5, 0.0, 0.0, 0.0, 0.0), "a", -1e-7, "a >= 0"),
+    ("iii", _III, "b", -1e-7, "b >= 0"),
+    ("iii", _III, "c", -1e-7, "c >= 0"),
+    ("iii", _III, "d", -1e-7, "d >= 0"),
+    ("iii", (1.0, 1.0, 0.5, 0.0, 0.0, 0.0), "a", 1e-7, "a+b+c+d <= 1/2"),
+    ("iii", _III, "a", 1e-7, "a <= x*y"),
+    ("iii", _III, "b", 1e-7, "b = 0"),
+    ("iii", _III, "c", 1e-7, "c = 0"),
+    ("iii", _III, "d", 1e-7, "d = 0"),
+]
+
+
 class TestAlphaObjective:
+    @pytest.mark.parametrize("case, point, coord, step, what", BOUNDARY_POINTS)
+    def test_a_point_1e7_outside_a_constraint_is_rejected(self, case, point, coord, step, what):
+        def moved(by):
+            coords = list(point)
+            coords["xyabcd".index(coord)] += by
+            return coords
+
+        # on the boundary, and 1e-10 outside, within CONSTRAINT_TOL: accepted
+        make_alpha_point(*point, case)
+        make_alpha_point(*moved(step / 1000), case)
+        with pytest.raises(ValidationError, match=re.escape(f"constraint {what} violated")):
+            make_alpha_point(*moved(step), case)
+
     def test_dense_corner_optimum(self):
         x = math.sqrt(0.5)
         p = make_alpha_point(x, x, x * x, 0.0, 0.0, 0.0, "ii")

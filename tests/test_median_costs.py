@@ -26,6 +26,7 @@ from crossclust.cost import (
     columnwise_cost,
     pooled_cost,
 )
+from crossclust.model import label_table, partition_count
 
 from oracles import exact_biclustering_argmin_naive, exact_oneway_argmin_naive
 
@@ -100,6 +101,73 @@ class TestWithinErrorBound:
         table = BatchCosts(x, Norm.L1, 2, 2)
         assert table.err == 0.0
         assert not table(_keys(rows, 2)).any()
+
+
+@st.composite
+def far_matrices(draw):
+    """Real matrices of 1 to 6 rows and columns, so lanes of odd and even
+    length: uniform, or quarters with one -0.0 entry, whose medians tie;
+    scaled by 2^-40, 1 or 2^40, then moved by 0, +-1e7 or +-1e12."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        values = _uniform(n, m, seed)
+    else:
+        values = _quarters(n, m, seed)
+        values.flat[draw(st.integers(0, n * m - 1))] = -0.0
+    values = values * draw(st.sampled_from([2.0**-40, 1.0, 2.0**40]))
+    offset = draw(st.sampled_from([0.0, 1e7, -1e7, 1e12, -1e12]))
+    if offset:  # -0.0 + 0.0 would be 0.0
+        values = values + offset
+    x = DataMatrix(values)
+    assume(not x.is_binary)
+    return x
+
+
+def _some(parts, rng, size=6):
+    """Up to ``size`` of ``parts``, the first and last among them."""
+    picked = {0, len(parts) - 1, *rng.integers(0, len(parts), size - 2).tolist()}
+    return [parts[i] for i in sorted(picked)]
+
+
+class TestSignedLanes:
+    """The real-L1 tables, built on median-centered data, each sorted lane
+    priced by one product with signs (``cost._lanes_spread``), against the
+    direct costs, far from 0 and at extreme scales.  Mutants of the kernel
+    that these tests kill: building on the uncentered data (all three);
+    centering a pooled table per column (the pooled property); a median
+    sign of 0 on even lanes, or of -1 on odd ones, and lanes left unsorted
+    (both properties)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(far_matrices(), st.integers(1, 3), st.sampled_from([1, 2, 3]),
+           st.integers(0, 2**32 - 1))
+    def test_pooled_within_err_of_block_costs(self, x, k_r, k_c, seed):
+        k_r, k_c = min(k_r, x.n_rows), min(k_c, x.n_cols)
+        rng = np.random.default_rng(seed)
+        rows = _some(list(enumerate_partitions(x.n_rows, k_r)), rng)
+        cols = _some(list(range(partition_count(x.n_cols, k_c))), rng)
+        labels = label_table(x.n_cols, k_c)
+        table = BatchCosts(x, Norm.L1, k_r, k_c)
+        direct = [block_costs(x, r, Partition(tuple(labels[j].tolist()), k_c), Norm.L1).sum()
+                  for r in rows for j in cols]
+        assert np.abs(table(_keys(rows, k_r), cols) - direct).max() <= table.err
+
+    @settings(max_examples=200, deadline=None)
+    @given(far_matrices(), st.integers(1, 3))
+    def test_oneway_within_err_of_oneway_row_cost(self, x, k):
+        k = min(k, x.n_rows)
+        parts = list(enumerate_partitions(x.n_rows, k))
+        table = BatchCosts(x, Norm.L1, k)
+        direct = [oneway_row_cost(x, p, Norm.L1) for p in parts]
+        assert np.abs(table(_keys(parts, k)) - direct).max() <= table.err
+
+    @pytest.mark.parametrize("k_c", [None, 1, 2, 3])
+    @pytest.mark.parametrize("value", [0.1, -1e12 - 0.25, 3 * 2.0**40, 3 * 2.0**-40])
+    def test_constant_matrix_table_is_exactly_zero(self, value, k_c):
+        table = BatchCosts(_real(np.full((5, 4), value)), Norm.L1, 3, k_c)
+        assert table.err == 0.0
+        assert not table._table.any()
 
 
 class TestTableBuild:

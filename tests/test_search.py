@@ -24,7 +24,7 @@ from crossclust import (
     run_scheme,
     worst_case_matrix,
 )
-from crossclust import cost
+from crossclust import cost, search
 
 from oracles import exact_biclustering_naive
 
@@ -251,6 +251,17 @@ class TestRatio:
         assert rep.l_star == pytest.approx(0.0, abs=1e-12)
         assert rep.l == pytest.approx(0.0, abs=1e-12)
         assert rep.ratio == 1.0
+
+    @pytest.mark.parametrize("excess, certified", [(1e-7, False), (1e-10, True)])
+    def test_certificate_slack(self, excess, certified):
+        # a ratio above alpha by at most RATIO_SLACK (1e-9) is certified, and
+        # one 1e-7 above it is not
+        x = random_real_matrix(5, 4, seed=3)
+        value = ratio(x, 2, 2, Norm.L2).ratio
+        with patch.object(search, "certificate_bound", lambda norm, is_binary: value - excess):
+            rep = ratio(x, 2, 2, Norm.L2)
+        assert (rep.ratio, rep.alpha_bound) == (value, value - excess)
+        assert rep.certified is certified
 
     def test_report_metadata(self):
         x = random_binary_matrix(4, 5, 0.5, seed=9)

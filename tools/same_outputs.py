@@ -17,7 +17,10 @@ and, under both norms, a literal small-integer matrix full of ties and a
 literal one whose columns are shifted by different powers of ten;
 ``exact`` and ``ratio`` under real L1 at 7x7, k=2,2 and k=3,3, on a
 literal matrix of repeated quarters with a -0.0 entry and one column
-shifted by 1e7; ``run --mode exact`` at 12 and 13 rows by 3 columns, k=3
+shifted by 1e7; real L1 far from 0: ``ratio`` at 7x7, k=2,2, shifted by
+1e12, ``exact`` at 8x8, k=3,3, shifted by 1e7 and on a literal matrix of
+quarters with a -0.0 entry, and ``run --mode exact`` at 13x3 shifted by
+1e12; ``run --mode exact`` at 12 and 13 rows by 3 columns, k=3
 and k=4, as binary L1, real L1 and L2, where the one-way search scores
 its partitions in several blocks, and at 12x4 under L1 on a literal 0/1
 matrix of repeated rows, whose ties straddle those blocks; ``run --mode
@@ -117,6 +120,15 @@ MEDIANS_7X7 = {
     ],
 }
 
+#: A literal 8x8 real input of quarters, a -0.0 among them, whose pooled
+#: medians tie all over the oracle's bounded pair search.
+QUARTERS_8X8 = {
+    "quarters_8x8.csv": [
+        [-0.0 if (i, j) == (0, 3) else (2 * i + 3 * j) % 5 / 4 - 0.5 for j in range(8)]
+        for i in range(8)
+    ],
+}
+
 
 #: Literal small-integer inputs, by file name, on which one Lloyd restart
 #: moves a point into an empty cluster after its first iteration (the
@@ -172,7 +184,8 @@ def _edge_ops() -> list[dict]:
     one-cluster axes included, then the other commands and the overflow
     ops.  ``inputs`` are ``[generator, rows, cols, seed, shift]`` as in
     ``bench/spec``; ``literals`` name files of :data:`OVERFLOW_MATRICES`,
-    :data:`MATRICES_8X8`, :data:`MEDIANS_7X7`, :data:`TIES_12X4`, :data:`REPAIR_MATRICES`,
+    :data:`MATRICES_8X8`, :data:`MEDIANS_7X7`, :data:`QUARTERS_8X8`, :data:`TIES_12X4`,
+    :data:`REPAIR_MATRICES`,
     :data:`LLOYD_MATRICES`, :data:`ZERO_ONE_TEXT` and :data:`TENTHS_5X4`."""
     classes = (("binary", "l1", 0), ("real", "l1", 0), ("real", "l2", 0), ("real", "l2", SHIFT))
     shapes = (
@@ -225,6 +238,27 @@ def _edge_ops() -> list[dict]:
                 "inputs": {},
                 "literals": {"x": "medians_7x7.csv"},
             })
+    # real L1 far from 0, where the median tables center the data first: the
+    # 7x7 matrix of the bench's first real L1 ratio op shifted by 1e12; the
+    # bounded pair search at 8x8 on real data shifted by 1e7 and on tied
+    # quarters; the one-way search, whose tables center each column, on 13x3
+    # shifted by 1e12
+    far = (
+        ("ratio_real_l1_7x7_k22_s80000_shift1e12", ["ratio"], "2", "2",
+         {"x": ["real", 7, 7, 80_000, 1e12]}, {}),
+        ("exact_real_l1_8x8_k33_s92001_shift1e+07", ["exact"], "3", "3",
+         {"x": ["real", 8, 8, 92_001, SHIFT]}, {}),
+        ("exact_quarters_l1_8x8_k33", ["exact"], "3", "3", {}, {"x": "quarters_8x8.csv"}),
+        ("run_real_l1_13x3_k32_s92002_shift1e12", ["run", "--mode", "exact"], "3", "2",
+         {"x": ["real", 13, 3, 92_002, 1e12]}, {}),
+    )
+    for key, cmd, k_r, k_c, generated, literals in far:
+        ops.append({
+            "key": f"edge/far/{key}",
+            "argv": cmd + ["--input", "{x}", "--kr", k_r, "--kc", k_c, "--norm", "l1"],
+            "inputs": generated,
+            "literals": literals,
+        })
     # the one-way search over more partitions than one scoring batch holds
     run_seed = 91_000  # seeds of their own, so that the ops after these keep theirs
     for gen, norm, _ in classes[:3]:
@@ -392,7 +426,7 @@ def _child(src: Path, out: Path, pools: list[str]) -> None:
         raise SystemExit(f"error: imported crossclust from {crossclust.cli.__file__}")
     workdir = Path("inputs")  # relative, so both trees print the same input paths
     workdir.mkdir()
-    literal = {**OVERFLOW_MATRICES, **MATRICES_8X8, **MEDIANS_7X7, **TIES_12X4,
+    literal = {**OVERFLOW_MATRICES, **MATRICES_8X8, **MEDIANS_7X7, **QUARTERS_8X8, **TIES_12X4,
                **REPAIR_MATRICES, **LLOYD_MATRICES, **TENTHS_5X4}
     for name, rows in literal.items():
         # repr round-trips every float exactly, as in bench/common.write_inputs
