@@ -55,7 +55,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import ValidationError, overflow_guard
-from .model import DataMatrix, Partition, _as_floats, keyed_blocks, label_table, partition_count
+from .model import DataMatrix, Partition, _as_floats, keyed_blocks, partition_count, partition_table
 
 #: Certified worst-case ratio of the independent-clustering scheme cost to
 #: the optimal biclustering cost, per input class.
@@ -452,12 +452,12 @@ class BatchCosts:
     depends only on the shape is built once and kept read-only: the
     groups' float membership rows (:func:`_members`), which the sum tables
     read in place, and size buckets (:func:`_size_buckets`), per item count
-    and whether there is one cluster, and the keys of every column
-    partition, and of every row partition for a pruned pair search
-    (:func:`_label_keys`), per (items, clusters).
+    and whether there is one cluster.  The keys of every column partition,
+    and of every row partition for a pruned pair search, are the walk's own,
+    from its cached table (:func:`~crossclust.model.partition_table`).
 
     With ``k_c``, the column partitions are those of
-    ``label_table(m, k_c)``, an entry is a block's pooled cost, and the
+    ``partition_table(m, k_c)``, an entry is a block's pooled cost, and the
     scores are biclustering costs.  Without ``k_c`` every column is its
     own group: the table has one column, a row group's per-column costs
     summed, and the scores are row-clustering objectives.  The table has
@@ -515,7 +515,7 @@ class BatchCosts:
         if pooled:
             col_groups = _members(m, k_c == 1)
             # entry (c, p): the table column of cluster c of column partition p
-            self._cols = _label_keys(m, k_c)
+            self._cols = partition_table(m, k_c)[1]
         else:
             col_groups = np.ones((1, m))  # all columns, each apart
             self._cols = np.zeros((1, 1), dtype=np.intp)
@@ -557,7 +557,7 @@ class BatchCosts:
         """Costs of the R row partitions whose groups have the (k, R) keys
         ``keys``, as :func:`~crossclust.model.keyed_blocks` writes them,
         crossed with every column partition at the indices ``cols`` of the
-        label table (all by default), as one flat array, rows outer."""
+        partition table (all by default), as one flat array, rows outer."""
         # one gather and add per cluster, on each side: a sum over a short
         # axis would cost more time, and a gather of all clusters more memory
         per_col_group = self._table.take(keys[0], axis=0)  # (R, column groups)
@@ -568,18 +568,6 @@ class BatchCosts:
         for keys_c in crossed[1:]:
             costs += per_col_group.take(keys_c, axis=1)
         return costs.ravel()
-
-
-def _group_keys(labels: np.ndarray, k: int) -> np.ndarray:
-    """(P, t) labels to the (P, k) keys of each partition's groups (see
-    :class:`BatchCosts`), which :func:`_label_keys` caches; an empty group
-    has key 0."""
-    # one BLAS product per cluster; exact, as every key is an integer below 2^t
-    weights = _item_keys(labels.shape[1], k).astype(float)
-    keys = np.empty((len(labels), k), dtype=np.intp)
-    for c in range(k):
-        keys[:, c] = (labels == c) @ weights
-    return keys
 
 
 def _item_keys(t: int, k: int) -> np.ndarray:
@@ -614,20 +602,6 @@ def _size_buckets(t: int, single: bool) -> tuple[tuple[int, np.ndarray, np.ndarr
         items.setflags(write=False)
         buckets.append((int(s), ids, items))
     return tuple(buckets)
-
-
-@lru_cache(maxsize=16)
-def _label_keys(t: int, k: int) -> np.ndarray:
-    """Read-only (k, P) int16 keys of the groups of the P partitions of
-    ``label_table(t, k)``, cluster-major, as :func:`~crossclust.model.keyed_blocks`
-    writes them (a key is below 2^14); built once per (t, k), from chunks
-    of ``BATCH_ENTRIES`` labels."""
-    labels = label_table(t, k)
-    keys, step = np.empty((k, len(labels)), dtype=np.int16), max(1, BATCH_ENTRIES // t)
-    for i in range(0, len(labels), step):
-        keys[:, i : i + step] = _group_keys(labels[i : i + step], k).T
-    keys.setflags(write=False)
-    return keys
 
 
 def _sum_table(
@@ -820,8 +794,8 @@ def _exact_search(
     row-clustering objective) or against every column partition (the
     biclustering cost, columns inner).  A pair search whose row partitions
     do not all fit in one scoring batch is pruned first by the one-way
-    bound, read off the same table, and scores keys from the cached table
-    of every row partition's (:func:`_bounded_pairs`); one that fits is
+    bound, read off the same table, and scores keys from the walk's cached
+    table of every row partition (:func:`_bounded_pairs`); one that fits is
     cheaper to score whole.  The labels are read only for candidates, and
     only candidates and the winner become :class:`Partition` objects.
     :class:`FirstMinimum` applies the tie rule with tolerance ``TIE_RTOL``
@@ -831,7 +805,7 @@ def _exact_search(
     columns (None without ``k_c``) and the exact cost the winner won on.
     The callers check the cluster counts and the enumeration caps.
     """
-    cols = None if k_c is None else label_table(x.n_cols, k_c)
+    cols = None if k_c is None else partition_table(x.n_cols, k_c)[0]
     score = BatchCosts(x, norm, k, k_c)
     # ``item`` reads the labels being fed and the indices of their column partitions
     if cols is None:
@@ -867,7 +841,7 @@ def _bounded_pairs(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The pair search of :func:`_exact_search`, pruned by the one-way
     bound: blocks of the surviving row partitions, as labels and as keys
-    (gathered from ``label_table`` and :func:`_label_keys`), each with the
+    (gathered from :func:`~crossclust.model.partition_table`), each with the
     indices of the surviving column partitions, in canonical order.
 
     A block's pooled cost is at least the sum of its per-column costs, so
@@ -877,11 +851,12 @@ def _bounded_pairs(
     is the batched cost of the pair of least bounds plus ``score.err``:
     at least that pair's direct cost, so at least the least exact cost
     (the direct costs are the ones :class:`FirstMinimum` compares).
-    Before each block, a partition is dropped when its bound, less
-    ``2 * score.err``, is above ``min(incumbent, pick.best)`` plus the tie
-    tolerance.  No pair holding it can then come within the tie window of
-    the least exact cost, which is at most that, so winners, ties and
-    costs do not change; the filter tightens as the best exact cost falls.
+    A partition is dropped when its bound, less ``2 * score.err``, is above
+    ``min(incumbent, pick.best)`` plus the tie tolerance.  No pair holding
+    it can then come within the tie window of the least exact cost, which
+    is at most that, so winners, ties and costs do not change.  The filter
+    runs once up front and again before a block only when the best exact
+    cost has fallen: until then the partitions left already pass it.
 
     The margin: the bound of R is the batched cost of R crossed with F,
     every column apart, within ``err`` of its direct cost (the derivation
@@ -904,35 +879,39 @@ def _bounded_pairs(
       + m + 4)*eps times the centered sum of squares, which is the whole
       matrix's cost, and a drift over groups of up to n*m entries.
     """
-    rows, row_keys = label_table(x.n_rows, k), _label_keys(x.n_rows, k)
-    l_r, l_c = _oneway_bounds(x, k, k_c, score)
+    rows, row_keys = partition_table(x.n_rows, k)
+    l_r, l_c = _oneway_bounds(score._table, row_keys, score._cols,
+                              _item_keys(x.n_rows, k), _item_keys(x.n_cols, k_c))
     incumbent = float(score(row_keys[:, [l_r.argmin()]], [l_c.argmin()])[0]) + score.err
     margin = 2.0 * score.err + TIE_RTOL * score.scale
-    left, crossed = np.arange(len(rows)), np.arange(len(l_c))
-    while True:
-        limit = min(incumbent, pick.best) + margin
-        left = left[l_r[left] <= limit]
-        if not len(left):
-            return
-        crossed = crossed[l_c[crossed] <= limit]
+    limit = min(incumbent, pick.best) + margin
+    left, crossed = np.flatnonzero(l_r <= limit), np.flatnonzero(l_c <= limit)
+    while len(left):
         block = left[: score.batch_size(crossed)]
         yield rows[block], row_keys[:, block], crossed
         left = left[len(block) :]
+        # min(incumbent, pick.best) + margin, where it has fallen
+        if pick.best + margin < limit:
+            limit = pick.best + margin
+            left, crossed = left[l_r[left] <= limit], crossed[l_c[crossed] <= limit]
 
 
 def _oneway_bounds(
-    x: DataMatrix, k: int, k_c: int, score: BatchCosts
+    table: np.ndarray, rows: np.ndarray, cols: np.ndarray, row_items, col_items
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The bounds of :func:`_bounded_pairs` from ``score``'s table T: of
-    each row partition of ``label_table(n, k)``, T[g, {j}] summed over its
-    groups g, keyed by :func:`_label_keys`, and the columns j; of each
-    column partition ``score`` crosses, T[{i}, h] likewise.  With one
-    cluster on the other axis that is the pair's cost."""
-    t_r = score._table[:, _item_keys(x.n_cols, k_c)].sum(axis=1)
-    t_c = score._table[_item_keys(x.n_rows, k)].sum(axis=0)
+    """The one-way bounds of every partition, from a table T of block costs:
+    of each row partition with the (k, P) group keys ``rows``, T[g, j]
+    summed over its groups g and the keys j of ``col_items``, those of the
+    single columns (the whole row, with one column cluster); of each column
+    partition of ``cols``, T[i, h] likewise, i over ``row_items``.  With
+    one cluster on the other axis that is the pair's cost.  Their least is
+    the least one-way cost, which :func:`_lower_bound_costs` reads, and
+    :func:`_bounded_pairs` prunes by each."""
+    t_r = table[:, col_items].sum(axis=1)
+    t_c = table[row_items].sum(axis=0)
     # a gather and add per cluster, as BatchCosts scores
-    l_r = sum(t_r.take(keys_r) for keys_r in _label_keys(x.n_rows, k))
-    return l_r, t_c[score._cols].sum(axis=0)
+    l_r = sum(t_r.take(keys_r) for keys_r in rows)
+    return l_r, sum(t_c.take(keys_c) for keys_c in cols)
 
 
 def _lower_bound_costs(x: _Blocks, budgets, norm: Norm) -> np.ndarray:
@@ -941,9 +920,10 @@ def _lower_bound_costs(x: _Blocks, budgets, norm: Norm) -> np.ndarray:
     their grand means under L2, each chunk of blocks gets one
     :func:`_sum_table` over the groups of the stack's largest shape: T[g, h]
     costs the block of row and column bitmasks g and h (a key below 2^n
-    holds no padding), and each cost is a least sum of T over groups' keys,
-    as in :func:`_oneway_bounds`: exact for 0/1 L1, within
-    ``BatchCosts.err`` of the direct costs for L2."""
+    holds no padding), and each cost is a least sum of T over the group
+    keys of :func:`~crossclust.model.partition_table`, l_r and l_c those of
+    :func:`_oneway_bounds`: exact for 0/1 L1, within ``BatchCosts.err`` of
+    the direct costs for L2."""
     v = x.values
     cases = np.hstack([x.rows, x.cols, budgets]).tolist()  # n, m, k_r, k_c
     if norm is Norm.L2:  # padding sums as 0, and no key read below covers it
@@ -953,11 +933,10 @@ def _lower_bound_costs(x: _Blocks, budgets, norm: Norm) -> np.ndarray:
     for i in range(0, len(v), step):
         tables = _sum_table(v[i : i + step], row_groups, col_groups, True, norm is Norm.L2)
         for table, (n, m, k_r, k_c) in zip(tables, cases[i : i + step]):
-            # bitmask keys of the groups of label_table(t, k); the full mask for k = 1
-            rows, cols = (_label_keys(t, k) if k > 1 else np.array([[(1 << t) - 1]])
+            # the walk's group keys; the table's full mask for k = 1
+            rows, cols = (partition_table(t, k)[1] if k > 1 else np.array([[(1 << t) - 1]])
                           for t, k in ((n, k_r), (m, k_c)))
             l_star = table[:, cols].sum(axis=1)[rows].sum(axis=0).min()
-            l_r = table[:, 1 << np.arange(m)].sum(axis=1)[rows].sum(axis=0).min()
-            l_c = table[1 << np.arange(n)].sum(axis=0)[cols].sum(axis=0).min()
-            costs.append((l_star, l_r, l_c, table[(1 << n) - 1, (1 << m) - 1]))
+            l_r, l_c = _oneway_bounds(table, rows, cols, 1 << np.arange(n), 1 << np.arange(m))
+            costs.append((l_star, l_r.min(), l_c.min(), table[(1 << n) - 1, (1 << m) - 1]))
     return np.array(costs)

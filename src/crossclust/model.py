@@ -244,24 +244,25 @@ def enumerate_partitions(t: int, max_k: int) -> Iterator[Partition]:
 
     The total count is sum of Stirling numbers S(t, j) for j = 1..max_k.
     Enumeration is refused outright for t > 14 since the Bell-number
-    growth makes it intractable.  This is a view of
-    :func:`partition_blocks`, one :class:`Partition` per row; the exact
-    solvers walk only prefixes here.
+    growth makes it intractable.  This is a view of the label blocks of
+    :func:`keyed_blocks`, one :class:`Partition` per row; the exact solvers
+    walk only prefixes here.
     """
     _check_enumeration(t, max_k)
-    # blocks of at least 14 rows (>= max_k) keep the prefixes of
-    # partition_blocks shorter than t, so its recursion here ends; blocks of
-    # 256 keep the lists ``_partitions`` makes of a block's rows small
-    return _partitions(partition_blocks(t, max_k, 1 << 8), max_k)
+    # blocks of at least 14 rows (>= max_k) keep the walk's prefixes shorter
+    # than t, so its recursion here ends; blocks of 256 keep the lists
+    # ``_partitions`` makes of a block's rows small
+    return _partitions(keyed_blocks(t, max_k, 1 << 8), max_k)
 
 
-def _partitions(blocks: Iterator[np.ndarray], k: int) -> Iterator[Partition]:
-    """The rows of label blocks as partitions.  The rows are canonical by
-    construction, so they skip the validation of ``Partition.__post_init__``:
-    the walk makes one object per partition, and validated, a walk of 12
-    items into at most 3 clusters takes about four times as long."""
+def _partitions(blocks: Iterator[tuple[np.ndarray, np.ndarray]], k: int) -> Iterator[Partition]:
+    """The rows of the walk's label blocks as partitions.  The rows are
+    canonical by construction, so they skip the validation of
+    ``Partition.__post_init__``: the walk makes one object per partition,
+    and validated, a walk of 12 items into at most 3 clusters takes about
+    four times as long."""
     new = object.__new__
-    for block in blocks:
+    for block, _ in blocks:
         for labels in block.tolist():
             part = new(Partition)
             part.__dict__.update(assignment=tuple(labels), k=k)
@@ -290,20 +291,14 @@ def _check_enumeration(t: int, max_k: int) -> None:
         raise ValidationError(f"cluster bound must be in [1, {t}], got {max_k}")
 
 
-def partition_blocks(t: int, k: int, rows: int) -> Iterator[np.ndarray]:
-    """The partitions of :func:`enumerate_partitions`, in its order, as
-    (P, t) int8 label blocks of at most ``rows`` rows each: the label
-    blocks of :func:`keyed_blocks`."""
-    return (labels for labels, _ in keyed_blocks(t, k, rows))
-
-
 def keyed_blocks(t: int, k: int, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The blocks of :func:`partition_blocks`, each with the (k, P) int16
-    keys of its partitions' groups, cluster-major.  A group is keyed by
-    its bitmask, item i adding 1 << i; an empty group has key 0.  With
-    k == 1 the all-in-one partition is one zero row, under no cap, and
-    its one group is keyed by item 0 alone, so a long axis needs no wide
-    mask.
+    """The partitions of :func:`enumerate_partitions`, in its order, as
+    (P, t) int8 label blocks of at most ``rows`` rows each, each with the
+    (k, P) int16 keys of its partitions' groups, cluster-major: the one
+    encoder of group keys.  A group is keyed by its bitmask, item i adding
+    1 << i; an empty group has key 0.  With k == 1 the all-in-one partition
+    is one zero row, under no cap, and its one group is keyed by item 0
+    alone, so a long axis needs no wide mask.
 
     Only the prefixes of the first p labels are walked, on
     :func:`enumerate_partitions`, the least p >= 1 with k**(t - p) <= rows,
@@ -352,6 +347,8 @@ def partition_count(t: int, k: int) -> int:
     """Number of partitions of ``t`` items into at most ``k`` clusters: the
     sum of the Stirling numbers S(t, j), j = 1..k, by their recurrence
     S(i, j) = j S(i - 1, j) + S(i - 1, j - 1)."""
+    if k == 1:  # S(t, 1) = 1, with no step per item of a long axis
+        return 1
     row = [1] + [0] * k  # S(0, j)
     for _ in range(t):
         row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
@@ -359,13 +356,23 @@ def partition_count(t: int, k: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def label_table(t: int, k: int) -> np.ndarray:
-    """Read-only (P, t) int8 table of every partition of ``t`` items into
-    at most ``k`` clusters, one label string per row, in the order of
-    :func:`enumerate_partitions`; built once per (t, k)."""
-    table = np.concatenate(list(partition_blocks(t, k, 1 << 12)))
-    table.setflags(write=False)
-    return table
+def partition_table(t: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every partition of ``t`` items into at most ``k`` clusters, in the
+    order of :func:`enumerate_partitions`: the read-only (P, t) int8 table
+    of their label strings, one per row, and the read-only (k, P) int16
+    keys of their groups, as :func:`keyed_blocks` writes them.  Built once
+    per (t, k), block by block, into arrays of :func:`partition_count`
+    rows, so the build needs no more than the tables and one block."""
+    blocks = keyed_blocks(t, k, 1 << 12)  # validates t and k before any allocation
+    size = partition_count(t, k)
+    labels, keys, end = np.empty((size, t), dtype=np.int8), np.empty((k, size), dtype=np.int16), 0
+    for block_labels, block_keys in blocks:
+        labels[end : end + len(block_labels)] = block_labels
+        keys[:, end : end + len(block_labels)] = block_keys
+        end += len(block_labels)
+    labels.setflags(write=False)
+    keys.setflags(write=False)
+    return labels, keys
 
 
 @lru_cache(maxsize=64)

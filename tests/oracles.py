@@ -69,6 +69,17 @@ def restricted_growth_strings(t, max_k):
     return extend([0], 0)
 
 
+def group_keys(labels, k):
+    """The keys of the k groups of one label string, in label order: a
+    group's bitmask, item i adding 1 << i, and 0 for an empty group.  With
+    k == 1 the one group is keyed by item 0 alone."""
+    keys = [0] * k
+    for item, lab in enumerate(labels):
+        if k > 1 or item == 0:
+            keys[lab] += 1 << item
+    return tuple(keys)
+
+
 def stirling2(n, k):
     """Stirling numbers of the second kind by the standard recurrence."""
     table = [[0] * (k + 1) for _ in range(n + 1)]

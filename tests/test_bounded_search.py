@@ -25,7 +25,7 @@ from crossclust import (
 )
 from crossclust import cost
 from crossclust.cost import TIE_RTOL, BatchCosts, FirstMinimum, block_costs
-from crossclust.model import label_table, partition_count
+from crossclust.model import partition_count, partition_table
 
 from oracles import exact_biclustering_argmin_naive
 
@@ -142,9 +142,10 @@ class TestTableBounds:
     def test_within_err_of_the_direct_oneway_costs(self, kind, norm):
         # every row and every column partition, at k = 3 on both axes
         x = DataMatrix(_values(kind, 6, 5, 7))
-        rows, cols = label_table(6, 3), label_table(5, 3)
+        (rows, row_keys), (cols, col_keys) = partition_table(6, 3), partition_table(5, 3)
         score = BatchCosts(x, norm, 3, 3)
-        l_r, l_c = cost._oneway_bounds(x, 3, 3, score)
+        l_r, l_c = cost._oneway_bounds(score._table, row_keys, col_keys,
+                                       1 << np.arange(6), 1 << np.arange(5))
         direct_r = [oneway_row_cost(x, Partition(r, 3), norm) for r in map(tuple, rows.tolist())]
         direct_c = [oneway_col_cost(x, Partition(c, 3), norm) for c in map(tuple, cols.tolist())]
         assert np.abs(l_r - direct_r).max() <= score.err
@@ -184,9 +185,8 @@ class TestMarginsUnderFaults:
             costs = call(self, keys, cols)
             return costs - self.err * rng.uniform(0.0, 1.0, costs.shape)
 
-        def raised(x, k, k_c, score):
-            return tuple(b + score.err * rng.uniform(0.0, 1.0, b.shape)
-                         for b in bounds(x, k, k_c, score))
+        def raised(*args):
+            return tuple(b + plain.err * rng.uniform(0.0, 1.0, b.shape) for b in bounds(*args))
 
         with patch.object(BatchCosts, "__call__", lowered), \
                 patch.object(cost, "_oneway_bounds", raised), _batch_entries(1) as calls:

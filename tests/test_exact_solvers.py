@@ -31,15 +31,15 @@ from crossclust.cost import (
     columnwise_cost,
     pooled_cost,
 )
-from crossclust.model import label_table, partition_blocks
+from crossclust.model import keyed_blocks, partition_table
 
-from oracles import exact_biclustering_argmin_naive, exact_oneway_argmin_naive
+from oracles import exact_biclustering_argmin_naive, exact_oneway_argmin_naive, group_keys
 
 
 def _keys(parts, k):
     """Partitions into at most ``k`` clusters as the (k, P) group keys that
     ``BatchCosts`` scores, as the partition walk writes them."""
-    return cost._group_keys(np.array([p.assignment for p in parts], dtype=np.int8), k).T
+    return np.array([group_keys(p.assignment, k) for p in parts]).T
 
 
 def _summed(norm, n, m, seed):
@@ -157,32 +157,45 @@ class TestBatchCosts:
             assert np.abs(kernel(_keys(rows, 2))).max() <= kernel.err
 
 
-def _group_keys_one_product(labels, k):
-    """The group keys as one integer product over all clusters, the
-    formula that ``cost._group_keys``'s float products must reproduce."""
-    t = labels.shape[1]
-    eq = labels[:, None, :] == np.arange(k, dtype=labels.dtype)[:, None]
-    return eq @ (1 << np.arange(t) if k > 1 else (np.arange(t) == 0).astype(np.intp))
-
-
 class TestGroupKeys:
+    """The walk's keys, the only ones the exact searches score, against
+    ``oracles.group_keys`` of their labels."""
+
     @staticmethod
-    def _check(labels, k):
-        keys, expected = cost._group_keys(labels, k), _group_keys_one_product(labels, k)
-        assert keys.dtype == expected.dtype and keys.shape == expected.shape
-        assert np.array_equal(keys, expected)
+    def _check(labels, keys, k):
+        assert keys.dtype == np.int16 and keys.shape == (k, len(labels))
+        assert keys.T.tolist() == [list(group_keys(row, k)) for row in labels.tolist()]
 
     @pytest.mark.parametrize("t", range(1, 11))
     def test_every_label_table_up_to_ten_items(self, t):
         for k in range(1, min(t, 4) + 1):
-            self._check(label_table(t, k), k)
+            self._check(*partition_table(t, k), k)
 
-    @pytest.mark.parametrize("rows", [1, 300])
-    def test_one_cluster_on_twenty_items(self, rows):
-        self._check(np.zeros((rows, 20), dtype=np.int8), 1)
+    def test_one_cluster_on_twenty_items(self):
+        self._check(*partition_table(20, 1), 1)
 
     def test_a_block_at_fourteen_items(self):
-        self._check(next(partition_blocks(14, 4, 1 << 12)), 4)
+        self._check(*next(keyed_blocks(14, 4, 1 << 12)), 4)
+
+    @pytest.mark.parametrize("k_c", [1, 2, 3])
+    def test_batch_costs_read_the_cached_keys(self, k_c):
+        x = random_real_matrix(5, 6, seed=2)
+        for norm in Norm:
+            assert BatchCosts(x, norm, 2, k_c)._cols is partition_table(6, k_c)[1]
+
+    def test_the_twelve_item_build_stays_near_its_tables(self):
+        # the (12, 4) labels and keys take 8.4 MB and 5.6 MB; the build adds
+        # one 4,096-row block of the walk, not a second copy of either
+        partition_table.cache_clear()
+        tracemalloc.start()
+        try:
+            labels, keys = partition_table(12, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            partition_table.cache_clear()
+        assert labels.nbytes + keys.nbytes == 700_075 * (12 + 2 * 4)
+        assert peak < labels.nbytes + keys.nbytes + 1_000_000
 
 
 class TestFirstMinimum:

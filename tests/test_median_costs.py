@@ -26,15 +26,15 @@ from crossclust.cost import (
     columnwise_cost,
     pooled_cost,
 )
-from crossclust.model import label_table, partition_count
+from crossclust.model import partition_count, partition_table
 
-from oracles import exact_biclustering_argmin_naive, exact_oneway_argmin_naive
+from oracles import exact_biclustering_argmin_naive, exact_oneway_argmin_naive, group_keys
 
 
 def _keys(parts, k):
     """Partitions into at most ``k`` clusters as the (k, P) group keys that
     ``BatchCosts`` scores, as the partition walk writes them."""
-    return cost._group_keys(np.array([p.assignment for p in parts], dtype=np.int8), k).T
+    return np.array([group_keys(p.assignment, k) for p in parts]).T
 
 
 def _real(values) -> DataMatrix:
@@ -147,7 +147,7 @@ class TestSignedLanes:
         rng = np.random.default_rng(seed)
         rows = _some(list(enumerate_partitions(x.n_rows, k_r)), rng)
         cols = _some(list(range(partition_count(x.n_cols, k_c))), rng)
-        labels = label_table(x.n_cols, k_c)
+        labels = partition_table(x.n_cols, k_c)[0]
         table = BatchCosts(x, Norm.L1, k_r, k_c)
         direct = [block_costs(x, r, Partition(tuple(labels[j].tolist()), k_c), Norm.L1).sum()
                   for r in rows for j in cols]

@@ -1,10 +1,10 @@
-"""The label blocks of ``model.partition_blocks``, and their view
-``enumerate_partitions``, against the brute-force enumerations of
-``oracles.py``, the Stirling counts and the blocks' row bound.  The walk
-the blocks are checked against is the reference one: every set partition
-from the insert-into-each-block recursion, sorted lexicographically.  The
-group keys ``model.keyed_blocks`` writes next to the labels are checked
-against ``cost._group_keys`` of those labels."""
+"""The label blocks of ``model.keyed_blocks``, their view
+``enumerate_partitions`` and their cached table ``partition_table``,
+against the brute-force enumerations of ``oracles.py``, the Stirling
+counts and the blocks' row bound.  The walk the blocks are checked against
+is the reference one: every set partition from the insert-into-each-block
+recursion, sorted lexicographically.  The group keys the walk writes next
+to the labels are checked against ``oracles.group_keys`` of those labels."""
 
 import tracemalloc
 from functools import lru_cache
@@ -13,11 +13,12 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from crossclust import CapExceededError, ValidationError, cost, enumerate_partitions
+from crossclust import CapExceededError, ValidationError, enumerate_partitions
 from crossclust.cost import BATCH_ENTRIES
-from crossclust.model import keyed_blocks, label_table, partition_blocks, partition_count
+from crossclust.model import keyed_blocks, partition_count, partition_table
 
 from oracles import (
+    group_keys,
     partitions_by_block_recursion,
     partitions_by_label_strings,
     restricted_growth_strings,
@@ -35,11 +36,20 @@ def _walk_tables(t):
     return {k: walk[top < k] for k in range(1, t + 1)}
 
 
+def _oracle_keys(labels, k):
+    """``oracles.group_keys`` of each row of ``labels``, as a (k, P) array."""
+    return np.array([group_keys(row, k) for row in labels.tolist()]).reshape(-1, k).T
+
+
+@lru_cache(maxsize=None)
+def _walk_keys(t, k):
+    """:func:`_oracle_keys` of the reference walk's table of (t, k)."""
+    return _oracle_keys(_walk_tables(t)[k], k)
+
+
 def _blocks(t, k, rows):
-    blocks = list(partition_blocks(t, k, rows))
-    assert all(b.dtype == np.int8 and b.shape[1] == t for b in blocks)
-    assert all(1 <= len(b) <= rows for b in blocks)
-    return blocks
+    """The label blocks of the walk."""
+    return [labels for labels, _ in _keyed(t, k, rows)]
 
 
 def _keyed(t, k, rows):
@@ -82,15 +92,16 @@ class TestKeyedBlocks:
             blocks = _keyed(t, k, rows)
             table = np.concatenate([labels for labels, _ in blocks])
             keys = np.concatenate([keys for _, keys in blocks], axis=1)
-            assert table.tobytes() == label_table(t, k).tobytes(), (k, rows)
+            walk = _walk_tables(t)[k].tobytes()
+            assert table.tobytes() == walk == partition_table(t, k)[0].tobytes(), (k, rows)
             # each block's keys are its own labels', as the shapes line up
-            assert np.array_equal(keys, cost._group_keys(table, k).T), (k, rows)
+            assert np.array_equal(keys, _walk_keys(t, k)), (k, rows)
 
     def test_first_blocks_of_a_large_space(self):
         first = list(islice(keyed_blocks(14, 4, 1000), 3))
         for labels, keys in first:
             assert len(labels) <= 1000
-            assert np.array_equal(keys, cost._group_keys(labels, 4).T)
+            assert np.array_equal(keys, _oracle_keys(labels, 4))
         got = [tuple(r) for labels, _ in first for r in labels.tolist()]
         assert got == list(islice(restricted_growth_strings(14, 4), len(got)))
 
@@ -98,7 +109,7 @@ class TestKeyedBlocks:
         (labels, keys), = keyed_blocks(20, 1, 5)
         assert labels.shape == (1, 20) and not labels.any()
         assert keys.tolist() == [[1]]
-        assert np.array_equal(keys, cost._group_keys(labels, 1).T)
+        assert np.array_equal(keys, _oracle_keys(labels, 1))
 
 
 class TestTheView:
@@ -128,7 +139,7 @@ class TestCounts:
         rows = 1000
         tracemalloc.start()
         try:
-            first = list(islice(partition_blocks(14, 4, rows), 3))
+            first = [labels for labels, _ in islice(keyed_blocks(14, 4, rows), 3)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -145,29 +156,35 @@ class TestTheFullTable:
     @pytest.mark.parametrize("t", range(1, 9))
     def test_the_walk_read_only_and_built_once(self, t):
         for k, walk in _walk_tables(t).items():
-            table = label_table(t, k)
+            cached = partition_table(t, k)
+            table, keys = cached
             assert table.dtype == np.int8 and table.tobytes() == walk.tobytes()
-            assert not table.flags.writeable
-            assert label_table(t, k) is table
+            assert not table.flags.writeable and not keys.flags.writeable
+            assert partition_table(t, k) is cached
+
+    def test_caps_are_checked_before_the_tables_are_made(self):
+        with pytest.raises(CapExceededError):
+            partition_table(40, 10)
 
 
 class TestEdges:
     def test_one_cluster_is_one_zero_row_on_any_axis(self):
-        blocks = list(partition_blocks(20, 1, 5))
+        blocks = _blocks(20, 1, 5)
         assert len(blocks) == 1
         assert blocks[0].shape == (1, 20) and not blocks[0].any()
 
     def test_caps_and_bounds(self):
         with pytest.raises(CapExceededError):
-            partition_blocks(15, 2, 100)
+            keyed_blocks(15, 2, 100)
         with pytest.raises(ValidationError):
-            partition_blocks(3, 4, 100)
+            keyed_blocks(3, 4, 100)
         with pytest.raises(ValidationError):
-            partition_blocks(3, 2, 0)
+            keyed_blocks(3, 2, 0)
 
     def test_writing_a_block_leaves_later_blocks_alone(self):
-        first = np.concatenate(list(partition_blocks(6, 3, 50)))
-        for block in partition_blocks(6, 3, 50):
+        first = np.concatenate(_blocks(6, 3, 50))
+        for block, keys in keyed_blocks(6, 3, 50):
             block[:] = 5
-        again = np.concatenate(list(partition_blocks(6, 3, 50)))
+            keys[:] = 5
+        again = np.concatenate(_blocks(6, 3, 50))
         assert again.tobytes() == first.tobytes()

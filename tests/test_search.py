@@ -30,6 +30,16 @@ from oracles import exact_biclustering_naive
 
 EXACT = SolverMode.exact()
 
+#: Quarters whose medians tie, a -0.0 among them, and column 4 shifted by
+#: 1e7: its one-block L1 cost is 70,000,013.25, and its optima cost a few
+#: units, 1e-8 to 2e-7 of that (the literal 7x7 matrix of
+#: ``tools/same_outputs.py``'s real-L1 median ops).
+MEDIANS_7X7 = DataMatrix([
+    [-0.0 if (i, j) == (1, 0) else (2 * i + 3 * j) % 5 / 4 - 0.5 + (1e7 if j == 4 else 0.0)
+     for j in range(7)]
+    for i in range(7)
+])
+
 
 class TestRunScheme:
     def test_all_singletons_zero(self):
@@ -190,6 +200,15 @@ class TestExactBiclustering:
         breakdown, _ = biclustering_cost(x, opt.rows, opt.cols, Norm.L1)
         assert opt.cost == pytest.approx(breakdown.l, abs=1e-12)
 
+    def test_a_near_tie_relative_to_scale_keeps_the_least_cost(self):
+        # the all-in-one row partition comes first and costs 14.75, 1.4e-8 of
+        # the one-block cost above the optimum: a tie tolerance of 1e-6 would
+        # let it win
+        opt = exact_biclustering(MEDIANS_7X7, 2, 2, Norm.L1)
+        assert opt.rows.assignment == (0, 1, 0, 0, 0, 0, 1)
+        assert opt.cols.assignment == (0, 0, 0, 0, 1, 0, 0)
+        assert opt.cost == 13.75
+
     def test_default_caps(self):
         x = random_binary_matrix(9, 4, 0.5, seed=2)
         with pytest.raises(CapExceededError):
@@ -251,6 +270,18 @@ class TestRatio:
         assert rep.l_star == pytest.approx(0.0, abs=1e-12)
         assert rep.l == pytest.approx(0.0, abs=1e-12)
         assert rep.ratio == 1.0
+
+    @pytest.mark.parametrize("k, l_r, l_c, l, l_star, value", [
+        pytest.param(2, 8.25, 12.75, 14.25, 13.75, 1.0363636363636364, id="k22"),
+        pytest.param(3, 5.0, 5.0, 8.0, 6.75, 1.1851851851851851, id="k33"),
+    ])
+    def test_a_small_optimum_relative_to_scale_is_not_zero(self, k, l_r, l_c, l, l_star, value):
+        # l* is 2e-7 and 1e-7 of the one-block cost: a zero test at 1e-6 of
+        # it would call it 0, and the nonzero scheme cost a violation
+        rep = ratio(MEDIANS_7X7, k, k, Norm.L1)
+        assert (rep.l_r, rep.l_c, rep.l, rep.l_star) == (l_r, l_c, l, l_star)
+        assert rep.ratio == value
+        assert rep.certified is None
 
     @pytest.mark.parametrize("excess, certified", [(1e-7, False), (1e-10, True)])
     def test_certificate_slack(self, excess, certified):
