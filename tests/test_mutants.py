@@ -1,9 +1,7 @@
 """``tools/mutants.py``: every registered mutant applies to this tree, and
-one run on a mutated copy reports the test that kills it."""
+a text that does not is refused."""
 
 import importlib.util
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -27,16 +25,3 @@ def test_a_missing_text_is_refused():
     with pytest.raises(ValueError, match="occurs 0 times"):
         mutants.mutated(ROOT, gone)
 
-
-def test_a_run_reports_the_killing_test():
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--only", "zero_cost_eps_wide",
-         "--tests", "tests/test_search.py::TestRatio"],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == [
-        "zero_cost_eps_wide: killed by tests/test_search.py::TestRatio::"
-        "test_a_small_optimum_relative_to_scale_is_not_zero[k22]",
-        "1 mutants: 0 survived that must be killed",
-    ]

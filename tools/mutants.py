@@ -1,15 +1,14 @@
 """Check that tier-1 kills one-line mutants of the library's tolerances,
 margins and encodings.
 
-    python tools/mutants.py [--only NAME ...] [--tests NODE ...]
+    python tools/mutants.py
 
 Each entry of :data:`MUTANTS` names a file, a text that occurs in it exactly
 once, the text that replaces it and why the change must be caught.  For
 each mutant the working tree (``src``, ``tests``, ``bench`` and the rest,
 uncommitted edits included) is copied to a temporary directory, the
-mutation is applied there, and tier-1 runs on the copy with ``-x``
-(``--tests`` runs those pytest node ids instead).  The tree itself is never
-written.  A mutant is *killed* when a test fails, and the first failing
+mutation is applied there, and tier-1 runs on the copy with ``-x``.  The
+tree itself is never written.  A mutant is *killed* when a test fails, and the first failing
 test is reported; otherwise it *survived*.
 
 A mutant whose ``equivalent`` field gives a reason may survive: no test
@@ -125,16 +124,16 @@ def mutated(tree: Path, mutant: Mutant) -> str:
     return text.replace(mutant.old, mutant.new)
 
 
-def run(mutant: Mutant, tests: list[str]) -> str | None:
-    """Run the tests on a mutated copy of the tree: the first failing test,
-    or None if every test passed."""
+def run(mutant: Mutant) -> str | None:
+    """Run tier-1 on a mutated copy of the tree: the first failing test, or
+    None if every test passed."""
     with tempfile.TemporaryDirectory(prefix="mutant_") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=IGNORED)
         (tree / mutant.file).write_text(mutated(tree, mutant), encoding="utf-8")
         path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
-        proc = subprocess.run([sys.executable, *TIER1, *OWN_TESTS, *tests], cwd=tree, env=env,
+        proc = subprocess.run([sys.executable, *TIER1, *OWN_TESTS], cwd=tree, env=env,
                               capture_output=True, text=True)
     if proc.returncode == 0:
         return None
@@ -143,22 +142,16 @@ def run(mutant: Mutant, tests: list[str]) -> str | None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", action="append", choices=[m.name for m in MUTANTS],
-                        help="mutant to run (repeatable; default: all)")
-    parser.add_argument("--tests", nargs="+", default=[],
-                        help="pytest node ids to run instead of all of tier-1")
-    args = parser.parse_args(argv)
-    mutants = [m for m in MUTANTS if args.only is None or m.name in args.only]
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
     try:
-        for m in mutants:  # every mutation applies before any test runs
+        for m in MUTANTS:  # every mutation applies before any test runs
             mutated(ROOT, m)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     survivors = 0
-    for m in mutants:
-        failed = run(m, args.tests)
+    for m in MUTANTS:
+        failed = run(m)
         if failed is not None:
             print(f"{m.name}: killed by {failed}", flush=True)
         elif m.equivalent:
@@ -166,7 +159,7 @@ def main(argv=None) -> int:
         else:
             print(f"{m.name}: SURVIVED ({m.reason})", flush=True)
             survivors += 1
-    print(f"{len(mutants)} mutants: {survivors} survived that must be killed")
+    print(f"{len(MUTANTS)} mutants: {survivors} survived that must be killed")
     return 1 if survivors else 0
 
 
